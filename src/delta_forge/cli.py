@@ -60,15 +60,24 @@ def _make_ring(args):
             raise InputError("--prec is required alongside --p")
         cfg = {"p": args.p, "prec": args.prec, "m": args.m}
         if args.modulus:
-            cfg["modulus"] = json.loads(args.modulus)
+            cfg["modulus"] = _load_json(args.modulus)
     else:
         raise InputError("ring config required: --ring JSON, or --p/--prec/--m")
-    m = cfg.get("m", 1)
-    modulus = tuple(cfg.get("modulus", ()))
+    if not isinstance(cfg, dict):
+        raise InputError(f"ring config must be a JSON object, got {cfg!r}")
+    p, prec, m = cfg.get("p"), cfg.get("prec"), cfg.get("m", 1)
+    modulus = cfg.get("modulus", [])
+    if not (_all_ints([p, prec, m]) and isinstance(modulus, list) and _all_ints(modulus)):
+        raise InputError(
+            f"ring config needs integers p, prec (and m, modulus list), got {cfg!r}"
+        )
     if m > 1 and not modulus:
-        modulus = find_irreducible(cfg["p"], m)
-    params = RingParams(p=cfg["p"], prec=cfg["prec"], m=m, modulus=modulus)
-    return WittRing(params)
+        modulus = find_irreducible(p, m)
+    return WittRing(RingParams(p=p, prec=prec, m=m, modulus=tuple(modulus)))
+
+
+def _all_ints(values):
+    return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
 
 
 def _seed(args):
@@ -114,7 +123,9 @@ def cmd_delta_eval(args):
 
 def cmd_teich(args):
     ring = _make_ring(args)
-    residue = json.loads(args.residue)
+    residue = _load_json(args.residue)
+    if not _all_ints(residue if isinstance(residue, list) else [residue]):
+        raise InputError(f"residue must be an integer or a list of them, got {residue!r}")
     t = ring.teichmueller(residue)
     return EXIT_OK, {"residue": residue, "teichmueller": elem_to_json(t)}
 
@@ -183,11 +194,12 @@ def cmd_hom_check(args):
 
 
 def _cocycle_from_json(ring, obj):
-    omega = GmHomParams(
-        tuple(elem_from_json(ring, v) for v in obj["omega"]["lambda"])
-    )
-    v = SquareMatrix.from_json(ring, obj["v"])
-    return ClassifiedCocycle(omega, v)
+    omega = obj.get("omega") if isinstance(obj, dict) else None
+    lam = omega.get("lambda") if isinstance(omega, dict) else None
+    if not isinstance(lam, list) or "v" not in obj:
+        raise InputError('cocycle must be {"omega": {"lambda": [...]}, "v": matrix}')
+    omega = GmHomParams(tuple(elem_from_json(ring, v) for v in lam))
+    return ClassifiedCocycle(omega, SquareMatrix.from_json(ring, obj["v"]))
 
 
 def cmd_cocycle_make(args):
@@ -210,12 +222,13 @@ def cmd_cocycle_make(args):
 def _handle_from_args(ring, args):
     if args.map == "logderiv":
         return log_derivative_handle()
-    if args.map == "coboundary":
-        obj = _load_json(args.cocycle)
-        return coboundary_handle(SquareMatrix.from_json(ring, obj["v"] if "v" in obj else obj))
     obj = _load_json(args.cocycle)
     if obj is None:
-        raise InputError("--cocycle payload is required for classified maps")
+        raise InputError(f"--cocycle payload is required for {args.map} maps")
+    if args.map == "coboundary":
+        if isinstance(obj, dict) and "v" in obj:
+            obj = obj["v"]
+        return coboundary_handle(SquareMatrix.from_json(ring, obj))
     return classified_handle(_cocycle_from_json(ring, obj))
 
 

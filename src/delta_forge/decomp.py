@@ -97,11 +97,15 @@ class DecompositionWord:
 
     @classmethod
     def from_json(cls, ring, obj):
+        recs = obj.get("factors") if isinstance(obj, dict) else None
+        if not isinstance(recs, list) or not isinstance(obj.get("n"), int):
+            raise InputError('word must be {"n": n, "factors": [...]}')
         factors = []
-        for rec in obj["factors"]:
-            if rec["kind"] == "perm":
+        for rec in recs:
+            kind = rec.get("kind") if isinstance(rec, dict) else None
+            if kind == "perm" and isinstance(rec.get("sigma"), list):
                 factors.append(PermFactor(tuple(rec["sigma"])))
-            elif rec["kind"] == "s":
+            elif kind == "s" and isinstance(rec.get("b"), list) and "a" in rec:
                 factors.append(
                     SFactor(
                         elem_from_json(ring, rec["a"]),
@@ -109,7 +113,7 @@ class DecompositionWord:
                     )
                 )
             else:
-                raise InputError(f"unknown factor kind {rec['kind']!r}")
+                raise InputError(f"cannot decode factor {rec!r}")
         return cls(obj["n"], tuple(factors))
 
 

@@ -20,6 +20,7 @@ from math import comb
 
 from .errors import ArityError, InputError, TermBudgetError
 from .rings import ARITHMETIC
+from .serialize import elem_from_json, elem_to_json
 
 DEFAULT_TERM_CAP = 10**6
 
@@ -308,7 +309,7 @@ class JetPolynomial:
     def to_records(self):
         return [
             {"exponents": [[j, i, e] for (j, i), e in mono],
-             "coefficient": list(c.coeffs)}
+             "coefficient": elem_to_json(c)}
             for mono, c in self.sorted_terms()
         ]
 
@@ -317,7 +318,7 @@ class JetPolynomial:
         items = []
         for rec in records:
             mono = tuple(sorted(((j, i), e) for j, i, e in rec["exponents"]))
-            items.append((mono, ring.element(rec["coefficient"])))
+            items.append((mono, elem_from_json(ring, rec["coefficient"])))
         return cls.from_terms(ring, items)
 
 

@@ -204,7 +204,10 @@ class SquareMatrix:
 
     @classmethod
     def from_json(cls, ring, obj):
-        rows = [[elem_from_json(ring, e) for e in r] for r in obj["rows"]]
+        rows = obj.get("rows") if isinstance(obj, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise InputError('matrix must be {"n": n, "rows": [[...], ...]}')
+        rows = [[elem_from_json(ring, e) for e in r] for r in rows]
         if len(rows) != obj.get("n", len(rows)):
             raise InputError("matrix row count disagrees with n")
         return cls(ring, rows)

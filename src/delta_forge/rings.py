@@ -7,7 +7,9 @@ Two backends:
   irreducible degree-m polynomial over F_p.  Carries the Frobenius lift
   ``phi`` and the p-derivation ``delta x = (phi(x) - x^p)/p``.
 * ``SeriesRing`` -- Q[[t]]/t^M with exact rational coefficients and the
-  derivation d/dt.
+  derivation d/dt.  An element stores its M coefficients as one tuple of
+  integer numerators over one positive common denominator, in lowest
+  terms, and does all arithmetic on those integers.
 
 Every element tracks its own effective precision (p-adic digits for the
 arithmetic backend, series order for the series backend); mixed-precision
@@ -20,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import BackendError, InputError, NonUnitError, PrecisionExhausted
 
@@ -28,16 +30,34 @@ ARITHMETIC = "arithmetic"
 KOLCHIN = "kolchin"
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the bases above is exact below this bound (the least
+# strong pseudoprime to all twelve, Sorenson and Webster 2015)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_EXACT_BELOW:
+        raise InputError(f"primality of {n} is not decided above {_MR_EXACT_BELOW - 1}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -564,33 +584,36 @@ class WittRing:
 # ---------------------------------------------------------------------------
 
 
-def _int_coeffs(coeffs, k):
-    """(integer coefficient list, common denominator) for a coefficient
-    prefix; exact since every entry divides the lcm."""
-    d = 1
-    for c in coeffs[:k]:
-        cd = c.denominator
-        if cd != 1:
-            d = d * cd // gcd(d, cd)
-    if d == 1:
-        return [c.numerator for c in coeffs[:k]], 1
-    return [c.numerator * (d // c.denominator) for c in coeffs[:k]], d
-
-
 class SeriesElement:
-    """Truncated power series over Q with exact rational coefficients."""
+    """Truncated power series over Q as integer numerators over one
+    denominator: the coefficient of t^i is ``num[i] / den`` for i < trunc.
 
-    __slots__ = ("ring", "coeffs", "trunc")
+    ``den > 0`` and ``gcd(den, *num) == 1``, so every value has exactly one
+    stored form; ``coeffs`` is a read-only ``Fraction`` view of it.
+    """
 
-    def __init__(self, ring, coeffs, trunc):
+    __slots__ = ("ring", "num", "den", "trunc")
+
+    def __init__(self, ring, num, den, trunc):
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
         self.ring = ring
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
         self.trunc = trunc
 
     @property
     def prec(self):
         # uniform name so generic code can treat both backends alike
         return self.trunc
+
+    @property
+    def coeffs(self):
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def __repr__(self):
         return f"SeriesElement({[str(c) for c in self.coeffs]}, trunc={self.trunc})"
@@ -604,27 +627,25 @@ class SeriesElement:
             raise PrecisionExhausted("truncation dropped below 1")
         if trunc == self.trunc:
             return self
-        return SeriesElement(self.ring, self.coeffs[:trunc], trunc)
+        return SeriesElement(self.ring, self.num[:trunc], self.den, trunc)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_unit(self):
-        return self.coeffs[0] != 0
+        return self.num[0] != 0
 
     def valuation(self):
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
+        for i, c in enumerate(self.num):
+            if c:
                 return i
         return self.trunc
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.from_rational(other, trunc=self.trunc)
-        if not isinstance(other, SeriesElement):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        k = min(self.trunc, other.trunc)
-        return self.coeffs[:k] == other.coeffs[:k]
+        return all(a * o.den == b * self.den for a, b in zip(self.num, o.num))
 
     __hash__ = None
 
@@ -635,28 +656,25 @@ class SeriesElement:
             return other
         return None
 
-    def __add__(self, other):
+    def _add(self, other, sign):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        k = min(self.trunc, o.trunc)
-        return SeriesElement(
-            self.ring, tuple(a + b for a, b in zip(self.coeffs[:k], o.coeffs[:k])), k
-        )
+        g = gcd(self.den, o.den)
+        fa, fb = o.den // g, sign * (self.den // g)
+        num = tuple(a * fa + b * fb for a, b in zip(self.num, o.num))
+        return SeriesElement(self.ring, num, self.den * fa, len(num))
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SeriesElement(self.ring, tuple(-c for c in self.coeffs), self.trunc)
+        return SeriesElement(self.ring, tuple(-c for c in self.num), self.den, self.trunc)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        k = min(self.trunc, o.trunc)
-        return SeriesElement(
-            self.ring, tuple(a - b for a, b in zip(self.coeffs[:k], o.coeffs[:k])), k
-        )
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -669,10 +687,7 @@ class SeriesElement:
         if o is None:
             return NotImplemented
         k = min(self.trunc, o.trunc)
-        # clear denominators and convolve in plain ints; stdlib Fraction
-        # arithmetic dominates otherwise
-        a, da = _int_coeffs(self.coeffs, k)
-        b, db = _int_coeffs(o.coeffs, k)
+        a, b = self.num, o.num
         out = [0] * k
         for i in range(k):
             ai = a[i]
@@ -680,10 +695,7 @@ class SeriesElement:
                 for j in range(k - i):
                     if b[j]:
                         out[i + j] += ai * b[j]
-        d = da * db
-        return SeriesElement(
-            self.ring, tuple(Fraction(c, d) for c in out), k
-        )
+        return SeriesElement(self.ring, tuple(out), self.den * o.den, k)
 
     __rmul__ = __mul__
 
@@ -702,9 +714,9 @@ class SeriesElement:
     def invert(self):
         if not self.is_unit():
             raise NonUnitError(self)
-        k = self.trunc
-        a, da = _int_coeffs(self.coeffs, k)
-        # B[n] = b[n] * a0^(n+1) stays integral along the recursion
+        k, a = self.trunc, self.num
+        # 1/(a/den) = den/a; B[n] = b[n] * a0^(n+1) stays integral along the
+        # recursion for b = 1/a, so den * b[n] sits over a0^k
         a0 = a[0]
         bint = [1]
         for n in range(1, k):
@@ -715,22 +727,15 @@ class SeriesElement:
                     acc += a[i] * bint[n - i] * pw
                 pw *= a0
             bint.append(-acc)
-        pw = a0
-        out = []
-        for n in range(k):
-            out.append(Fraction(bint[n] * da, pw))
-            pw *= a0
-        return SeriesElement(self.ring, tuple(out), k)
+        out = tuple(bint[n] * self.den * a0 ** (k - 1 - n) for n in range(k))
+        return SeriesElement(self.ring, out, a0**k, k)
 
     def delta(self):
         """Formal derivative d/dt; loses one order of information."""
         if self.trunc < 2:
             raise PrecisionExhausted("delta needs trunc >= 2")
-        return SeriesElement(
-            self.ring,
-            tuple((i + 1) * self.coeffs[i + 1] for i in range(self.trunc - 1)),
-            self.trunc - 1,
-        )
+        num = tuple(i * self.num[i] for i in range(1, self.trunc))
+        return SeriesElement(self.ring, num, self.den, self.trunc - 1)
 
     def is_constant(self):
         if self.trunc < 2:
@@ -757,20 +762,18 @@ class SeriesRing:
         return f"SeriesRing(trunc={self.trunc})"
 
     def from_rational(self, c, trunc=None) -> SeriesElement:
-        trunc = self.trunc if trunc is None else trunc
-        if trunc < 1 or trunc > self.trunc:
-            raise PrecisionExhausted(f"truncation {trunc} outside [1, {self.trunc}]")
-        return SeriesElement(
-            self, (Fraction(c),) + (Fraction(0),) * (trunc - 1), trunc
-        )
+        return self.element([c], trunc)
 
     from_int = from_rational
 
     def element(self, coeffs, trunc=None) -> SeriesElement:
         trunc = self.trunc if trunc is None else trunc
+        if trunc < 1 or trunc > self.trunc:
+            raise PrecisionExhausted(f"truncation {trunc} outside [1, {self.trunc}]")
         coeffs = [Fraction(c) for c in coeffs][:trunc]
-        coeffs += [Fraction(0)] * (trunc - len(coeffs))
-        return SeriesElement(self, tuple(coeffs), trunc)
+        den = lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        return SeriesElement(self, tuple(num) + (0,) * (trunc - len(num)), den, trunc)
 
     @property
     def t(self) -> SeriesElement:

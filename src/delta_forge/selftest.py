@@ -27,11 +27,11 @@ from .cocycles import (
     recover,
 )
 from .decomp import decompose, is_admissible, precondition, reconstruct
-from .errors import ExhaustedSearchError
+from .errors import ExhaustedSearchError, InputError
 from .homs import GmHomParams, TwistedCocycleParams, check_hom, gm_hom, psi, twisted_cocycle
 from .jets import JetPolynomial, eval_jet, nabla
 from .matrices import SquareMatrix, random_constant_gl, random_gl
-from .rings import RingParams, SeriesRing, WittRing, _fp_is_irreducible
+from .rings import RingParams, SeriesRing, WittRing, _fp_is_irreducible, _is_prime
 
 DEFAULT_SEED = 31415
 
@@ -40,6 +40,8 @@ def find_irreducible(p: int, m: int):
     """First monic irreducible of degree m over F_p in lexicographic order."""
     if m == 1:
         return ()
+    if not _is_prime(p):
+        raise InputError(f"p must be prime, got {p}")
     for tail in iproduct(range(p), repeat=m):
         cand = list(tail) + [1]
         if _fp_is_irreducible(cand, p):

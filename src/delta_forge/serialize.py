@@ -16,15 +16,20 @@ def elem_to_json(x):
     raise InputError(f"not a ring element: {x!r}")
 
 
+def _coefficient(ring, c):
+    """One JSON coefficient: an int, or a string holding an integer
+    (arithmetic backend) or a rational such as "-3/4" (series backend)."""
+    if isinstance(c, int) and not isinstance(c, bool):
+        return c
+    if isinstance(c, str):
+        try:
+            return int(c) if ring.kind == ARITHMETIC else Fraction(c)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"cannot decode coefficient from {c!r}")
+
+
 def elem_from_json(ring, v, prec=None):
-    if isinstance(v, int):
-        return ring.from_int(v, prec)
-    if isinstance(v, str):
-        if ring.kind == ARITHMETIC:
-            return ring.from_int(int(v), prec)
-        return ring.from_rational(Fraction(v), prec)
     if isinstance(v, list):
-        if ring.kind == ARITHMETIC:
-            return ring.element([int(c) for c in v], prec)
-        return ring.element([Fraction(c) for c in v], prec)
-    raise InputError(f"cannot decode element from {v!r}")
+        return ring.element([_coefficient(ring, c) for c in v], prec)
+    return ring.from_int(_coefficient(ring, v), prec)

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from delta_forge.cli import main
+from delta_forge.jets import JetPolynomial, parse_polynomial
+from delta_forge.rings import SeriesRing
 
 
 @pytest.fixture
@@ -76,6 +78,15 @@ class TestJets:
         code, doc = run("jet-prolong", "--p", "3", "--prec", "5", "x0*x1")
         assert code == 0
         assert doc["text"] == "x0^3*x1' + x0'*x1^3 + 3*x0'*x1'"
+
+    def test_prolong_kolchin_roundtrip(self, run):
+        code, doc = run("jet-prolong", "--backend", "kolchin", "--trunc", "5",
+                        "--times", "2", "x0^2 + x0*x1")
+        assert code == 0
+        ring = SeriesRing(5)
+        want = parse_polynomial("x0^2 + x0*x1", ring).prolong().prolong()
+        assert JetPolynomial.from_records(ring, doc["terms"]) == want
+        assert doc["terms"] == want.to_records()
 
     def test_nabla(self, run):
         code, doc = run("jet-nabla", "--p", "3", "--prec", "5",
@@ -175,6 +186,25 @@ class TestDeterminism:
         monkeypatch.setenv("DELTA_FORGE_SEED", "124")
         code2, doc2 = run("cocycle-make", "--ring", '{"p":3,"prec":5}', "--n", "2")
         assert doc1 != doc2
+
+
+@pytest.mark.parametrize("argv", [
+    ("ring-info", "--ring", '{"p":5}'),
+    ("decompose", "--p", "5", "--prec", "3", '{"n":2}'),
+    ("delta-eval", "--p", "5", "--prec", "3", "abc"),
+    ("delta-eval", "--backend", "kolchin", "--trunc", "4", "abc"),
+    ("cocycle-check", "--p", "5", "--prec", "3", "--n", "2", "--cocycle", '{"v":1}'),
+    ("cocycle-check", "--p", "5", "--prec", "3", "--n", "2", "--map", "coboundary"),
+    ("ring-info", "--p", "4", "--prec", "3", "--m", "2"),
+    ("ring-info", "--p", "5", "--prec", "3", "--m", "2", "--modulus", "[1,1"),
+    ("teich", "--p", "5", "--prec", "2", "abc"),
+    ("reconstruct", "--p", "5", "--prec", "3", '{"n":2}'),
+    ("delta-eval", "--backend", "kolchin", "--trunc", "4", '["1/0"]'),
+], ids=" ".join)
+def test_malformed_payload_is_input_error(run, argv):
+    code, doc = run(*argv)
+    assert code == 2
+    assert "error" in doc
 
 
 class TestOutFile:

@@ -1,6 +1,10 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from delta_forge import (
     RingParams,
@@ -13,6 +17,7 @@ from delta_forge import (
     teichmueller,
 )
 from delta_forge.errors import InputError, NonUnitError, PrecisionExhausted
+from delta_forge.rings import _is_prime
 from delta_forge.selftest import find_irreducible, make_ring
 
 
@@ -41,6 +46,33 @@ class TestRingParams:
     def test_accepts_irreducible_modulus(self):
         params = RingParams(p=5, prec=3, m=2, modulus=(2, 0, 1))
         assert params.q == 25
+
+
+class TestIsPrime:
+    def test_large_prime(self):
+        assert _is_prime(10**18 + 3)
+
+    def test_carmichael_number(self):
+        assert not _is_prime(561)
+
+    def test_strong_pseudoprime_to_small_bases(self):
+        # strong pseudoprime to the bases 2, 3, 5 and 7
+        assert not _is_prime(3215031751)
+
+    def test_matches_sieve_below_10_4(self):
+        n = 10**4
+        sieve = [False, False] + [True] * (n - 2)
+        for i in range(2, n):
+            if sieve[i]:
+                sieve[i * i::i] = [False] * len(range(i * i, n, i))
+        assert [k for k in range(n) if _is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+    def test_undecided_range_is_an_input_error(self):
+        with pytest.raises(InputError):
+            _is_prime(10**24 + 7)
+
+    def test_large_prime_ring(self):
+        assert RingParams(p=10**18 + 3, prec=2).q == 10**18 + 3
 
 
 class TestFromInt:
@@ -225,3 +257,129 @@ class TestSeriesBackend:
         R = SeriesRing(6)
         assert R.from_rational(3).is_constant()
         assert not R.t.is_constant()
+
+
+# ---------------------------------------------------------------------------
+# The stored series form (integer numerators over one denominator) against a
+# schoolbook reference on lists of Fraction.
+
+TRUNC = 8
+R8 = SeriesRing(TRUNC)
+COEFF = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+)
+
+
+@st.composite
+def series_coeffs(draw, unit=False):
+    trunc = draw(st.integers(1, TRUNC))
+    coeffs = draw(st.lists(COEFF, min_size=trunc, max_size=trunc))
+    if unit and coeffs[0] == 0:
+        coeffs[0] = draw(COEFF.filter(bool))
+    return [Fraction(c) for c in coeffs]
+
+
+def ref_mul(a, b):
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), Fraction(0))
+            for n in range(min(len(a), len(b)))]
+
+
+def ref_invert(a):
+    b = [1 / a[0]]
+    for n in range(1, len(a)):
+        b.append(-sum(a[i] * b[n - i] for i in range(1, n + 1)) / a[0])
+    return b
+
+
+def stored(coeffs):
+    x = R8.element(coeffs, trunc=len(coeffs))
+    assert_canonical(x)
+    return x
+
+
+def assert_canonical(x):
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert len(x.num) == x.trunc
+
+
+class TestSeriesStoredForm:
+    @given(series_coeffs())
+    def test_coeffs_view_roundtrip(self, a):
+        x = stored(a)
+        assert list(x.coeffs) == a
+        assert all(isinstance(c, Fraction) for c in x.coeffs)
+
+    @given(series_coeffs(), series_coeffs())
+    def test_add_sub(self, a, b):
+        x, y = stored(a), stored(b)
+        for got, want in ((x + y, [u + v for u, v in zip(a, b)]),
+                          (x - y, [u - v for u, v in zip(a, b)]),
+                          (-x, [-u for u in a])):
+            assert_canonical(got)
+            assert list(got.coeffs) == want
+
+    @given(series_coeffs(), series_coeffs())
+    def test_mul(self, a, b):
+        got = stored(a) * stored(b)
+        assert_canonical(got)
+        assert list(got.coeffs) == ref_mul(a, b)
+
+    @given(series_coeffs(unit=True))
+    def test_invert(self, a):
+        x = stored(a)
+        got = x.invert()
+        assert_canonical(got)
+        assert list(got.coeffs) == ref_invert(a)
+        assert x * got == 1
+
+    @given(series_coeffs())
+    def test_delta(self, a):
+        x = stored(a)
+        if x.trunc < 2:
+            with pytest.raises(PrecisionExhausted):
+                x.delta()
+            return
+        got = x.delta()
+        assert_canonical(got)
+        assert list(got.coeffs) == [i * a[i] for i in range(1, len(a))]
+
+    @given(series_coeffs(), st.data())
+    def test_at_prec(self, a, data):
+        k = data.draw(st.integers(1, len(a)))
+        got = stored(a).at_prec(k)
+        assert_canonical(got)
+        assert list(got.coeffs) == a[:k]
+
+    @given(series_coeffs(), series_coeffs())
+    def test_eq_at_shorter_truncation(self, a, b):
+        k = min(len(a), len(b))
+        assert (stored(a) == stored(b)) == (a[:k] == b[:k])
+        # a tail beyond the shorter truncation takes no part in ==
+        c = a[:k] + [Fraction(1, 7)] * (len(b) - k)
+        assert stored(a) == stored(c)
+
+    @given(series_coeffs(), COEFF)
+    def test_scalar_coercion(self, a, c):
+        x, c = stored(a), Fraction(c)
+        const = [c] + [Fraction(0)] * (len(a) - 1)
+        assert list((x + c).coeffs) == [u + v for u, v in zip(a, const)]
+        assert list((c - x).coeffs) == [v - u for u, v in zip(a, const)]
+        assert list((x * c).coeffs) == [u * c for u in a]
+        assert (x == c) == (a == const)
+
+    @given(series_coeffs(unit=True))
+    def test_invert_against_sympy(self, a):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.ring_series import rs_series_inversion
+        from sympy.polys.rings import ring
+
+        QQ = sympy.QQ
+        S, t = ring("t", QQ)
+        f = sum((QQ(c.numerator, c.denominator) * t**i for i, c in enumerate(a)), S.zero)
+        inv = rs_series_inversion(f, t, len(a))
+        want = [inv.coeff(t**i) for i in range(len(a))]
+        got = stored(a).invert().coeffs
+        assert [(c.numerator, c.denominator) for c in got] == [
+            (int(w.numerator), int(w.denominator)) for w in want
+        ]

@@ -37,6 +37,9 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_INPUT = 2
 EXIT_PRECISION = 3
 
+# smallest accepted value of each size option
+_MINIMUMS = {"n": 1, "order": 0, "times": 0, "samples": 1}
+
 
 def _load_json(text):
     if text is None:
@@ -148,7 +151,7 @@ def cmd_jet_prolong(args):
     if isinstance(records, list):
         f = JetPolynomial.from_records(ring, records)
     elif isinstance(records, dict):
-        f = JetPolynomial.from_records(ring, records["terms"])
+        f = JetPolynomial.from_records(ring, records.get("terms"))
     else:
         f = parse_polynomial(payload, ring)
     for _ in range(args.times):
@@ -171,6 +174,8 @@ def cmd_jet_nabla(args):
 def cmd_hom_check(args):
     ring = _make_ring(args)
     params = _load_json(args.params) or {}
+    if not isinstance(params, dict) or not isinstance(params.get("lambda", []), list):
+        raise InputError(f'--params must be {{"lambda": [...]}} or {{"mu": c}}, got {params!r}')
     seed = _seed(args)
     if args.law == "additive":
         p = GaHomParams(tuple(elem_from_json(ring, v) for v in params.get("lambda", [1])))
@@ -415,6 +420,10 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        for name, low in _MINIMUMS.items():
+            value = getattr(args, name, None)
+            if value is not None and value < low:
+                raise InputError(f"--{name} must be at least {low}, got {value}")
         code, result = args.fn(args)
     except PrecisionExhausted as exc:
         code, result = EXIT_PRECISION, {"error": "precision-exhausted",

@@ -238,10 +238,8 @@ def expected_word_length(n: int) -> int:
 
 
 def is_admissible(x: SquareMatrix) -> bool:
-    if not x.det().is_unit():
-        return False
-    minors, _ = trailing_minors(x)
-    return all(d.is_unit() for d in minors)
+    n = x.n
+    return x.is_unit() and all(x.block(i, n, i, n).is_unit() for i in range(1, n))
 
 
 def precondition(x: SquareMatrix, seed: int = 0):
@@ -252,8 +250,9 @@ def precondition(x: SquareMatrix, seed: int = 0):
     (w_left, w_right, x') with x' = w_left * x * w_right admissible.
     """
     ring, n = x.ring, x.n
-    if not x.det().is_unit():
-        raise NonUnitError(x.det(), "determinant is not a unit")
+    d = x.det()
+    if not d.is_unit():
+        raise NonUnitError(d, "determinant is not a unit")
     cap = factorial(n) * 4
     ident = tuple(range(n))
     attempts = 0

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ArityError, InputError, TermBudgetError
+from .errors import ArityError, InputError, PrecisionExhausted, TermBudgetError
 from .rings import ARITHMETIC
 from .serialize import elem_from_json, elem_to_json
 
@@ -30,6 +30,10 @@ def _mono_mul(m1, m2):
     for v, e in m2:
         d[v] = d.get(v, 0) + e
     return tuple(sorted(d.items()))
+
+
+def _naturals(values):
+    return all(type(v) is int and v >= 0 for v in values)
 
 
 def var_name(j: int, i: int) -> str:
@@ -200,6 +204,10 @@ class JetPolynomial:
         return self._prolong_kolchin()
 
     def _prolong_arithmetic(self):
+        # the division by p costs one digit; a coefficient at prec 1 would
+        # cancel to zero and be dropped before it could report that
+        if any(c.prec < 2 for c in self.terms.values()):
+            raise PrecisionExhausted("prolongation needs coefficient precision >= 2")
         ring = self.ring
         p = ring.p
         fphi = {}
@@ -315,15 +323,26 @@ class JetPolynomial:
 
     @classmethod
     def from_records(cls, ring, records):
+        if not isinstance(records, list):
+            raise InputError(f"jet terms must be a list of records, got {records!r}")
         items = []
         for rec in records:
-            mono = tuple(sorted(((j, i), e) for j, i, e in rec["exponents"]))
+            exps = rec.get("exponents") if isinstance(rec, dict) else None
+            if not (
+                isinstance(exps, list) and "coefficient" in rec
+                and all(isinstance(t, list) and len(t) == 3 and _naturals(t) for t in exps)
+                and len({(t[0], t[1]) for t in exps}) == len(exps)
+            ):
+                raise InputError(
+                    'jet term must be {"exponents": [[j, i, e], ...], "coefficient": c}'
+                    f" with distinct (j, i) and naturals j, i, e; got {rec!r}"
+                )
+            mono = tuple(sorted(((j, i), e) for j, i, e in exps))
             items.append((mono, elem_from_json(ring, rec["coefficient"])))
         return cls.from_terms(ring, items)
 
 
 _FAST_MUL_THRESHOLD = 4096
-_PACK_BITS = 16
 
 
 def _mul_packed(f, g):
@@ -331,8 +350,9 @@ def _mul_packed(f, g):
     into integer keys so the inner loop is pure int arithmetic.  Returns
     None when the fast path does not apply.
 
-    Only sound when all coefficients share one precision; exponent sums
-    stay far below 2^16, so packed addition never carries between fields.
+    Only sound when all coefficients share one precision.  Each field is as
+    wide as the largest exponent sum of the product, so packed addition
+    never carries between fields.
     """
     ring = f.ring
     if ring.kind != ARITHMETIC or getattr(ring, "m", 0) != 1:
@@ -347,7 +367,9 @@ def _mul_packed(f, g):
     vars_ = sorted(
         {v for m in f.terms for v, _ in m} | {v for m in g.terms for v, _ in m}
     )
-    slot = {v: i * _PACK_BITS for i, v in enumerate(vars_)}
+    top_sum = sum(max((e for m in h.terms for _, e in m), default=0) for h in (f, g))
+    bits = top_sum.bit_length()
+    slot = {v: i * bits for i, v in enumerate(vars_)}
 
     def enc(terms):
         return [
@@ -363,7 +385,7 @@ def _mul_packed(f, g):
             out[k] = get(k, 0) + ca * cb
     out = {k: cm for k, c in out.items() if (cm := c % pk)}
     f._check_cap(len(out))
-    mask = (1 << _PACK_BITS) - 1
+    mask = (1 << bits) - 1
     terms = {}
     for k, c in out.items():
         mono = []

@@ -1,9 +1,10 @@
 """Square matrices over the ring backends, with exact linear solving.
 
-Dimensions stay small (n <= 4 in practice), so determinants use cofactor
-expansion and inverses the adjugate; both are exact over any backend.
-Linear systems are solved by Gauss-Jordan elimination with unit pivots,
-the right discipline over Z/p^N.
+Both backends are local rings, so a matrix is invertible exactly when
+Gauss-Jordan elimination finds a unit pivot in every column.  That one
+kernel gives the determinant, the unit test, the inverse and linear
+solving in O(n^3); cofactor expansion only reports the exact value of a
+determinant that is not a unit.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ class SquareMatrix:
         self.ring = ring
         self.n = len(rows)
         self.rows = tuple(tuple(r) for r in rows)
-        for r in self.rows:
-            if len(r) != self.n:
-                raise ShapeError("matrix rows must all have length n")
+        if not self.rows or any(len(r) != self.n for r in self.rows):
+            raise ShapeError("matrix rows must all have length n >= 1")
 
     @classmethod
     def from_rows(cls, ring, rows):
@@ -153,34 +153,21 @@ class SquareMatrix:
         return acc
 
     def det(self):
-        return _det(self.ring, [list(r) for r in self.rows])
+        pivots, d, _ = _eliminate([list(r) for r in self.rows], self.n)
+        return _det(self.rows) if None in pivots else d.at_prec(self.min_prec())
 
     def is_unit(self):
-        return self.det().is_unit()
+        return None not in _eliminate([list(r) for r in self.rows], self.n)[0]
 
     def invert(self):
-        d = self.det()
-        if not d.is_unit():
-            raise NonUnitError(d, "matrix determinant is not a unit")
-        dinv = d.invert()
-        n = self.n
-        if n == 1:
-            return SquareMatrix(self.ring, [[dinv]])
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = [
-                    [self.rows[r][c] for c in range(n) if c != i]
-                    for r in range(n)
-                    if r != j
-                ]
-                cof = _det(self.ring, minor)
-                if (i + j) % 2:
-                    cof = -cof
-                row.append(cof * dinv)
-            rows.append(row)
-        return SquareMatrix(self.ring, rows)
+        n, one, zero = self.n, self.ring.one, self.ring.zero
+        aug = [list(r) + [zero] * i + [one] + [zero] * (n - 1 - i)
+               for i, r in enumerate(self.rows)]
+        if None in _eliminate(aug, n)[0]:
+            raise NonUnitError(_det(self.rows), "matrix determinant is not a unit")
+        # like the adjugate, each entry depends on every entry of the matrix
+        prec = self.min_prec()
+        return SquareMatrix(self.ring, [[e.at_prec(prec) for e in r[n:]] for r in aug])
 
     def block(self, r0, r1, c0, c1):
         return SquareMatrix(
@@ -213,16 +200,83 @@ class SquareMatrix:
         return cls(ring, rows)
 
 
-def _det(ring, rows):
+def _eliminate(aug, ncols):
+    """Gauss-Jordan on the row lists ``aug``, in place, over their first
+    ``ncols`` columns, pivoting on the first unit at or below the pivot
+    row.  Returns (pivots, det, stop): the row of each column's pivot (None
+    for an all-zero column, which is skipped, or one never reached), the
+    signed pivot product, and the column with no unit pivot that stopped
+    the reduction, if any."""
+    m, width = len(aug), len(aug[0])
+    pivots = [None] * ncols
+    det, swaps, prow = None, 0, 0
+    for col in range(ncols):
+        if prow == m:
+            break
+        sel = next((r for r in range(prow, m) if aug[r][col].is_unit()), None)
+        if sel is None:
+            if all(aug[r][col].is_zero() for r in range(prow, m)):
+                continue
+            return pivots, det, col
+        if sel != prow:
+            aug[prow], aug[sel] = aug[sel], aug[prow]
+            swaps += 1
+        row = aug[prow]
+        det = row[col] if det is None else det * row[col]
+        inv = row[col].invert()
+        # entries left of col are final, and col itself is never read again
+        for j in range(col + 1, width):
+            row[j] = inv * row[j]
+        for other in aug:
+            if other is row:
+                continue
+            c = other[col]
+            if not c.is_zero():
+                for j in range(col + 1, width):
+                    other[j] = other[j] - c * row[j]
+            else:
+                # skipping e - c * pe keeps e only to the precision of c
+                for j in range(col + 1, width):
+                    if other[j].prec > c.prec:
+                        other[j] = other[j].at_prec(c.prec)
+        pivots[col] = prow
+        prow += 1
+    return pivots, (-det if swaps % 2 else det), None
+
+
+def solve_linear(ring, rows, rhs):
+    """Solve A x = b exactly; requires unit pivots.
+
+    Raises SingularPivotError when some needed column has no unit pivot
+    and InconsistentSystemError when eliminated rows leave a nonzero
+    right-hand side.
+    """
+    if not rows:
+        return []
+    m, k = len(rows), len(rows[0])
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots, _, stop = _eliminate(aug, k)
+    prow = len(pivots) - pivots.count(None)
+    if stop is not None:
+        col = [aug[r][stop] for r in range(prow, m)]
+        raise SingularPivotError(stop, min(e.valuation() for e in col if not e.is_zero()))
+    for r in range(prow, m):
+        if not aug[r][k].is_zero():
+            raise InconsistentSystemError(f"residual {aug[r][k]!r} in eliminated row {r}")
+    if None in pivots:
+        raise SingularPivotError(pivots.index(None), None)
+    return [aug[r][k] for r in pivots]
+
+
+def _det(rows):
+    """Cofactor expansion: the exact value of a non-unit determinant."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     acc = None
     for j in range(n):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _det(ring, minor)
+        term = rows[0][j] * _det(minor)
         if j % 2:
             term = -term
         acc = term if acc is None else acc + term
@@ -239,7 +293,7 @@ def random_gl(ring, n, rng):
         m = SquareMatrix(
             ring, [[ring.random_element(rng) for _ in range(n)] for _ in range(n)]
         )
-        if m.det().is_unit():
+        if m.is_unit():
             return m
 
 
@@ -268,60 +322,5 @@ def random_constant_gl(ring, n, rng):
                 for _ in range(n)
             ]
         m = SquareMatrix(ring, entries)
-        if m.det().is_unit():
+        if m.is_unit():
             return m
-
-
-# ---------------------------------------------------------------------------
-# linear solving
-
-
-def solve_linear(ring, rows, rhs):
-    """Solve A x = b exactly; requires unit pivots.
-
-    Raises SingularPivotError when some needed column has no unit pivot
-    and InconsistentSystemError when eliminated rows leave a nonzero
-    right-hand side.
-    """
-    m = len(rows)
-    if m == 0:
-        return []
-    k = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivot_of_col = {}
-    prow = 0
-    for col in range(k):
-        sel = None
-        for r in range(prow, m):
-            if aug[r][col].is_unit():
-                sel = r
-                break
-        if sel is None:
-            if any(not aug[r][col].is_zero() for r in range(prow, m)):
-                best = min(
-                    aug[r][col].valuation()
-                    for r in range(prow, m)
-                    if not aug[r][col].is_zero()
-                )
-                raise SingularPivotError(col, best)
-            continue
-        aug[prow], aug[sel] = aug[sel], aug[prow]
-        inv = aug[prow][col].invert()
-        aug[prow] = [inv * e for e in aug[prow]]
-        for r in range(m):
-            if r != prow and not aug[r][col].is_zero():
-                c = aug[r][col]
-                aug[r] = [e - c * pe for e, pe in zip(aug[r], aug[prow])]
-        pivot_of_col[col] = prow
-        prow += 1
-        if prow == m:
-            break
-    for r in range(prow, m):
-        if not aug[r][k].is_zero():
-            raise InconsistentSystemError(
-                f"residual {aug[r][k]!r} in eliminated row {r}"
-            )
-    missing = [c for c in range(k) if c not in pivot_of_col]
-    if missing:
-        raise SingularPivotError(missing[0], None)
-    return [aug[pivot_of_col[c]][k] for c in range(k)]

@@ -8,6 +8,8 @@ import pytest
 
 from delta_forge.selftest import CRITERIA, DEFAULT_SEED
 
+pytestmark = pytest.mark.slow
+
 
 @pytest.mark.parametrize(
     "name,criterion", CRITERIA, ids=[name.replace(" ", "-") for name, _ in CRITERIA]

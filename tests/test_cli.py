@@ -88,6 +88,12 @@ class TestJets:
         assert JetPolynomial.from_records(ring, doc["terms"]) == want
         assert doc["terms"] == want.to_records()
 
+    def test_prolong_past_precision_exits_3(self, run):
+        # each prolongation uses up one digit of 3^3
+        code, doc = run("jet-prolong", "--p", "3", "--prec", "3", "--times", "3", "x0^2")
+        assert code == 3
+        assert doc["error"] == "precision-exhausted"
+
     def test_nabla(self, run):
         code, doc = run("jet-nabla", "--p", "3", "--prec", "5",
                         "--order", "2", "2")
@@ -200,6 +206,13 @@ class TestDeterminism:
     ("teich", "--p", "5", "--prec", "2", "abc"),
     ("reconstruct", "--p", "5", "--prec", "3", '{"n":2}'),
     ("delta-eval", "--backend", "kolchin", "--trunc", "4", '["1/0"]'),
+    ("jet-prolong", "--p", "3", "--prec", "3", '[{"exponents":1}]'),
+    ("hom-check", "--p", "5", "--prec", "3", "--law", "additive", "--params", '{"lambda":5}'),
+    ("cocycle-check", "--p", "5", "--prec", "3", "--n", "0", "--map", "logderiv"),
+    ("decompose", "--p", "5", "--prec", "3", '{"n":0,"rows":[]}'),
+    ("jet-nabla", "--p", "5", "--prec", "3", "--order", "-1", "2"),
+    ("jet-prolong", "--p", "3", "--prec", "3", "--times", "-1", "x0"),
+    ("hom-check", "--p", "5", "--prec", "3", "--law", "additive", "--samples", "0"),
 ], ids=" ".join)
 def test_malformed_payload_is_input_error(run, argv):
     code, doc = run(*argv)

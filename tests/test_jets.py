@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delta_forge import (
     JetPolynomial,
@@ -11,7 +13,8 @@ from delta_forge import (
     prolong,
 )
 from delta_forge.errors import ArityError, InputError, TermBudgetError
-from delta_forge.rings import SeriesRing
+from delta_forge.jets import JetPoint, _mono_mul, _mul_packed
+from delta_forge.rings import SeriesRing, _zpoly_mul_reduce
 from delta_forge.selftest import make_ring
 
 
@@ -164,3 +167,100 @@ class TestSerialization:
     def test_roundtrip(self, ring):
         f = parse_polynomial("x0^2*x1' + 5", ring)
         assert JetPolynomial.from_records(ring, f.to_records()) == f
+
+
+# -- fast paths against reference loops ----------------------------------------
+
+
+def _schoolbook_mul(f, g):
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = _mono_mul(m1, m2)
+            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+def _generic_evaluate(f, point):
+    acc = None
+    for mono, c in f.terms.items():
+        val = c
+        for (j, i), e in mono:
+            val = val * point.component(j, i) ** e
+        acc = val if acc is None else acc + val
+    return acc
+
+
+def _as_pairs(terms):
+    return {m: (c.coeffs, c.prec) for m, c in terms.items()}
+
+
+_monomials = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1)), st.integers(1, 2**17), max_size=3
+).map(lambda d: tuple(sorted(d.items())))
+
+
+@st.composite
+def _packed_polynomials(draw, ring, prec):
+    terms = draw(st.dictionaries(
+        _monomials, st.integers(1, ring.p**prec - 1), min_size=64, max_size=72
+    ))
+    return JetPolynomial.from_terms(
+        ring, [(m, ring.from_int(c, prec=prec)) for m, c in terms.items()]
+    )
+
+
+class TestFastPaths:
+    def test_packed_mul_wide_exponents(self):
+        # a 16-bit field used to wrap x0^80000 round to x0^40000
+        ring = make_ring(3, 4)
+        f = JetPolynomial.from_terms(
+            ring, [((((0, 0), 40000),), ring.one)]
+            + [((((1, 0), k),), ring.one) for k in range(1, 64)],
+        )
+        product = _mul_packed(f, f)
+        assert max(e for m in product.terms for _, e in m) == 80000
+        assert _as_pairs(product.terms) == _as_pairs(_schoolbook_mul(f, f))
+
+    @settings(max_examples=5)
+    @given(st.data())
+    def test_packed_mul_matches_schoolbook(self, data):
+        ring = make_ring(3, 4)
+        prec = data.draw(st.integers(1, 4))
+        f = data.draw(_packed_polynomials(ring, prec))
+        g = data.draw(_packed_polynomials(ring, prec))
+        product = _mul_packed(f, g)
+        assert product is not None
+        assert _as_pairs(product.terms) == _as_pairs(_schoolbook_mul(f, g))
+
+    @settings(max_examples=6)
+    @given(st.data())
+    def test_evaluate_fast_matches_generic(self, data):
+        ring = make_ring(5, 4)
+        f = data.draw(_packed_polynomials(ring, data.draw(st.integers(1, 4))))
+        elem = st.builds(
+            lambda c, prec: ring.from_int(c, prec=prec),
+            st.integers(0, 5**4 - 1), st.integers(1, 4),
+        )
+        point = JetPoint(tuple(tuple(data.draw(elem) for _ in range(2)) for _ in range(3)), 1)
+        fast = f._evaluate_fast(point)
+        ref = _generic_evaluate(f, point)
+        assert (fast.coeffs, fast.prec) == (ref.coeffs, ref.prec)
+
+    @settings(max_examples=200)
+    @given(
+        st.sampled_from([(3, 5), (5, 4), (7, 3)]),
+        st.lists(st.integers(0, 10**6), min_size=4, max_size=4),
+        st.integers(1, 5), st.integers(1, 5),
+    )
+    def test_m2_mul_matches_zpoly_reduce(self, pn, raw, pa, pb):
+        p, top = pn
+        ring = make_ring(p, top, 2)
+        a = ring.element(raw[:2], min(pa, top))
+        b = ring.element(raw[2:], min(pb, top))
+        prec = min(a.prec, b.prec)
+        expected = tuple(
+            c % p**prec for c in _zpoly_mul_reduce(a.coeffs, b.coeffs, ring.mlift)
+        )
+        got = a * b
+        assert (got.coeffs, got.prec) == (expected, prec)

@@ -28,8 +28,8 @@ from .errors import DeltaForgeError, InputError, PrecisionExhausted
 from .homs import GaHomParams, GmHomParams, TwistedCocycleParams, check_hom, ga_hom, gm_hom, psi, twisted_cocycle
 from .jets import JetPolynomial, nabla, parse_polynomial
 from .matrices import SquareMatrix, random_constant_gl
-from .rings import RingParams, SeriesRing, WittRing
-from .selftest import DEFAULT_SEED, find_irreducible, run_selftest
+from .rings import RingParams, SeriesRing, WittRing, find_irreducible
+from .selftest import DEFAULT_SEED, run_selftest
 from .serialize import elem_from_json, elem_to_json
 
 EXIT_OK = 0

@@ -7,29 +7,30 @@ coefficientwise Frobenius; the division by p is exact.  On the series
 backend prolongation is the formal derivation x^(i) -> x^(i+1) with
 coefficientwise d/dt.
 
-Monomials are stored sparsely as sorted tuples of ((j, i), exponent) with
-positive exponents; terms with zero coefficients are never stored, so the
-serialized form is canonical.
+One packed form: a layout (``vars``, a sorted tuple of (j, i), and a
+field width ``bits``) puts the exponent of the n-th variable in bits
+[n*bits, (n+1)*bits) of an int key, so multiplying monomials adds keys.
+``top`` bounds every exponent; a result uses a layout only if its
+exponents fit, so no field carries into the next.  ``terms`` maps keys to
+int residues mod p^prec on W(Z/p^N), to ring elements elsewhere.  One
+``prec`` covers the whole polynomial, the zero polynomial included; zero
+terms are never stored.  Tuple monomials ((j, i), e) are built only by
+``sorted_terms``, for printing and serialization.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
+from operator import or_
 
 from .errors import ArityError, InputError, PrecisionExhausted, TermBudgetError
 from .rings import ARITHMETIC
 from .serialize import elem_from_json, elem_to_json
 
 DEFAULT_TERM_CAP = 10**6
-
-
-def _mono_mul(m1, m2):
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
 
 
 def _naturals(values):
@@ -42,32 +43,74 @@ def var_name(j: int, i: int) -> str:
     return f"x{j}^({i})"
 
 
+class _Values:
+    """Coefficient values at one precision: int residues mod p^prec on
+    W(Z/p^N), ring elements lowered to prec elsewhere.  Raw values (sums,
+    products, lifted elements) are reduced before they are stored."""
+
+    def __init__(self, ring, prec):
+        self.ring, self.prec = ring, prec
+        self.native = ring.kind == ARITHMETIC and ring.m == 1
+        # value -> its normal form, which is 0 (falsy) exactly when it vanishes
+        self.reduce = (ring.p**prec).__rmod__ if self.native else self._lower
+
+    def _lower(self, c):
+        # elements define no truth value, so every nonzero one is truthy
+        c = c.at_prec(self.prec)
+        return 0 if c.is_zero() else c
+
+    def from_elem(self, x):
+        return x.coeffs[0] if self.native else x
+
+    def to_elem(self, v):
+        return self.ring.element((v,), self.prec) if self.native else v.at_prec(self.prec)
+
+    def div_p(self, v):
+        if not self.native:
+            return v._div_p_exact()
+        q, r = divmod(v, self.ring.p)
+        if r:
+            raise InputError(f"coefficient not divisible by p: {v}")
+        return q
+
+
 class JetPolynomial:
     """Immutable sparse polynomial in jet variables over a ring backend."""
 
-    __slots__ = ("ring", "terms", "term_cap")
+    __slots__ = ("ring", "vars", "bits", "top", "terms", "prec", "term_cap")
 
-    def __init__(self, ring, terms, term_cap=DEFAULT_TERM_CAP):
+    def __init__(self, ring, vars_, bits, top, terms, prec, term_cap=DEFAULT_TERM_CAP):
         self.ring = ring
+        self.vars = vars_
+        self.bits = bits
+        self.top = top
         self.terms = terms
+        self.prec = prec
         self.term_cap = term_cap
 
     @classmethod
     def from_terms(cls, ring, items, term_cap=DEFAULT_TERM_CAP):
-        out = {}
+        """Build from (monomial, element) pairs, a monomial being pairs
+        ((j, i), e).  The polynomial takes the least precision among the
+        coefficients, those that cancel or vanish included."""
+        merged = {}
+        prec = ring.one.prec
         for mono, c in items:
+            prec = min(prec, c.prec)
             mono = tuple(sorted((v, e) for v, e in mono if e))
-            if mono in out:
-                c = out[mono] + c
-            if c.is_zero():
-                out.pop(mono, None)
-            else:
-                out[mono] = c
-        return cls(ring, out, term_cap)
+            merged[mono] = merged[mono] + c if mono in merged else c
+        dom = _Values(ring, prec)
+        merged = {m: r for m, c in merged.items() if (r := dom.reduce(dom.from_elem(c)))}
+        vars_ = tuple(sorted({v for mono in merged for v, _ in mono}))
+        top = max((e for mono in merged for _, e in mono), default=0)
+        bits = top.bit_length()
+        slot = {v: n * bits for n, v in enumerate(vars_)}
+        terms = {sum(e << slot[v] for v, e in mono): c for mono, c in merged.items()}
+        return cls(ring, vars_, bits, top, terms, prec, term_cap)
 
     @classmethod
     def zero(cls, ring):
-        return cls(ring, {})
+        return cls.from_terms(ring, [])
 
     @classmethod
     def constant(cls, ring, c):
@@ -77,30 +120,72 @@ class JetPolynomial:
 
     @classmethod
     def variable(cls, ring, j: int, i: int = 0):
-        return cls(ring, {(((j, i), 1),): ring.one})
+        return cls.from_terms(ring, [((((j, i), 1),), ring.one)])
+
+    def _new(self, vars_, bits, top, acc, prec):
+        """The polynomial of raw values ``acc``, normalised at ``prec``."""
+        red = _Values(self.ring, prec).reduce
+        terms = {k: r for k, c in acc.items() if (r := red(c))}
+        self._check_cap(len(terms))
+        return JetPolynomial(self.ring, vars_, bits, top, terms, prec, self.term_cap)
+
+    # -- layout -----------------------------------------------------------
+
+    def _exponents(self, key):
+        mask = (1 << self.bits) - 1
+        return [key >> n * self.bits & mask for n in range(len(self.vars))]
+
+    def _used(self):
+        """(index, variable) of every variable some term carries."""
+        seen, mask = reduce(or_, self.terms, 0), (1 << self.bits) - 1
+        return [(n, v) for n, v in enumerate(self.vars) if (seen >> n * self.bits) & mask]
+
+    def _relayout(self, vars_, bits):
+        """The terms re-keyed for a layout holding every variable of self."""
+        if vars_ == self.vars and bits == self.bits:
+            return self.terms
+        slots = [vars_.index(v) * bits for v in self.vars]
+        return {
+            sum(e << s for e, s in zip(self._exponents(k), slots)): c
+            for k, c in self.terms.items()
+        }
+
+    def _align(self, other, top):
+        """A layout for both operands with room for exponents up to top."""
+        if getattr(self.ring, "params", None) != getattr(other.ring, "params", None):
+            raise TypeError("jet polynomials over different rings")
+        if self.vars == other.vars and self.bits == other.bits and not top >> self.bits:
+            return self.vars, self.bits, self.terms, other.terms
+        vars_ = tuple(sorted(set(self.vars) | set(other.vars)))
+        bits = top.bit_length()
+        return vars_, bits, self._relayout(vars_, bits), other._relayout(vars_, bits)
 
     # -- structure ------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return max((v[1] for mono in self.terms for v, _ in mono), default=0)
+        return max((i for _, (_, i) in self._used()), default=0)
 
     @property
     def base_vars(self):
-        return sorted({v[0] for mono in self.terms for v, _ in mono})
+        return sorted({j for _, (j, _) in self._used()})
 
     def is_zero(self):
         return not self.terms
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
+        """(monomial, element) pairs in monomial order."""
+        dom = _Values(self.ring, self.prec)
+        return sorted(
+            ((tuple((v, e) for v, e in zip(self.vars, self._exponents(k)) if e), dom.to_elem(c))
+             for k, c in self.terms.items()),
+            key=lambda kv: kv[0],
+        )
 
     def __eq__(self, other):
         if not isinstance(other, JetPolynomial):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(c == other.terms[m] for m, c in self.terms.items())
+        return (self - other).is_zero()
 
     __hash__ = None
 
@@ -130,23 +215,16 @@ class JetPolynomial:
     def __add__(self, other):
         if not isinstance(other, JetPolynomial):
             return NotImplemented
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            if mono in out:
-                s = out[mono] + c
-                if s.is_zero():
-                    del out[mono]
-                else:
-                    out[mono] = s
-            else:
-                out[mono] = c
-        self._check_cap(len(out))
-        return JetPolynomial(self.ring, out, self.term_cap)
+        top = max(self.top, other.top)
+        vars_, bits, a, b = self._align(other, top)
+        out = dict(a)
+        for k, c in b.items():
+            out[k] = out[k] + c if k in out else c
+        return self._new(vars_, bits, top, out, min(self.prec, other.prec))
 
     def __neg__(self):
-        return JetPolynomial(
-            self.ring, {m: -c for m, c in self.terms.items()}, self.term_cap
-        )
+        terms = {k: -c for k, c in self.terms.items()}
+        return self._new(self.vars, self.bits, self.top, terms, self.prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -154,36 +232,36 @@ class JetPolynomial:
     def __mul__(self, other):
         if not isinstance(other, JetPolynomial):
             return NotImplemented
-        fast = _mul_packed(self, other)
-        if fast is not None:
-            return fast
+        top = self.top + other.top
+        vars_, bits, a, b = self._align(other, top)
+        prec = min(self.prec, other.prec)
+        # keys add as monomials multiply; values are reduced once, at the
+        # end; every sum starts from the int 0, which elements accept
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                if m in out:
-                    c = out[m] + c
-                if c.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = c
-        self._check_cap(len(out))
-        return JetPolynomial(self.ring, out, self.term_cap)
+        get = out.get
+        b = list(b.items())
+        for ka, ca in a.items():
+            for kb, cb in b:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        return self._new(vars_, bits, top, out, prec)
 
     def scale(self, c):
         if isinstance(c, int):
             c = self.ring.from_int(c)
-        return JetPolynomial.from_terms(
-            self.ring, [(m, c * cc) for m, cc in self.terms.items()], self.term_cap
-        )
+        prec = min(self.prec, c.prec)
+        x = _Values(self.ring, prec).from_elem(c)
+        terms = {k: v * x for k, v in self.terms.items()}
+        return self._new(self.vars, self.bits, self.top, terms, prec)
 
     def __pow__(self, e: int):
         if e < 0:
             raise InputError("negative polynomial powers are not defined")
-        result = JetPolynomial.constant(self.ring, self.ring.one)
-        result.term_cap = self.term_cap
-        base = self
+        # one layout wide enough for the last product serves every step
+        bits = max(self.bits, (e * self.top).bit_length())
+        base = self._new(self.vars, bits, self.top, self._relayout(self.vars, bits), self.prec)
+        one = {0: _Values(self.ring, self.prec).from_elem(self.ring.one)}
+        result = self._new(self.vars, bits, 0, one, self.prec)
         while e:
             if e & 1:
                 result = result * base
@@ -191,79 +269,79 @@ class JetPolynomial:
             e >>= 1
         return result
 
-    def map_coeffs(self, fn):
-        return JetPolynomial.from_terms(
-            self.ring, [(m, fn(c)) for m, c in self.terms.items()], self.term_cap
-        )
-
     # -- prolongation ---------------------------------------------------
 
     def prolong(self):
+        # the zero polynomial too: its precision is all that is left of it
+        if self.prec < 2:
+            raise PrecisionExhausted("prolongation needs coefficient precision >= 2")
         if self.ring.kind == ARITHMETIC:
             return self._prolong_arithmetic()
         return self._prolong_kolchin()
 
+    def _prolonged_layout(self, top):
+        """Every variable and its derivative, with room for exponents up to top."""
+        vars_ = tuple(sorted(set(self.vars) | {(j, i + 1) for j, i in self.vars}))
+        bits = top.bit_length()
+        return vars_, bits, {v: n * bits for n, v in enumerate(vars_)}
+
     def _prolong_arithmetic(self):
-        # the division by p costs one digit; a coefficient at prec 1 would
-        # cancel to zero and be dropped before it could report that
-        if any(c.prec < 2 for c in self.terms.values()):
-            raise PrecisionExhausted("prolongation needs coefficient precision >= 2")
-        ring = self.ring
-        p = ring.p
+        ring, p, prec = self.ring, self.ring.p, self.prec
+        dom = _Values(ring, prec)
+        terms = [(self._exponents(k), dom.to_elem(c)) for k, c in self.terms.items()]
+        # p * (total degree) bounds every exponent of f^phi and of f^p
+        deg = max((sum(exps) for exps, _ in terms), default=0)
+        vars_, bits, slot = self._prolonged_layout(p * deg)
         fphi = {}
-        for mono, c in self.terms.items():
-            # per-variable expansion of (x^p + p x')^e; factors p^k beyond
-            # the coefficient precision vanish, keeping this short
-            partial = [((), c.frobenius())]
-            for (j, i), e in mono:
-                choices = []
-                for k in range(e + 1):
-                    coef = ring.from_int(comb(e, k) * p**k)
-                    if coef.is_zero():
-                        continue
-                    mv = []
-                    if e - k:
-                        mv.append(((j, i), p * (e - k)))
-                    if k:
-                        mv.append(((j, i + 1), k))
-                    choices.append((tuple(mv), coef))
+        get = fphi.get
+        choices = {}
+        for exps, c in terms:
+            # per-variable expansion of (x^p + p x')^e; factors p^k that
+            # vanish at this precision are left out, keeping this short
+            partial = [(0, dom.from_elem(c.frobenius()))]
+            for (j, i), e in zip(self.vars, exps):
+                if not e:
+                    continue
+                if ((j, i), e) not in choices:
+                    s, s1 = slot[(j, i)], slot[(j, i + 1)]
+                    choices[(j, i), e] = [
+                        ((p * (e - k) << s) + (k << s1), cv)
+                        for k in range(e + 1)
+                        if (cv := dom.reduce(dom.from_elem(ring.from_int(comb(e, k) * p**k))))
+                    ]
                 partial = [
-                    (_mono_mul(mp, mv), cc * cv)
-                    for mp, cc in partial
-                    for mv, cv in choices
-                    if not (cc * cv).is_zero()
+                    (ka + kb, r)
+                    for ka, ca in partial
+                    for kb, cb in choices[(j, i), e]
+                    if (r := dom.reduce(ca * cb))
                 ]
                 self._check_cap(len(partial))
-            for m, cc in partial:
-                if m in fphi:
-                    s = fphi[m] + cc
-                    if s.is_zero():
-                        del fphi[m]
-                    else:
-                        fphi[m] = s
-                else:
-                    fphi[m] = cc
-            self._check_cap(len(fphi))
-        g = JetPolynomial(ring, fphi, self.term_cap) - self**p
-        return g.map_coeffs(lambda c: c._div_p_exact())
+            for k, c in partial:
+                fphi[k] = get(k, 0) + c
+        fphi = self._new(vars_, bits, p * deg, fphi, prec)
+        f = self._new(vars_, bits, self.top, self._relayout(vars_, bits), prec)
+        g = fphi - f**p
+        terms = {k: dom.div_p(c) for k, c in g.terms.items()}
+        return JetPolynomial(ring, g.vars, g.bits, g.top, terms, prec - 1, self.term_cap)
 
     def _prolong_kolchin(self):
-        ring = self.ring
-        items = []
-        for mono, c in self.terms.items():
+        vars_, bits, slot = self._prolonged_layout(self.top + 1)
+        terms = [(self._exponents(k), c) for k, c in self.terms.items()]
+        out = {}
+        get = out.get
+        for exps, c in terms:
+            key = sum(e << slot[v] for v, e in zip(self.vars, exps))
             dc = c.delta()
+            # a coefficient whose derivative vanishes adds no term, and the
+            # result keeps the precision of the terms it has
             if not dc.is_zero():
-                items.append((mono, dc))
-            for idx, ((j, i), e) in enumerate(mono):
-                rest = mono[:idx] + mono[idx + 1:]
-                shifted = _mono_mul(
-                    rest,
-                    tuple(x for x in [((j, i), e - 1), ((j, i + 1), 1)] if x[1]),
-                )
-                ce = c * ring.from_int(e)
-                if not ce.is_zero():
-                    items.append((shifted, ce))
-        return JetPolynomial.from_terms(ring, items, self.term_cap)
+                out[key] = get(key, 0) + dc
+            for (j, i), e in zip(self.vars, exps):
+                if e:
+                    k = key - (1 << slot[(j, i)]) + (1 << slot[(j, i + 1)])
+                    out[k] = get(k, 0) + c * e
+        prec = min((c.prec for c in out.values() if not c.is_zero()), default=self.prec)
+        return self._new(vars_, bits, self.top + 1, out, prec)
 
     def prolong_iter(self, k: int):
         f = self
@@ -274,43 +352,20 @@ class JetPolynomial:
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, point):
-        fast = self._evaluate_fast(point)
-        if fast is not None:
-            return fast
-        acc = None
-        for mono, c in self.terms.items():
-            val = c
-            for (j, i), e in mono:
-                val = val * point.component(j, i) ** e
-            acc = val if acc is None else acc + val
-        if acc is None:
-            return self.ring.zero
-        return acc
-
-    def _evaluate_fast(self, point):
-        # raw int arithmetic for W(Z/p^N); the generic path builds one
-        # element object per operation, which dominates on large polynomials
-        ring = self.ring
-        if ring.kind != ARITHMETIC or getattr(ring, "m", 0) != 1:
-            return None
-        if not self.terms or len(self.terms) < 64:
-            return None
-        prec = min(c.prec for c in self.terms.values())
-        vals = {}
-        for mono in self.terms:
-            for (j, i), _ in mono:
-                if (j, i) not in vals:
-                    x = point.component(j, i)
-                    prec = min(prec, x.prec)
-                    vals[(j, i)] = x.coeffs[0]
-        pk = ring.p**prec
-        acc = 0
-        for mono, c in self.terms.items():
-            val = c.coeffs[0]
-            for v, e in mono:
-                val = val * pow(vals[v], e, pk) % pk
-            acc = (acc + val) % pk
-        return ring.from_int(acc, prec=prec)
+        factors = [(n * self.bits, point.component(j, i), {}) for n, (j, i) in self._used()]
+        dom = _Values(self.ring, min([self.prec] + [x.prec for _, x, _ in factors]))
+        mask = (1 << self.bits) - 1
+        acc = dom.from_elem(self.ring.zero)
+        for k, c in self.terms.items():
+            for s, x, powers in factors:
+                e = (k >> s) & mask
+                if e:
+                    xe = powers.get(e)
+                    if xe is None:
+                        xe = powers[e] = dom.from_elem(x**e)
+                    c = c * xe
+            acc = acc + c
+        return dom.to_elem(acc)
 
     # -- serialization --------------------------------------------------
 
@@ -340,61 +395,6 @@ class JetPolynomial:
             mono = tuple(sorted(((j, i), e) for j, i, e in exps))
             items.append((mono, elem_from_json(ring, rec["coefficient"])))
         return cls.from_terms(ring, items)
-
-
-_FAST_MUL_THRESHOLD = 4096
-
-
-def _mul_packed(f, g):
-    """Large products over W(Z/p^N) with m=1: exponent vectors are packed
-    into integer keys so the inner loop is pure int arithmetic.  Returns
-    None when the fast path does not apply.
-
-    Only sound when all coefficients share one precision.  Each field is as
-    wide as the largest exponent sum of the product, so packed addition
-    never carries between fields.
-    """
-    ring = f.ring
-    if ring.kind != ARITHMETIC or getattr(ring, "m", 0) != 1:
-        return None
-    if len(f.terms) * len(g.terms) < _FAST_MUL_THRESHOLD:
-        return None
-    precs = {c.prec for c in f.terms.values()} | {c.prec for c in g.terms.values()}
-    if len(precs) != 1:
-        return None
-    prec = precs.pop()
-    pk = ring.p**prec
-    vars_ = sorted(
-        {v for m in f.terms for v, _ in m} | {v for m in g.terms for v, _ in m}
-    )
-    top_sum = sum(max((e for m in h.terms for _, e in m), default=0) for h in (f, g))
-    bits = top_sum.bit_length()
-    slot = {v: i * bits for i, v in enumerate(vars_)}
-
-    def enc(terms):
-        return [
-            (sum(e << slot[v] for v, e in m), c.coeffs[0]) for m, c in terms.items()
-        ]
-
-    out = {}
-    bt = enc(g.terms)
-    get = out.get
-    for ka, ca in enc(f.terms):
-        for kb, cb in bt:
-            k = ka + kb
-            out[k] = get(k, 0) + ca * cb
-    out = {k: cm for k, c in out.items() if (cm := c % pk)}
-    f._check_cap(len(out))
-    mask = (1 << bits) - 1
-    terms = {}
-    for k, c in out.items():
-        mono = []
-        for v in vars_:
-            e = (k >> slot[v]) & mask
-            if e:
-                mono.append((v, e))
-        terms[tuple(mono)] = ring.element((c,), prec)
-    return JetPolynomial(ring, terms, f.term_cap)
 
 
 def _coeff_str(c):
@@ -467,12 +467,11 @@ def nabla(values, n: int) -> JetPoint:
 
 
 def eval_jet(f: JetPolynomial, point: JetPoint):
-    for mono in f.terms:
-        for (j, i), _ in mono:
-            if j >= point.base_count or i > point.level:
-                raise ArityError(
-                    f"point does not cover variable {var_name(j, i)}"
-                )
+    for _, (j, i) in f._used():
+        if j >= point.base_count or i > point.level:
+            raise ArityError(
+                f"point does not cover variable {var_name(j, i)}"
+            )
     return f.evaluate(point)
 
 

@@ -223,10 +223,12 @@ def _eliminate(aug, ncols):
             swaps += 1
         row = aug[prow]
         det = row[col] if det is None else det * row[col]
-        inv = row[col].invert()
-        # entries left of col are final, and col itself is never read again
-        for j in range(col + 1, width):
-            row[j] = inv * row[j]
+        # entries left of col are final, and col itself is never read again;
+        # with nothing right of it (the last column of det) no inverse is due
+        if col + 1 < width:
+            inv = row[col].invert()
+            for j in range(col + 1, width):
+                row[j] = inv * row[j]
         for other in aug:
             if other is row:
                 continue

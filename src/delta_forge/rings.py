@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 from .errors import BackendError, InputError, NonUnitError, PrecisionExhausted
@@ -798,6 +799,23 @@ class SeriesRing:
             x = self.random_element(rng, trunc)
             if x.is_unit():
                 return x
+
+
+def find_irreducible(p: int, m: int):
+    """First monic irreducible of degree m over F_p in lexicographic order."""
+    if m == 1:
+        return ()
+    if not _is_prime(p):
+        raise InputError(f"p must be prime, got {p}")
+    for tail in product(range(p), repeat=m):
+        cand = list(tail) + [1]
+        if _fp_is_irreducible(cand, p):
+            return tuple(cand)
+    raise AssertionError("unreachable: irreducibles exist in every degree")
+
+
+def make_ring(p, prec, m=1):
+    return WittRing(RingParams(p=p, prec=prec, m=m, modulus=find_irreducible(p, m)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .cocycles import (
     ClassifiedCocycle,
@@ -27,30 +26,14 @@ from .cocycles import (
     recover,
 )
 from .decomp import decompose, is_admissible, precondition, reconstruct
-from .errors import ExhaustedSearchError, InputError
+from .errors import ExhaustedSearchError
 from .homs import GmHomParams, TwistedCocycleParams, check_hom, gm_hom, psi, twisted_cocycle
 from .jets import JetPolynomial, eval_jet, nabla
 from .matrices import SquareMatrix, random_constant_gl, random_gl
-from .rings import RingParams, SeriesRing, WittRing, _fp_is_irreducible, _is_prime
+# find_irreducible is re-exported: perfbench calls and traces selftest.find_irreducible
+from .rings import SeriesRing, find_irreducible, make_ring  # noqa: F401
 
 DEFAULT_SEED = 31415
-
-
-def find_irreducible(p: int, m: int):
-    """First monic irreducible of degree m over F_p in lexicographic order."""
-    if m == 1:
-        return ()
-    if not _is_prime(p):
-        raise InputError(f"p must be prime, got {p}")
-    for tail in iproduct(range(p), repeat=m):
-        cand = list(tail) + [1]
-        if _fp_is_irreducible(cand, p):
-            return tuple(cand)
-    raise AssertionError("unreachable: irreducibles exist in every degree")
-
-
-def make_ring(p, prec, m=1):
-    return WittRing(RingParams(p=p, prec=prec, m=m, modulus=find_irreducible(p, m)))
 
 
 def _sc(n, scale):
@@ -221,7 +204,7 @@ def criterion_6_valuation_bound(seed, scale):
         for r in range(1, nu + 1):
             f = f.prolong()
             need = nu - r + 1
-            for mono, c in f.terms.items():
+            for _, c in f.sorted_terms():
                 if c.valuation() < need:
                     return False, (
                         f"valuation {c.valuation()} < {need} at nu={nu}, r={r}"
@@ -478,7 +461,8 @@ def run_selftest(profile: str = "quick", seed: int = DEFAULT_SEED, out=None):
         "seed": seed,
         "pass": all(r.passed for r in results),
         "criteria": [
-            {"name": r.name, "pass": r.passed, "detail": r.detail}
+            {"name": r.name, "pass": r.passed, "detail": r.detail,
+             "seconds": round(r.seconds, 2)}
             for r in results
         ],
     }

@@ -89,10 +89,15 @@ class TestJets:
         assert doc["terms"] == want.to_records()
 
     def test_prolong_past_precision_exits_3(self, run):
-        # each prolongation uses up one digit of 3^3
-        code, doc = run("jet-prolong", "--p", "3", "--prec", "3", "--times", "3", "x0^2")
-        assert code == 3
-        assert doc["error"] == "precision-exhausted"
+        # each prolongation uses up one digit, of the zero polynomial too
+        for argv in (
+            ("--prec", "3", "--times", "3", "x0^2"),
+            ("--prec", "2", "--times", "5", "9"),
+            ("--prec", "2", "--times", "3", "x0-x0"),
+        ):
+            code, doc = run("jet-prolong", "--p", "3", *argv)
+            assert code == 3
+            assert doc["error"] == "precision-exhausted"
 
     def test_nabla(self, run):
         code, doc = run("jet-nabla", "--p", "3", "--prec", "5",
@@ -218,6 +223,14 @@ def test_malformed_payload_is_input_error(run, argv):
     code, doc = run(*argv)
     assert code == 2
     assert "error" in doc
+
+
+def test_selftest_quick_report(run):
+    code, doc = run("selftest", "--profile", "quick")
+    assert code == 0
+    assert doc["pass"] is True
+    assert len(doc["criteria"]) == 12
+    assert all(c["pass"] and c["seconds"] >= 0 for c in doc["criteria"])
 
 
 class TestOutFile:

@@ -23,8 +23,7 @@ from delta_forge import (
 )
 from delta_forge.errors import BackendError, InputError, PrecisionExhausted
 from delta_forge.matrices import solve_linear
-from delta_forge.rings import SeriesRing
-from delta_forge.selftest import make_ring
+from delta_forge.rings import SeriesRing, make_ring
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from delta_forge import (
 )
 from delta_forge.decomp import expected_word_length, is_admissible
 from delta_forge.errors import NonUnitError, NonUnitMinorError, ShapeError
-from delta_forge.selftest import make_ring
+from delta_forge.rings import make_ring
 
 
 @pytest.fixture

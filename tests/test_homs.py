@@ -14,8 +14,7 @@ from delta_forge import (
     twisted_cocycle,
 )
 from delta_forge.errors import BackendError, InputError, NonUnitError
-from delta_forge.rings import SeriesRing
-from delta_forge.selftest import make_ring
+from delta_forge.rings import SeriesRing, make_ring
 
 
 def psi_series_oracle(a, terms=60):

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,9 @@ from delta_forge import (
     parse_polynomial,
     prolong,
 )
-from delta_forge.errors import ArityError, InputError, TermBudgetError
-from delta_forge.jets import JetPoint, _mono_mul, _mul_packed
-from delta_forge.rings import SeriesRing, _zpoly_mul_reduce
-from delta_forge.selftest import make_ring
+from delta_forge.errors import ArityError, InputError, PrecisionExhausted, TermBudgetError
+from delta_forge.jets import JetPoint
+from delta_forge.rings import ARITHMETIC, SeriesRing, _zpoly_mul_reduce, make_ring
 
 
 @pytest.fixture
@@ -139,20 +139,12 @@ class TestEvalJet:
         with pytest.raises(ArityError):
             eval_jet(f, nabla(ring.from_int(1), 1))
 
-    def test_fast_path_matches_generic(self, ring):
-        # force both paths over the same polynomial
+    def test_packed_evaluate_matches_generic(self, ring):
         rng = random.Random(10)
         f = parse_polynomial("x0^2*x1 + 2*x1*x2", ring)
         g = f.prolong().prolong()
         pt = nabla(tuple(ring.random_element(rng) for _ in range(3)), 2)
-        fast = g.evaluate(pt)
-        acc = None
-        for mono, c in g.terms.items():
-            val = c
-            for (j, i), e in mono:
-                val = val * pt.component(j, i) ** e
-            acc = val if acc is None else acc + val
-        assert fast == acc
+        assert g.evaluate(pt) == _generic_evaluate(g, pt)
 
 
 class TestTermBudget:
@@ -163,19 +155,37 @@ class TestTermBudget:
             f * f
 
 
+def test_mixed_rings_rejected(ring):
+    # int residues carry no ring, so mixing W(Z/3^6) with W(Z/5^4) must not
+    # quietly add residues mod 3^k to residues mod 5^k
+    f = parse_polynomial("x0 + 1", ring)
+    for g in (parse_polynomial("x0 + 1", make_ring(5, 4)), parse_polynomial("x0", SeriesRing(4))):
+        for op in (f.__add__, f.__mul__, f.__eq__):
+            with pytest.raises(TypeError):
+                op(g)
+
+
 class TestSerialization:
     def test_roundtrip(self, ring):
         f = parse_polynomial("x0^2*x1' + 5", ring)
         assert JetPolynomial.from_records(ring, f.to_records()) == f
 
 
-# -- fast paths against reference loops ----------------------------------------
+# -- packed kernels against reference loops -----------------------------------
+
+
+def _mono_mul(m1, m2):
+    d = dict(m1)
+    for v, e in m2:
+        d[v] = d.get(v, 0) + e
+    return tuple(sorted(d.items()))
 
 
 def _schoolbook_mul(f, g):
+    """Tuple-monomial product of two {monomial: element} dicts."""
     out = {}
-    for m1, c1 in f.terms.items():
-        for m2, c2 in g.terms.items():
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
             m = _mono_mul(m1, m2)
             out[m] = out[m] + c1 * c2 if m in out else c1 * c2
     return {m: c for m, c in out.items() if not c.is_zero()}
@@ -183,7 +193,7 @@ def _schoolbook_mul(f, g):
 
 def _generic_evaluate(f, point):
     acc = None
-    for mono, c in f.terms.items():
+    for mono, c in f.sorted_terms():
         val = c
         for (j, i), e in mono:
             val = val * point.component(j, i) ** e
@@ -192,7 +202,7 @@ def _generic_evaluate(f, point):
 
 
 def _as_pairs(terms):
-    return {m: (c.coeffs, c.prec) for m, c in terms.items()}
+    return {m: (c.coeffs, c.prec) for m, c in dict(terms).items()}
 
 
 _monomials = st.dictionaries(
@@ -218,9 +228,10 @@ class TestFastPaths:
             ring, [((((0, 0), 40000),), ring.one)]
             + [((((1, 0), k),), ring.one) for k in range(1, 64)],
         )
-        product = _mul_packed(f, f)
-        assert max(e for m in product.terms for _, e in m) == 80000
-        assert _as_pairs(product.terms) == _as_pairs(_schoolbook_mul(f, f))
+        product = f * f
+        assert max(e for m, _ in product.sorted_terms() for _, e in m) == 80000
+        ref = dict(f.sorted_terms())
+        assert _as_pairs(product.sorted_terms()) == _as_pairs(_schoolbook_mul(ref, ref))
 
     @settings(max_examples=5)
     @given(st.data())
@@ -229,13 +240,14 @@ class TestFastPaths:
         prec = data.draw(st.integers(1, 4))
         f = data.draw(_packed_polynomials(ring, prec))
         g = data.draw(_packed_polynomials(ring, prec))
-        product = _mul_packed(f, g)
-        assert product is not None
-        assert _as_pairs(product.terms) == _as_pairs(_schoolbook_mul(f, g))
+        product = f * g
+        assert product.prec == prec
+        ref = _schoolbook_mul(dict(f.sorted_terms()), dict(g.sorted_terms()))
+        assert _as_pairs(product.sorted_terms()) == _as_pairs(ref)
 
     @settings(max_examples=6)
     @given(st.data())
-    def test_evaluate_fast_matches_generic(self, data):
+    def test_packed_evaluate_matches_generic(self, data):
         ring = make_ring(5, 4)
         f = data.draw(_packed_polynomials(ring, data.draw(st.integers(1, 4))))
         elem = st.builds(
@@ -243,9 +255,9 @@ class TestFastPaths:
             st.integers(0, 5**4 - 1), st.integers(1, 4),
         )
         point = JetPoint(tuple(tuple(data.draw(elem) for _ in range(2)) for _ in range(3)), 1)
-        fast = f._evaluate_fast(point)
+        got = f.evaluate(point)
         ref = _generic_evaluate(f, point)
-        assert (fast.coeffs, fast.prec) == (ref.coeffs, ref.prec)
+        assert (got.coeffs, got.prec) == (ref.coeffs, ref.prec)
 
     @settings(max_examples=200)
     @given(
@@ -264,3 +276,129 @@ class TestFastPaths:
         )
         got = a * b
         assert (got.coeffs, got.prec) == (expected, prec)
+
+
+# -- prolongation against the tuple-monomial implementation it replaced --------
+
+
+def _ref_add(*polys):
+    out = {}
+    for poly in polys:
+        for m, c in poly.items():
+            c = out[m] + c if m in out else c
+            if c.is_zero():
+                out.pop(m, None)
+            else:
+                out[m] = c
+    return out
+
+
+def _ref_pow(ring, f, e):
+    result, base = {(): ring.one}, f
+    while e:
+        if e & 1:
+            result = _schoolbook_mul(result, base)
+        base = _schoolbook_mul(base, base) if e > 1 else base
+        e >>= 1
+    return result
+
+
+def _ref_prolong(ring, f):
+    """Prolongation on {monomial: element} dicts, each coefficient carrying
+    its own precision, as the library computed it before the packed form."""
+    if ring.kind != ARITHMETIC:
+        out = {}
+        for mono, c in f.items():
+            items = [(mono, c.delta())]
+            for idx, ((j, i), e) in enumerate(mono):
+                rest = mono[:idx] + mono[idx + 1:]
+                shifted = tuple(x for x in [((j, i), e - 1), ((j, i + 1), 1)] if x[1])
+                items.append((_mono_mul(rest, shifted), c * ring.from_int(e)))
+            out = _ref_add(out, {m: c for m, c in items if not c.is_zero()})
+        return out
+    if any(c.prec < 2 for c in f.values()):
+        raise PrecisionExhausted("prolongation needs coefficient precision >= 2")
+    p = ring.p
+    fphi = {}
+    for mono, c in f.items():
+        partial = [((), c.frobenius())]
+        for (j, i), e in mono:
+            choices = []
+            for k in range(e + 1):
+                coef = ring.from_int(comb(e, k) * p**k)
+                if coef.is_zero():
+                    continue
+                mv = []
+                if e - k:
+                    mv.append(((j, i), p * (e - k)))
+                if k:
+                    mv.append(((j, i + 1), k))
+                choices.append((tuple(mv), coef))
+            partial = [
+                (_mono_mul(mp, mv), cc * cv)
+                for mp, cc in partial
+                for mv, cv in choices
+                if not (cc * cv).is_zero()
+            ]
+        fphi = _ref_add(fphi, dict(partial))
+    g = _ref_add(fphi, {m: -c for m, c in _ref_pow(ring, f, p).items()})
+    return {m: c._div_p_exact() for m, c in g.items()}
+
+
+_PROLONG_RINGS = {
+    "W(Z/3^4)": lambda: make_ring(3, 4),
+    "W(F_9)/3^3": lambda: make_ring(3, 3, 2),
+    "Q[[t]]/t^6": lambda: SeriesRing(6),
+}
+
+
+@st.composite
+def _small_polynomials(draw, ring):
+    monos = draw(st.lists(
+        st.dictionaries(
+            st.tuples(st.integers(0, 1), st.integers(0, 1)), st.integers(1, 2), max_size=2
+        ).map(lambda d: tuple(sorted(d.items()))),
+        min_size=1, max_size=3,
+    ))
+    if ring.kind == ARITHMETIC:
+        coeff = st.lists(st.integers(0, ring.p**ring.prec - 1), min_size=ring.m, max_size=ring.m)
+        coeff = coeff.map(ring.element)
+    else:
+        coeff = st.lists(st.integers(-3, 3), min_size=1, max_size=ring.trunc).map(ring.element)
+    return [(m, draw(coeff)) for m in monos]
+
+
+class TestProlongMatchesTupleForm:
+    @pytest.mark.parametrize("name", sorted(_PROLONG_RINGS))
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_prolong_k_1_to_3(self, name, data):
+        ring = _PROLONG_RINGS[name]()
+        items = data.draw(_small_polynomials(ring))
+        f = JetPolynomial.from_terms(ring, items)
+        assert dict(f.sorted_terms()) == _ref_add(*({m: c} for m, c in items))
+        for _ in range(3):
+            ref_in = dict(f.sorted_terms())
+            if f.prec < 2:
+                # the tuple form raised only when some coefficient was left
+                with pytest.raises(PrecisionExhausted):
+                    f.prolong()
+                if ref_in:
+                    with pytest.raises(PrecisionExhausted):
+                        _ref_prolong(ring, ref_in)
+                return
+            ref = _ref_prolong(ring, ref_in)
+            prec_in, f = f.prec, f.prolong()
+            got = f.sorted_terms()
+            if ref:
+                assert f.prec == min(c.prec for c in ref.values())
+            else:
+                assert f.prec == (prec_in - 1 if ring.kind == ARITHMETIC else prec_in)
+            # the tuple form's coefficients, lowered to the one precision of
+            # the packed form, are the packed form's coefficients
+            want = {m: c.at_prec(f.prec) for m, c in ref.items()}
+            want = {m: c for m, c in want.items() if not c.is_zero()}
+            assert [m for m, _ in got] == sorted(want)
+            assert all(c.prec == f.prec and c == want[m] for m, c in got)
+            if ring.kind == ARITHMETIC:
+                assert _as_pairs(got) == _as_pairs(ref)

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from delta_forge.errors import NonUnitError, ShapeError
 from delta_forge.matrices import SquareMatrix, solve_linear
-from delta_forge.rings import SeriesRing
-from delta_forge.selftest import make_ring
+from delta_forge.rings import SeriesRing, make_ring
 
 RINGS = {
     "witt-m1": make_ring(5, 4),

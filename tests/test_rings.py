@@ -17,8 +17,7 @@ from delta_forge import (
     teichmueller,
 )
 from delta_forge.errors import InputError, NonUnitError, PrecisionExhausted
-from delta_forge.rings import _is_prime
-from delta_forge.selftest import find_irreducible, make_ring
+from delta_forge.rings import _is_prime, find_irreducible, make_ring
 
 
 def W(p, prec, m=1):

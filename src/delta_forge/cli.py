@@ -156,7 +156,8 @@ def cmd_jet_prolong(args):
         f = parse_polynomial(payload, ring)
     for _ in range(args.times):
         f = f.prolong()
-    return EXIT_OK, {"order": f.order, "text": str(f), "terms": f.to_records()}
+    text, records = f.text_and_records()
+    return EXIT_OK, {"order": f.order, "text": text, "terms": records}
 
 
 def cmd_jet_nabla(args):

@@ -203,13 +203,24 @@ def recover(f: DeltaMapHandle, ring, n: int, seed: int = 0,
     return v, omega_eval
 
 
+_BLOCK_MEMO_SIZE = 4
+
+
 @dataclass(frozen=True)
 class HBlockComponents:
-    """Block reading of a handle on the subgroup [[a, b], [0, 1_{n-1}]]."""
+    """Block reading of a handle on the subgroup [[a, b], [0, 1_{n-1}]].
+
+    alpha, beta, gamma and epsilon of one point share one handle
+    evaluation: the last few values are kept, oldest evicted first, keyed
+    by the identity of a and of each entry of b.  An entry holds those
+    (immutable) objects, so their ids cannot be reused while it lives; a
+    b list mutated in place, or equal values in new objects, miss.
+    """
 
     handle: DeltaMapHandle
     ring: object
     n: int
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def point(self, a, b):
         n, ring = self.n, self.ring
@@ -220,7 +231,16 @@ class HBlockComponents:
         return SquareMatrix(ring, rows)
 
     def _eval(self, a, b):
-        return self.handle(self.point(a, b))
+        b = tuple(b)
+        key = (id(a), *map(id, b))
+        hit = self._memo.get(key)
+        if hit is not None and hit[0] is a and all(x is y for x, y in zip(hit[1], b)):
+            return hit[2]
+        value = self.handle(self.point(a, b))
+        if len(self._memo) >= _BLOCK_MEMO_SIZE:
+            del self._memo[next(iter(self._memo))]
+        self._memo[key] = (a, b, value)
+        return value
 
     def alpha(self, a, b):
         return self._eval(a, b)[0, 0]

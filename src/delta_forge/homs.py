@@ -9,6 +9,7 @@ homomorphism checker.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -76,14 +77,41 @@ def _vp(n: int, p: int) -> int:
     return v
 
 
+def _past_target(p: int, n: int, vu: int, target: int) -> bool:
+    """Whether n - 1 - log_p(n) + n*vu >= target, tested in integers as
+    p^(n - 1 + n*vu - target) >= n.  The left side never decreases in n
+    and bounds the valuation of every term from n on."""
+    k = n - 1 + n * vu - target
+    return k >= 0 and p**k >= n
+
+
+@functools.lru_cache
+def _psi_coefficients(p: int, target: int) -> tuple:
+    """(n, n - 1 - v_p(n), c_n) for every n a unit (val(u) = 0) needs at
+    precision target, with c_n = (-1)^(n-1) p^(n-1-v_p(n)) (n/p^v_p(n))^-1
+    mod p^target."""
+    pk = p**target
+    out = []
+    n = 1
+    while not _past_target(p, n, 0, target):
+        e = _vp(n, p)
+        c = p ** (n - 1 - e) * pow(n // p**e, -1, pk)
+        out.append((n, n - 1 - e, (c if n % 2 else -c) % pk))
+        n += 1
+    return tuple(out)
+
+
 def psi(a):
     """Series delta-homomorphism from units to the additive group:
 
         sum_{n>=1} (-1)^(n-1) (p^(n-1)/n) (delta a / a^p)^n
 
-    Summation stops once the guaranteed term valuation
-    n - 1 - v_p(n) + n*val(delta a / a^p) reaches the working precision;
-    the result carries one digit less than the input.
+    Term n has valuation at least n - 1 - v_p(n) + n*val(u), u = delta a /
+    a^p; a term whose bound reaches the working precision is skipped, and
+    the sum stops exactly at the first n where n - 1 - log_p(n) + n*val(u),
+    which bounds every later term, reaches it.  The signed coefficients
+    come from a table cached per (p, precision).  The result carries one
+    digit less than the input.
     """
     ring = a.ring
     if ring.kind != ARITHMETIC:
@@ -95,20 +123,18 @@ def psi(a):
     target = u.prec
     vu = u.valuation()
     acc = ring.from_int(0, prec=target)
-    un = ring.from_int(1, prec=target)
-    cap = p * (ring.prec + 2)
-    for n in range(1, cap + 1):
-        un = un * u
-        e = _vp(n, p)
-        bound = n - 1 - e + n * vu
+    un, last = ring.from_int(1, prec=target), 0
+    for n, b, c in _psi_coefficients(p, target):
+        if _past_target(p, n, vu, target):
+            break
+        bound = b + n * vu
         if bound >= target:
             continue
-        unit_part = ring.from_int(n // p**e, prec=target).invert()
-        coef = ring.from_int(p ** (n - 1 - e), prec=target) * unit_part
-        if n % 2 == 0:
-            coef = -coef
-        term = coef * un
-        if term.valuation() < min(bound, target):
+        # u^n from the last power used: skipped n cost no multiplication
+        un = un * (u if n - last == 1 else u ** (n - last))
+        last = n
+        term = ring.element([c * x for x in un.coeffs], prec=target)
+        if term.valuation() < bound:
             raise DeltaForgeError(
                 f"psi term {n} has valuation below its bound {bound}"
             )

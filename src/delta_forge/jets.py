@@ -193,18 +193,7 @@ class JetPolynomial:
         return f"JetPolynomial({self})"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, c in self.sorted_terms():
-            factors = []
-            cs = _coeff_str(c)
-            if cs != "1" or not mono:
-                factors.append(cs)
-            for (j, i), e in mono:
-                factors.append(var_name(j, i) + (f"^{e}" if e > 1 else ""))
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return _terms_text(self.sorted_terms())
 
     # -- arithmetic -----------------------------------------------------
 
@@ -370,11 +359,12 @@ class JetPolynomial:
     # -- serialization --------------------------------------------------
 
     def to_records(self):
-        return [
-            {"exponents": [[j, i, e] for (j, i), e in mono],
-             "coefficient": elem_to_json(c)}
-            for mono, c in self.sorted_terms()
-        ]
+        return _terms_records(self.sorted_terms())
+
+    def text_and_records(self):
+        """(str(self), self.to_records()) from one decode and sort of the terms."""
+        terms = self.sorted_terms()
+        return _terms_text(terms), _terms_records(terms)
 
     @classmethod
     def from_records(cls, ring, records):
@@ -395,6 +385,29 @@ class JetPolynomial:
             mono = tuple(sorted(((j, i), e) for j, i, e in exps))
             items.append((mono, elem_from_json(ring, rec["coefficient"])))
         return cls.from_terms(ring, items)
+
+
+def _terms_text(terms):
+    if not terms:
+        return "0"
+    parts = []
+    for mono, c in terms:
+        factors = []
+        cs = _coeff_str(c)
+        if cs != "1" or not mono:
+            factors.append(cs)
+        for (j, i), e in mono:
+            factors.append(var_name(j, i) + (f"^{e}" if e > 1 else ""))
+        parts.append("*".join(factors))
+    return " + ".join(parts)
+
+
+def _terms_records(terms):
+    return [
+        {"exponents": [[j, i, e] for (j, i), e in mono],
+         "coefficient": elem_to_json(c)}
+        for mono, c in terms
+    ]
 
 
 def _coeff_str(c):

@@ -68,6 +68,12 @@ class TestTeichAndPsi:
         assert code == 0
         assert doc["prec"] == 5
 
+    def test_psi_large_prime(self, run, deadline):
+        with deadline(1):
+            code, doc = run("psi", "--p", "1000003", "--prec", "4", "5")
+        assert code == 0
+        assert doc == {"prec": 3, "psi": [449088409007311824], "value": [5]}
+
     def test_psi_non_unit(self, run):
         code, doc = run("psi", "--p", "3", "--prec", "6", "3")
         assert code == 2

@@ -207,6 +207,60 @@ class TestBlocks:
         g2 = blocks.gamma(a, b2)
         assert all(x == y for x, y in zip(g1, g2))
 
+    def test_one_handle_evaluation_per_point(self, ring):
+        rng = random.Random(16)
+        c = ClassifiedCocycle(
+            GmHomParams((ring.one,)),
+            SquareMatrix(ring, [[ring.random_element(rng) for _ in range(3)]
+                                for _ in range(3)]),
+        )
+        plain = classified_handle(c)
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return plain.evaluator(g)
+
+        counting = DeltaMapHandle(counted, plain.order)
+        blocks = h_block_components(counting, ring, 3)
+        reference = h_block_components(plain, ring, 3)
+
+        def read(bl, a, b):
+            return (bl.alpha(a, b), bl.beta(a, b), bl.gamma(a, b), bl.epsilon(a, b))
+
+        def fresh(a, b):
+            f = plain(reference.point(a, b))
+            return (f[0, 0], [f[0, 1], f[0, 2]], [f[1, 0], f[2, 0]], f.block(1, 3, 1, 3))
+
+        a1, a2 = ring.random_unit(rng), ring.random_unit(rng)
+        b1 = [ring.random_element(rng) for _ in range(2)]
+        b2 = [ring.random_element(rng) for _ in range(2)]
+        assert read(blocks, a1, b1) == fresh(a1, b1) and len(calls) == 1
+
+        # criterion 12's reads: each block at (a1,b1) and (a2,b2), then at (a12,b12)
+        calls.clear()
+        blocks = h_block_components(counting, ring, 3)
+        a12, b12 = a1 * a2, [x + a1 * y for x, y in zip(b1, b2)]
+        for block in (blocks.alpha, blocks.beta, blocks.gamma, blocks.epsilon):
+            block(a1, b1), block(a2, b2)
+        read(blocks, a12, b12)
+        assert len(calls) == 3
+
+        # b mutated in place, or equal values in new objects: evaluated again
+        calls.clear()
+        b1[0] = ring.random_element(rng)
+        assert read(blocks, a1, b1) == fresh(a1, b1) and len(calls) == 1
+        a_copy = ring.element(a2.coeffs, a2.prec)
+        b_copy = [ring.element(x.coeffs, x.prec) for x in b2]
+        assert read(blocks, a_copy, b_copy) == fresh(a2, b2) and len(calls) == 2
+
+        from delta_forge.cocycles import _BLOCK_MEMO_SIZE
+
+        for _ in range(10):
+            read(blocks, ring.random_unit(rng), [ring.random_element(rng) for _ in range(2)])
+            assert len(blocks._memo) <= _BLOCK_MEMO_SIZE
+        assert len(calls) == 12
+
 
 class TestCoherence:
     def test_log_derivative_torus(self):

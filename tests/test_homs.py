@@ -48,12 +48,44 @@ class TestPsi:
             assert psi(ring.teichmueller(a)).is_zero()
 
     def test_matches_series_oracle(self):
+        from delta_forge.homs import _psi_coefficients
+
+        terms = 60
+        cases = []
         for p in (3, 5):
             ring = make_ring(p, 6)
             rng = random.Random(f"oracle:{p}")
-            for _ in range(25):
-                a = ring.random_unit(rng)
-                assert psi(a) == psi_series_oracle(a)
+            cases += [ring.random_unit(rng) for _ in range(25)]
+        for p, prec, m in ((7, 5, 1), (11, 4, 1), (3, 6, 2), (5, 4, 2), (7, 4, 2),
+                           (3, 5, 3), (5, 4, 3)):
+            ring = make_ring(p, prec, m)
+            rng = random.Random(f"oracle:{p}:{prec}:{m}")
+            for _ in range(6):
+                low = rng.randrange(3, prec + 1)  # at or below the ring's precision
+                r = ring.teichmueller(ring.random_unit(rng)).at_prec(low)
+                k = rng.randrange(2, low)
+                one_plus = ring.one.at_prec(low) + p**k * ring.random_element(rng, low)
+                # a random unit, a Teichmueller unit (u = 0), and one with v(u) >= 1
+                cases += [ring.random_unit(rng, low), r, r * one_plus]
+        seen = set()
+        for a in cases:
+            p = a.ring.p
+            u = a.delta() * (a**p).invert()
+            vu = u.valuation()
+            seen.add(min(vu, 1) if vu < u.prec else "u=0")
+            got, want = psi(a), psi_series_oracle(a, terms)
+            assert got == want and got.prec == want.prec == a.prec - 1
+            kept = [n for n, b, _ in _psi_coefficients(p, u.prec) if b + n * vu < u.prec]
+            assert max(kept, default=0) < terms
+        assert seen == {0, 1, "u=0"}
+
+    def test_large_prime_returns(self, deadline):
+        for p in (1000000007, 1000003):
+            ring = make_ring(p, 4)
+            with deadline(1):
+                value = psi(ring.from_int(5))
+            assert value.prec == 3
+        assert value.coeffs == (449088409007311824,)
 
     def test_additivity_specific(self):
         ring = make_ring(3, 6)

@@ -71,7 +71,6 @@ from .rings import (
     WittRing,
     delta,
     frobenius,
-    from_integer,
     invert,
     is_constant,
     teichmueller,

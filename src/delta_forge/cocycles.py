@@ -53,7 +53,6 @@ class DeltaMapHandle:
 
     evaluator: object
     order: int
-    domain: str = "GL_n"
 
     def __call__(self, g: SquareMatrix) -> SquareMatrix:
         out_prec = g.min_prec() - self.order
@@ -96,11 +95,11 @@ def classified_eval(c: ClassifiedCocycle, g: SquareMatrix) -> SquareMatrix:
 
 
 def classified_handle(c: ClassifiedCocycle) -> DeltaMapHandle:
-    return DeltaMapHandle(lambda g: classified_eval(c, g), c.order, "GL_n")
+    return DeltaMapHandle(lambda g: classified_eval(c, g), c.order)
 
 
 def coboundary_handle(v: SquareMatrix) -> DeltaMapHandle:
-    return DeltaMapHandle(lambda g: coboundary(v, g), 0, "GL_n")
+    return DeltaMapHandle(lambda g: coboundary(v, g), 0)
 
 
 def log_derivative(g: SquareMatrix) -> SquareMatrix:
@@ -111,11 +110,7 @@ def log_derivative(g: SquareMatrix) -> SquareMatrix:
 
 
 def log_derivative_handle() -> DeltaMapHandle:
-    return DeltaMapHandle(log_derivative, 1, "GL_n")
-
-
-def _matrix_json(m: SquareMatrix):
-    return m.to_json()
+    return DeltaMapHandle(log_derivative, 1)
 
 
 def cocycle_check(f: DeltaMapHandle, ring, n: int, samples: int = 1000,
@@ -135,10 +130,10 @@ def cocycle_check(f: DeltaMapHandle, ring, n: int, samples: int = 1000,
                 samples=idx + 1,
                 precision=precision,
                 counterexample={
-                    "g1": _matrix_json(g1),
-                    "g2": _matrix_json(g2),
-                    "lhs": _matrix_json(lhs),
-                    "rhs": _matrix_json(rhs),
+                    "g1": g1.to_json(),
+                    "g2": g2.to_json(),
+                    "lhs": lhs.to_json(),
+                    "rhs": rhs.to_json(),
                 },
             )
     if precision is None:
@@ -222,21 +217,13 @@ class HBlockComponents:
     n: int
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def point(self, a, b):
-        n, ring = self.n, self.ring
-        one, zero = ring.one, ring.zero
-        rows = [[a] + list(b)]
-        for i in range(1, n):
-            rows.append([zero] * i + [one] + [zero] * (n - 1 - i))
-        return SquareMatrix(ring, rows)
-
     def _eval(self, a, b):
         b = tuple(b)
         key = (id(a), *map(id, b))
         hit = self._memo.get(key)
         if hit is not None and hit[0] is a and all(x is y for x, y in zip(hit[1], b)):
             return hit[2]
-        value = self.handle(self.point(a, b))
+        value = self.handle(SquareMatrix.h_block(self.ring, a, b))
         if len(self._memo) >= _BLOCK_MEMO_SIZE:
             del self._memo[next(iter(self._memo))]
         self._memo[key] = (a, b, value)
@@ -331,8 +318,8 @@ def coherence_check(f: DeltaMapHandle, ring, n: int, subgroup: str,
                 precision=precision,
                 counterexample={
                     "subgroup": subgroup,
-                    "g": _matrix_json(g),
-                    "value": _matrix_json(val),
+                    "g": g.to_json(),
+                    "value": val.to_json(),
                 },
             )
     return CocycleReport(passed=True, samples=samples, precision=precision or 0)

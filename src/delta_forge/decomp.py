@@ -29,6 +29,7 @@ from .errors import (
     ShapeError,
 )
 from .matrices import SquareMatrix
+from .rings import dot
 from .serialize import elem_from_json, elem_to_json
 
 
@@ -49,12 +50,7 @@ class SFactor:
     b: tuple
 
     def matrix(self, ring):
-        n = len(self.b) + 1
-        one, zero = ring.one, ring.zero
-        rows = [[self.a] + list(self.b)]
-        for i in range(1, n):
-            rows.append([zero] * i + [one] + [zero] * (n - 1 - i))
-        return SquareMatrix(ring, rows)
+        return SquareMatrix.h_block(ring, self.a, self.b)
 
     def to_json(self):
         return {
@@ -147,18 +143,8 @@ def _raw_factors(x: SquareMatrix):
     z = [x[i, 0] for i in range(1, n)]
     w = x.block(1, n, 1, n)
     winv = w.invert()
-    yw = [None] * (n - 1)
-    for j in range(n - 1):
-        acc = None
-        for k in range(n - 1):
-            t = y[k] * winv[k, j]
-            acc = t if acc is None else acc + t
-        yw[j] = acc
-    ywz = None
-    for k in range(n - 1):
-        t = yw[k] * z[k]
-        ywz = t if ywz is None else ywz + t
-    a = u - ywz
+    yw = [dot(y, col) for col in zip(*winv.rows)]
+    a = u - dot(yw, z)
     factors = [SFactor(a, tuple(yw))]
 
     # diag(1, w) = C^{-1} diag(w, 1) C for the cyclic shift C
@@ -173,13 +159,7 @@ def _raw_factors(x: SquareMatrix):
     factors.append(PermFactor(shift))
 
     # lower-unipotent column, one transposed elementary block per entry
-    c = [None] * (n - 1)
-    for i in range(n - 1):
-        acc = None
-        for k in range(n - 1):
-            t = winv[i, k] * z[k]
-            acc = t if acc is None else acc + t
-        c[i] = acc
+    c = [dot(row, z) for row in winv.rows]
     for j in range(1, n):
         tau = list(range(n))
         tau[0], tau[j] = tau[j], tau[0]

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import BackendError, DeltaForgeError, InputError, NonUnitError
-from .rings import ARITHMETIC
+from .rings import ARITHMETIC, dot
 from .serialize import elem_to_json
 
 ADDITIVE = "additive"
@@ -146,16 +146,12 @@ def ga_hom(params: GaHomParams, a):
     """Additive family: sum lambda_i phi^i(a), or sum lambda_i delta^i(a)
     on the series backend."""
     ring = a.ring
-    acc = None
-    x = a
-    for i, lam in enumerate(params.lam):
-        if i > 0:
-            x = x.frobenius() if ring.kind == ARITHMETIC else x.delta()
-        term = lam * x
-        acc = term if acc is None else acc + term
-    if acc is None:
+    if not params.lam:
         return ring.zero
-    return acc
+    xs = [a]
+    for _ in params.lam[1:]:
+        xs.append(xs[-1].frobenius() if ring.kind == ARITHMETIC else xs[-1].delta())
+    return dot(params.lam, xs)
 
 
 def gm_hom(params: GmHomParams, a):

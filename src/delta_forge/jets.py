@@ -24,10 +24,10 @@ import re
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
-from operator import or_
+from operator import mul, or_
 
 from .errors import ArityError, InputError, PrecisionExhausted, TermBudgetError
-from .rings import ARITHMETIC
+from .rings import ARITHMETIC, WittElement, _power
 from .serialize import elem_from_json, elem_to_json
 
 DEFAULT_TERM_CAP = 10**6
@@ -63,7 +63,8 @@ class _Values:
         return x.coeffs[0] if self.native else x
 
     def to_elem(self, v):
-        return self.ring.element((v,), self.prec) if self.native else v.at_prec(self.prec)
+        # stored values are reduced already
+        return WittElement(self.ring, (v,), self.prec) if self.native else v.at_prec(self.prec)
 
     def div_p(self, v):
         if not self.native:
@@ -250,13 +251,7 @@ class JetPolynomial:
         bits = max(self.bits, (e * self.top).bit_length())
         base = self._new(self.vars, bits, self.top, self._relayout(self.vars, bits), self.prec)
         one = {0: _Values(self.ring, self.prec).from_elem(self.ring.one)}
-        result = self._new(self.vars, bits, 0, one, self.prec)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(mul, self._new(self.vars, bits, 0, one, self.prec), base, e)
 
     # -- prolongation ---------------------------------------------------
 
@@ -332,12 +327,6 @@ class JetPolynomial:
         prec = min((c.prec for c in out.values() if not c.is_zero()), default=self.prec)
         return self._new(vars_, bits, self.top + 1, out, prec)
 
-    def prolong_iter(self, k: int):
-        f = self
-        for _ in range(k):
-            f = f.prolong()
-        return f
-
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, point):
@@ -354,7 +343,8 @@ class JetPolynomial:
                         xe = powers[e] = dom.from_elem(x**e)
                     c = c * xe
             acc = acc + c
-        return dom.to_elem(acc)
+        # acc is a raw sum, which to_elem does not reduce
+        return dom.to_elem(dom.reduce(acc) if dom.native else acc)
 
     # -- serialization --------------------------------------------------
 

@@ -16,7 +16,7 @@ from .errors import (
     ShapeError,
     SingularPivotError,
 )
-from .rings import ARITHMETIC
+from .rings import ARITHMETIC, dot
 from .serialize import elem_from_json, elem_to_json
 
 
@@ -68,6 +68,14 @@ class SquareMatrix:
         return cls.from_rows(
             ring, [[1 if j == sigma[i] else 0 for j in range(n)] for i in range(n)]
         )
+
+    @classmethod
+    def h_block(cls, ring, a, b):
+        """The point [[a, b], [0, 1_{n-1}]] of the subgroup H, n = len(b) + 1."""
+        n = len(b) + 1
+        one, zero = ring.one, ring.zero
+        rows = [[a, *b]] + [[zero] * i + [one] + [zero] * (n - 1 - i) for i in range(1, n)]
+        return cls(ring, rows)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -124,27 +132,13 @@ class SquareMatrix:
     def __mul__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        n = self.n
         cols = list(zip(*other.rows))
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = None
-                for a, b in zip(self.rows[i], cols[j]):
-                    t = a * b
-                    acc = t if acc is None else acc + t
-                row.append(acc)
-            out.append(row)
-        return SquareMatrix(self.ring, out)
+        return SquareMatrix(self.ring, [[dot(r, c) for c in cols] for r in self.rows])
 
     def scale(self, c):
         if isinstance(c, int):
             c = self.ring.from_int(c)
         return self.map(lambda e: c * e)
-
-    def transpose(self):
-        return SquareMatrix(self.ring, list(zip(*self.rows)))
 
     def trace(self):
         acc = self.rows[0][0]

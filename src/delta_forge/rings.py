@@ -22,8 +22,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import product, zip_longest
 from math import gcd, lcm
+from operator import add, mul
 
 from .errors import BackendError, InputError, NonUnitError, PrecisionExhausted
 
@@ -63,22 +65,36 @@ def _is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Generic kernels shared by every layer.
+
+def _power(mul, one, base, e):
+    """base**e for e >= 0 by square-and-multiply with the product ``mul``;
+    the last squaring, which nothing reads, is skipped."""
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
+
+
+def dot(u, v):
+    """u[0]*v[0] + u[1]*v[1] + ..., summed left to right from the first
+    product, so the result has the precision of that plain sum."""
+    return reduce(add, map(mul, u, v))
+
+
+# ---------------------------------------------------------------------------
 # F_p[t] helpers (dense low-to-high coefficient lists), used only for
-# modulus validation and inversion mod p.
+# modulus validation and inversion mod p.  A product reduced by a monic
+# modulus is exact over Z, so _zpoly_mul_reduce serves here too.
 
 def _fp_trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _fp_mulmod(a, b, mod, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_divmod(out, mod, p)[1]
 
 
 def _fp_divmod(a, b, p):
@@ -95,22 +111,17 @@ def _fp_divmod(a, b, p):
     return q, _fp_trim(a[:db])
 
 
-def _fp_gcd(a, b, p):
-    a, b = _fp_trim(list(a)), _fp_trim(list(b))
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    return a
-
-
-def _fp_powmod(base, e, mod, p):
-    result = [1]
-    base = _fp_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _fp_mulmod(result, base, mod, p)
-        base = _fp_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
+def _fp_euclid(mod, b, p):
+    """Extended Euclid in F_p[t] for a monic ``mod``: (g, s) with g a gcd
+    of mod and b, and s * b = g mod (mod, p)."""
+    r0, r1 = list(mod), _fp_trim([c % p for c in b])
+    s0, s1 = [], [1]
+    while r1:
+        q, r = _fp_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        qs1 = _zpoly_mul_reduce(q, s1, mod)
+        s0, s1 = s1, [(x - y) % p for x, y in zip_longest(s0, qs1, fillvalue=0)]
+    return r0, s0
 
 
 def _fp_is_irreducible(coeffs, p):
@@ -118,9 +129,14 @@ def _fp_is_irreducible(coeffs, p):
     m = len(coeffs) - 1
     if m < 1:
         return False
-    x = [0, 1]
+
+    def t_power(e):
+        # t^e mod (coeffs, p), as m coefficients
+        mulmod = lambda a, b: [c % p for c in _zpoly_mul_reduce(a, b, coeffs)]
+        return _power(mulmod, [1], [0, 1], e)
+
     # t^(p^m) == t mod f
-    if _fp_trim(list(_fp_powmod(x, p**m, coeffs, p))) != [0, 1]:
+    if _fp_trim(t_power(p**m)) != [0, 1]:
         return False
     d = 2
     mm = m
@@ -134,12 +150,9 @@ def _fp_is_irreducible(coeffs, p):
     if mm > 1:
         prime_divs.add(mm)
     for q in prime_divs:
-        h = _fp_powmod(x, p ** (m // q), coeffs, p)
-        h = _fp_trim([(h[i] if i < len(h) else 0) - (1 if i == 1 else 0)
-                      for i in range(max(len(h), 2))])
-        h = [c % p for c in h]
-        g = _fp_gcd(h, coeffs, p)
-        if len(g) != 1:
+        h = t_power(p ** (m // q))
+        h[1] -= 1
+        if len(_fp_euclid(coeffs, h, p)[0]) != 1:
             return False
     return True
 
@@ -175,18 +188,6 @@ def _z2_pow(a0, a1, e, c0, c1):
         a0, a1 = a0 * a0 - hi * c0, 2 * a0 * a1 - hi * c1
         e >>= 1
     return r0, r1
-
-
-def _zpoly_pow_reduce(a, e, mlift):
-    m = len(mlift) - 1
-    result = [1] + [0] * (m - 1)
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _zpoly_mul_reduce(result, base, mlift)
-        base = _zpoly_mul_reduce(base, base, mlift)
-        e >>= 1
-    return result
 
 
 @dataclass(frozen=True)
@@ -369,14 +370,7 @@ class WittElement:
             pk = ring.p**self.prec
             r0, r1 = _z2_pow(*self.coeffs, e, ring.mlift[0], ring.mlift[1])
             return WittElement(ring, (r0 % pk, r1 % pk), self.prec)
-        result = ring.one.at_prec(self.prec)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(mul, ring.one.at_prec(self.prec), self, e)
 
     def invert(self):
         ring, p = self.ring, self.ring.p
@@ -386,8 +380,9 @@ class WittElement:
         if ring.m == 1:
             return WittElement(ring, (pow(self.coeffs[0], -1, pk),), self.prec)
         # invert mod p by extended Euclid in F_p[t], then Hensel-lift
-        inv_p = ring._fp_invert([c % p for c in self.coeffs])
-        b = WittElement(ring, tuple(inv_p + [0] * (ring.m - len(inv_p))), self.prec)
+        g, s = _fp_euclid(ring.mlift, self.coeffs, p)
+        c = pow(g[0], -1, p)  # g is a nonzero constant: the modulus is irreducible
+        b = WittElement(ring, tuple(c * si % p for si in s) + (0,) * (ring.m - len(s)), self.prec)
         known = 1
         while known < self.prec:
             b = b * (2 - self * b)
@@ -400,12 +395,11 @@ class WittElement:
         ring = self.ring
         if ring.m == 1:
             return self
-        # Horner evaluation of the coefficient polynomial at phi(t)
-        phit = ring.phi_t.at_prec(self.prec)
-        acc = ring.from_int(self.coeffs[-1], prec=self.prec)
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * phit + ring.from_int(c, prec=self.prec)
-        return acc
+        # sum of c_j phi(t)^j, one integer matrix-vector product
+        pk = ring.p**self.prec
+        return WittElement(
+            ring, tuple(dot(row, self.coeffs) % pk for row in ring.frobenius_rows), self.prec
+        )
 
     def _div_p_exact(self):
         p = self.ring.p
@@ -453,6 +447,12 @@ class WittRing:
         self.zero = WittElement(self, (0,) * self.m, self.prec)
         self.one = WittElement(self, (1,) + (0,) * (self.m - 1), self.prec)
         self.phi_t = self._lift_frobenius_root() if self.m > 1 else None
+        # the Frobenius matrix by rows: row i holds the t^i coefficients of
+        # phi(t)^0, ..., phi(t)^(m-1)
+        powers = [self.one]
+        for _ in range(self.m - 1):
+            powers.append(powers[-1] * self.phi_t)
+        self.frobenius_rows = tuple(zip(*(x.coeffs for x in powers)))
 
     def __repr__(self):
         return f"WittRing(p={self.p}, prec={self.prec}, m={self.m})"
@@ -533,9 +533,9 @@ class WittRing:
             sp = _z2_pow(sl[0], sl[1], self.p, c0, c1)
             coeffs = [(a + b - c) // self.p for a, b, c in zip(xp, yp, sp)]
         else:
-            xp = _zpoly_pow_reduce(xl, self.p, self.mlift)
-            yp = _zpoly_pow_reduce(yl, self.p, self.mlift)
-            sp = _zpoly_pow_reduce(sl, self.p, self.mlift)
+            one = [1] + [0] * (self.m - 1)
+            mulred = lambda a, b: _zpoly_mul_reduce(a, b, self.mlift)
+            xp, yp, sp = (_power(mulred, one, a, self.p) for a in (xl, yl, sl))
             coeffs = [(a + b - c) // self.p for a, b, c in zip(xp, yp, sp)]
         pk = self.p ** (prec - 1)
         return WittElement(self, tuple(c % pk for c in coeffs), prec - 1)
@@ -561,25 +561,6 @@ class WittRing:
             x = self.random_element(rng, prec)
             if x.is_unit():
                 return x
-
-    def _fp_invert(self, coeffs):
-        # extended Euclid in F_p[t] against the modulus
-        p = self.p
-        r0, r1 = list(self.mlift), _fp_trim(list(coeffs))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _fp_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                for j, sj in enumerate(s1):
-                    qs1[i + j] = (qs1[i + j] + qi * sj) % p
-            news = [(s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)
-                    for i in range(max(len(s0), len(qs1)))]
-            s0, s1 = s1, [c % p for c in news]
-        # r0 is the gcd, a nonzero constant
-        c = pow(r0[0], -1, p)
-        return [(c * si) % p for si in s0]
 
 
 # ---------------------------------------------------------------------------
@@ -703,14 +684,7 @@ class SeriesElement:
     def __pow__(self, e):
         if e < 0:
             return self.invert() ** (-e)
-        result = self.ring.one.at_prec(self.trunc)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(mul, self.ring.one.at_prec(self.trunc), self, e)
 
     def invert(self):
         if not self.is_unit():
@@ -807,7 +781,8 @@ def find_irreducible(p: int, m: int):
         return ()
     if not _is_prime(p):
         raise InputError(f"p must be prime, got {p}")
-    for tail in product(range(p), repeat=m):
+    # t divides every candidate with constant term 0
+    for tail in product(range(1, p), *[range(p)] * (m - 1)):
         cand = list(tail) + [1]
         if _fp_is_irreducible(cand, p):
             return tuple(cand)
@@ -820,10 +795,6 @@ def make_ring(p, prec, m=1):
 
 # ---------------------------------------------------------------------------
 # Operation-style aliases for the common contract.
-
-def from_integer(n: int, ring, prec=None):
-    return ring.from_int(n, prec)
-
 
 def frobenius(x):
     return x.frobenius()

@@ -31,7 +31,7 @@ from .homs import GmHomParams, TwistedCocycleParams, check_hom, gm_hom, psi, twi
 from .jets import JetPolynomial, eval_jet, nabla
 from .matrices import SquareMatrix, random_constant_gl, random_gl
 # find_irreducible is re-exported: perfbench calls and traces selftest.find_irreducible
-from .rings import SeriesRing, find_irreducible, make_ring  # noqa: F401
+from .rings import SeriesRing, dot, find_irreducible, make_ring  # noqa: F401
 
 DEFAULT_SEED = 31415
 
@@ -52,16 +52,8 @@ def _vscale(c, u):
     return [c * a for a in u]
 
 
-def _vdot(u, v):
-    acc = None
-    for a, b in zip(u, v):
-        t = a * b
-        acc = t if acc is None else acc + t
-    return acc
-
-
 def _vmat(u, m):
-    return [_vdot(u, [m[i, j] for i in range(m.n)]) for j in range(m.n)]
+    return [dot(u, col) for col in zip(*m.rows)]
 
 
 def _outer(ring, col, row):
@@ -401,7 +393,7 @@ def criterion_12_block_relations(seed, scale):
             be1, be2 = blocks.beta(a1, b1), blocks.beta(a2, b2)
             ga1, ga2 = blocks.gamma(a1, b1), blocks.gamma(a2, b2)
             ep1, ep2 = blocks.epsilon(a1, b1), blocks.epsilon(a2, b2)
-            dot12 = _vdot(b1, ga2)
+            dot12 = dot(b1, ga2)
             if not blocks.alpha(a12, b12) == al1 + al2 + a1inv * dot12:
                 return False, f"relation (1) failed at cocycle {idx}"
             rhs2 = _vadd(

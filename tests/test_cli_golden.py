@@ -1,0 +1,132 @@
+"""Golden CLI corpus: exit code and SHA-256 of stdout for in-process calls.
+
+Each digest was recorded from the implementation before the ring kernels
+were consolidated (one Frobenius matrix, one power loop, one Euclid, one
+dot product), so any change in the CLI's output bytes shows up here.
+``selftest`` is left out because its report holds wall-clock seconds.
+To re-record after an intended output change, print
+``hashlib.sha256(out.encode()).hexdigest()`` for each case.
+"""
+
+import hashlib
+
+import pytest
+
+from delta_forge.cli import main
+
+CASES = [
+    (('ring-info', '--p', '5', '--prec', '3'),
+     0, 'de2a40ec7214bc6eaf3391014e82c6506c1a75857b1fa8ca21c4509d1915e829'),
+    (('ring-info', '--p', '5', '--prec', '3', '--m', '2'),
+     0, '7900c5fe63ed5282048e26439dc18917cedee26e89b14974cdbc2a05093d83fb'),
+    (('ring-info', '--p', '3', '--prec', '4', '--m', '3'),
+     0, 'c86ff8bef325e65cdf770642562a55cd50bdbfe01ab5f53a4b5d1c679c6c6a31'),
+    (('ring-info', '--p', '13', '--prec', '3', '--m', '3'),
+     0, 'b3282b02ad0fdf37f5dff125ccfa9b6a8775a6f644bdea7003fee71440a750d8'),
+    (('ring-info', '--p', '7', '--prec', '5', '--m', '4'),
+     0, 'f84c9b35a0b584bc6e0c58196d381094ab44636c19c1721abeed52156afb3cf8'),
+    (('ring-info', '--p', '3', '--prec', '4', '--m', '2', '--modulus', '[1,0,1]'),
+     0, '18d2ec4a5da7caed40aa69aefdd3171e1c770966f9a2b0a14b8190d50b48c284'),
+    (('ring-info', '--p', '3', '--prec', '4', '--m', '2', '--modulus', '[2,0,1]'),
+     2, '805e3f7d44a06a184dabc65fb0a04c7648ab308734912dd2919bb14f54520268'),
+    (('delta-eval', '--p', '5', '--prec', '3', '7'),
+     0, '9d90390b792eb54e3cba8490b6a3abc19489ce6939f84f66652ab977707b4250'),
+    (('delta-eval', '--p', '3', '--prec', '4', '--m', '2', '[5,7]'),
+     0, '1caffab6d377ef205dda43f4b00e418ce695598001cf9caa46fcc66c58ca9dc8'),
+    (('delta-eval', '--p', '3', '--prec', '4', '--m', '3', '[5,7,11]'),
+     0, 'f535f144ab38c27d81d19ec295d1a16678ef0a3ac2f66e317c9ebb0be7c3b6f9'),
+    (('delta-eval', '--backend', 'kolchin', '--trunc', '6', '["1","1/2","0","3"]'),
+     0, '40b7bcd4e7c62d00918cb7559b510ca800965e4f82b93827ba18efc74efc0f93'),
+    (('teich', '--p', '5', '--prec', '3', '2'),
+     0, '292993109b90bdeed0c30dee6d73eb89ffac836d500c75492347fc7f2e58d005'),
+    (('teich', '--p', '3', '--prec', '4', '--m', '2', '[1,2]'),
+     0, '40f752fcdd064a6b02ce8e22d5324465e9c8daf51988ded0ca12b00645b42914'),
+    (('teich', '--p', '3', '--prec', '4', '--m', '3', '[2,0,1]'),
+     0, '5c8f702e2b73d6d959443cc7eca5e1fb6a533fcd43dbe0f504e8a85c55ea2abc'),
+    (('psi', '--p', '5', '--prec', '3', '7'),
+     0, 'd156276bce5da585ff858330cff5bdb02d2f07b62303329c33d383ae447e0139'),
+    (('psi', '--p', '3', '--prec', '4', '--m', '2', '[4,3]'),
+     0, '6407c2d996d0c9e204d9b336d3f65e9f5b53e57e923a7fbb7eb689b56fd4376f'),
+    (('psi', '--p', '3', '--prec', '4', '--m', '3', '[4,3,1]'),
+     0, 'db53e543f26798d36a3a391819f049a6f61707b1e3f42a05f083fdaf3c7109a7'),
+    (('psi', '--p', '3', '--prec', '4', '--m', '2', '[3,6]'),
+     2, '3990626775dd765ff7ca910a22d1112d74b24d91bf5ceea14dabd7303e48b4d4'),
+    (('jet-prolong', '--p', '3', '--prec', '5', '--times', '2', 'x0*x1 + 2*x0^2'),
+     0, '2de2c7f0a2f994c6c83c7b4eed8ed4da73b7c5b70882ff63a495578d26b6a417'),
+    (('jet-prolong', '--p', '3', '--prec', '4', '--m', '2', 'x0^2*x1 - 4*x1'),
+     0, '2977434c06415b3e4342e9dad16c99d9cc9ad687cb990ea9926b4c0f3b64f1b4'),
+    (('jet-prolong', '--p', '3', '--prec', '4', '--m', '3', '[{"coefficient":[1,2,0],"exponents":[[0,0,2],[1,0,1]]}]'),
+     0, '13007593112ea3a571d134aeda93d3399e5bda4beb547da5231c60e02d3fac23'),
+    (('jet-prolong', '--backend', 'kolchin', '--trunc', '6', '--times', '2', "x0^2 + 3*x0*x1'"),
+     0, 'c207a1822be5090baa23ddbd6250cd0db9de6c5afb7ecc5c3e8bd04e1150fb2b'),
+    (('jet-prolong', '--p', '3', '--prec', '3', '--times', '3', 'x0^2'),
+     3, '5c8b3313386a85a37599a454f13b4278e46baad8aa4beea7f9517d43a3907680'),
+    (('jet-nabla', '--p', '5', '--prec', '3', '--order', '2', '2', '3'),
+     0, 'cd3b03ad8c025da8f03e171190355e770cf296e51794db1685ee040ccb2555ee'),
+    (('jet-nabla', '--p', '3', '--prec', '4', '--m', '2', '--order', '2', '[1,2]'),
+     0, '5cc348bfd7ce42984e738a2fdee381b8d056021b30b1aa5568be14eea04e2b6f'),
+    (('jet-nabla', '--backend', 'kolchin', '--trunc', '6', '--order', '2', '["1","2"]'),
+     0, '31d384ff67d08d46fd43e393a0c674b9e538bb13b792ebbcdab88e2828c6afc4'),
+    (('hom-check', '--p', '5', '--prec', '3', '--law', 'additive', '--params', '{"lambda":[1,2]}', '--samples', '10', '--seed', '3'),
+     0, '065f8dac8708fa7b6324ea5c235405bf608db36d7ef836ce2b85ce1064a00325'),
+    (('hom-check', '--p', '3', '--prec', '4', '--m', '2', '--law', 'multiplicative', '--params', '{"lambda":[1,[1,1]]}', '--samples', '10', '--seed', '3'),
+     0, '29009d0409ee12b1420c328066f572e5b883520fa53ea7db491cfd0ff4e43175'),
+    (('hom-check', '--p', '3', '--prec', '4', '--m', '3', '--law', 'twisted', '--s', '2', '--params', '{"mu":[1,1,0]}', '--samples', '10', '--seed', '3'),
+     0, 'f64d80ddcea629cc53b90d8664724f0cf8e7231f3491e52d79041f58dc691979'),
+    (('hom-check', '--backend', 'kolchin', '--trunc', '6', '--law', 'twisted', '--s', '-1', '--params', '{"mu":1}', '--samples', '10', '--seed', '3'),
+     0, 'f64d80ddcea629cc53b90d8664724f0cf8e7231f3491e52d79041f58dc691979'),
+    (('cocycle-make', '--p', '5', '--prec', '3', '--n', '2', '--order', '2', '--seed', '7'),
+     0, '8d7ffb84354d6fc71a920b2ed44247fd8bf175154efa2941f117640cf42371a4'),
+    (('cocycle-make', '--p', '3', '--prec', '4', '--m', '2', '--n', '2', '--seed', '7'),
+     0, '8fb350e41f66d31cd6866f8f19d8b696727ae1a0cf3db25bec3dafee023cc285'),
+    (('cocycle-make', '--p', '3', '--prec', '4', '--m', '3', '--n', '2', '--seed', '7'),
+     0, '061f0244ef28b8329f12be04fd9aa557cf16b020a3a70db37842824d28b51021'),
+    (('cocycle-check', '--p', '3', '--prec', '4', '--m', '2', '--n', '2', '--samples', '5', '--seed', '7', '--cocycle', '{"omega":{"lambda":[[67,23]]},"v":{"n":2,"rows":[[[60,16],[0,77]],[[58,59],[17,21]]]}}'),
+     0, '17136e01610ee3b459d721ec60a77fafa00bc4961b8eefb6321de0650eb689d1'),
+    (('cocycle-check', '--p', '5', '--prec', '3', '--n', '3', '--samples', '5', '--seed', '7', '--map', 'coboundary', '--cocycle', '{"n":3,"rows":[[1,2,0],[0,1,3],[4,0,1]]}'),
+     0, '17136e01610ee3b459d721ec60a77fafa00bc4961b8eefb6321de0650eb689d1'),
+    (('cocycle-check', '--backend', 'kolchin', '--trunc', '6', '--n', '2', '--samples', '5', '--map', 'logderiv'),
+     0, '2375c6ae9d99700633a0b15e9331b8048532c1e1fa21c83c45c08f9776419ac2'),
+    (('cocycle-recover', '--p', '5', '--prec', '3', '--n', '2', '--seed', '7', '--cocycle', '{"omega":{"lambda":[[67],[97]]},"v":{"n":2,"rows":[[[23],[89]],[[60],[85]]]}}'),
+     0, 'db98a0a2c334184b933ca57e82da333fb98540ea7dee88d604dcc04be6e43437'),
+    (('cocycle-recover', '--p', '3', '--prec', '4', '--m', '3', '--n', '2', '--seed', '7', '--cocycle', '{"omega":{"lambda":[[67,23,60]]},"v":{"n":2,"rows":[[[16,0,77],[58,59,17]],[[21,39,43],[60,80,9]]]}}'),
+     0, 'a9a063e8807392ec5fd931112e391c2e3aef3acdba649756c73a38f62128e236'),
+    (('coherence-check', '--p', '3', '--prec', '4', '--m', '2', '--n', '2', '--samples', '5', '--seed', '7', '--subgroup', 'torus', '--cocycle', '{"omega":{"lambda":[[67,23]]},"v":{"n":2,"rows":[[[60,16],[0,77]],[[58,59],[17,21]]]}}'),
+     1, 'ad8f6e750212f3ff96303e32573dd72de422be58d1bd57825f2332cee655e5eb'),
+    (('coherence-check', '--p', '5', '--prec', '3', '--n', '3', '--samples', '5', '--seed', '7', '--subgroup', 'sl_n', '--map', 'logderiv', '--backend', 'kolchin', '--trunc', '6'),
+     0, 'ad136924132536028c212d48f43fdfab58ffdbdc59d82090627f95a054a8049a'),
+    (('coherence-check', '--p', '5', '--prec', '3', '--n', '2', '--samples', '5', '--seed', '7', '--subgroup', 'borel', '--map', 'logderiv', '--backend', 'kolchin', '--trunc', '6'),
+     0, 'c44936b5698d0f73d2265231184504aa1243c850e2bb9940658818be54426800'),
+    (('coherence-check', '--p', '3', '--prec', '4', '--m', '2', '--n', '2', '--samples', '5', '--seed', '7', '--subgroup', 'conjugated-torus', '--map', 'logderiv', '--backend', 'kolchin', '--trunc', '5'),
+     0, '076e0b8e942cb6ec796c752d6ae92070f863ed53eab30bedc3eb79b5055cde96'),
+    (('coherence-check', '--p', '5', '--prec', '3', '--n', '2', '--samples', '5', '--seed', '7', '--subgroup', 'sl_n', '--cocycle', '{"omega":{"lambda":[[67],[97]]},"v":{"n":2,"rows":[[[23],[89]],[[60],[85]]]}}'),
+     0, '2bfe647072eb386d07bb0d466535bd6cf1ad397b718d284ef0414d7fa3c92d09'),
+    (('cocycle-check', '--p', '3', '--prec', '4', '--m', '3', '--n', '2', '--samples', '3', '--seed', '7', '--cocycle', '{"omega":{"lambda":[[67,23,60]]},"v":{"n":2,"rows":[[[16,0,77],[58,59,17]],[[21,39,43],[60,80,9]]]}}'),
+     0, '90ebe2a6b8aebda56945879652e8d223f62ffd588266f8e40299a238f21eca74'),
+    (('hom-check', '--p', '3', '--prec', '4', '--m', '3', '--law', 'multiplicative', '--params', '{"lambda":[[1,0,1],2]}', '--samples', '10', '--seed', '3'),
+     0, '29009d0409ee12b1420c328066f572e5b883520fa53ea7db491cfd0ff4e43175'),
+    (('teich', '--ring', '{"p":5,"prec":3,"m":2,"modulus":[2,0,1]}', '[0,1]'),
+     0, '9444bcff61492cfa57f837e847753959c4950fc696b298238221c9a443805639'),
+    (('ring-info', '--p', '5', '--prec', '3', '--m', '2', '--modulus', '[2,0,1]'),
+     0, '11c7a7ebcbc9f85160e55bcf4c1ffd08f5f329b57f8e836905a30e87e97c0105'),
+    (('decompose', '--p', '5', '--prec', '3', '{"n":3,"rows":[[1,2,0],[3,4,1],[0,1,3]]}'),
+     0, 'd3276a00b433ed2cdcf2086eff4047b87c7253d0d1ebaadf845d8bb045274938'),
+    (('decompose', '--p', '3', '--prec', '4', '--m', '2', '--precondition', '--seed', '7', '{"n":2,"rows":[[0,[1,1]],[[2,1],0]]}'),
+     0, '9c302c6cd259d1060a16bece30cfd8e1ec023562bf6ca27d58ee9bd9dbc93d2c'),
+    (('decompose', '--p', '3', '--prec', '4', '--m', '3', '{"n":2,"rows":[[[1,1,0],[0,2,1]],[[3,0,0],[1,1,1]]]}'),
+     0, '5667b3847442c2651b002cbcb17cb5bf190523357d05ad3350f4211d16db2307'),
+    (('reconstruct', '--p', '5', '--prec', '3', '{"factors":[{"kind":"perm","sigma":[0,1,2]},{"a":[113],"b":[[46],[68]],"kind":"s"},{"kind":"perm","sigma":[2,0,1]},{"a":[87],"b":[[42],[0]],"kind":"s"},{"kind":"perm","sigma":[1,0,2]},{"a":[3],"b":[[0],[0]],"kind":"s"},{"kind":"perm","sigma":[0,1,2]},{"a":[1],"b":[[42],[0]],"kind":"s"},{"kind":"perm","sigma":[2,0,1]},{"a":[1],"b":[[69],[0]],"kind":"s"},{"kind":"perm","sigma":[1,2,0]},{"a":[1],"b":[[0],[102]],"kind":"s"},{"kind":"perm","sigma":[2,1,0]}],"n":3}'),
+     0, '74de66353d8d940a354ea4402086b53c8522f71afbfcbe9f5ef022ce239e1333'),
+    (('reconstruct', '--p', '3', '--prec', '4', '--m', '2', '{"factors":[{"kind":"perm","sigma":[0,1]},{"a":[2,1],"b":[[0,0]],"kind":"s"},{"kind":"perm","sigma":[1,0]},{"a":[1,1],"b":[[0,0]],"kind":"s"},{"kind":"perm","sigma":[0,1]},{"a":[1,0],"b":[[0,0]],"kind":"s"},{"kind":"perm","sigma":[1,0]}],"n":2}'),
+     0, '7c267b4d383fb695dfacada88e1d059091aeaaf408699cbb345559e46492f994'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", CASES,
+    ids=[f"{i:02d}-{case[0][0]}" for i, case in enumerate(CASES)],
+)
+def test_cli_output_bytes(capsys, argv, code, digest):
+    assert main(list(argv)) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

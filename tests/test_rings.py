@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -17,7 +18,7 @@ from delta_forge import (
     teichmueller,
 )
 from delta_forge.errors import InputError, NonUnitError, PrecisionExhausted
-from delta_forge.rings import _is_prime, find_irreducible, make_ring
+from delta_forge.rings import _fp_is_irreducible, _is_prime, find_irreducible, make_ring
 
 
 def W(p, prec, m=1):
@@ -214,6 +215,120 @@ class TestCarryTerm:
         rng = random.Random(5)
         x, y = ring.random_element(rng), ring.random_element(rng)
         assert ring.carry_term(x, y) == ring.carry_term(y, x)
+
+
+# Reference implementations for the shared kernels: Horner evaluation of
+# the coefficient polynomial at phi(t), powers by repeated multiplication,
+# and irreducibility by trial division over F_p.
+
+
+def horner_frobenius(x):
+    ring = x.ring
+    phit = ring.phi_t.at_prec(x.prec)
+    acc = ring.from_int(x.coeffs[-1], prec=x.prec)
+    for c in reversed(x.coeffs[:-1]):
+        acc = acc * phit + ring.from_int(c, prec=x.prec)
+    return acc
+
+
+def repeated_power(x, e):
+    acc = x.ring.one.at_prec(x.prec)
+    for _ in range(e):
+        acc = acc * x
+    return acc
+
+
+def fp_divides(d, f, p):
+    """Whether monic d divides f over F_p (low-to-high lists)."""
+    f = list(f)
+    for k in range(len(f) - len(d), -1, -1):
+        c = f[k + len(d) - 1] % p
+        for i, di in enumerate(d):
+            f[k + i] -= c * di
+    return all(c % p == 0 for c in f)
+
+
+def trial_division_irreducible(f, p):
+    m = len(f) - 1
+    return not any(
+        fp_divides(list(tail) + [1], f, p)
+        for deg in range(1, m // 2 + 1)
+        for tail in product(range(p), repeat=deg)
+    )
+
+
+class TestKernels:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_frobenius_matrix_matches_horner(self, p, m):
+        ring = W(p, 6, m)
+        rng = random.Random(p * 10 + m)
+        for prec in range(1, ring.prec + 1):
+            for _ in range(5):
+                x = ring.random_element(rng, prec)
+                got, want = x.frobenius(), horner_frobenius(x)
+                assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_witt_power_matches_repeated_product(self, p, m):
+        ring = W(p, 5, m)
+        rng = random.Random(p * 10 + m)
+        for prec in (2, 5):
+            x = ring.random_element(rng, prec)
+            for e in range(2 * p + 2):
+                got, want = x**e, repeated_power(x, e)
+                assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+    def test_series_power_matches_repeated_product(self):
+        ring = SeriesRing(6)
+        rng = random.Random(7)
+        for trunc in (3, 6):
+            x = ring.random_element(rng, trunc)
+            for e in range(2 * 5 + 2):
+                got, want = x**e, repeated_power(x, e)
+                assert (got.num, got.den, got.prec) == (want.num, want.den, want.prec)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_inverse_through_euclid(self, p, m):
+        ring = W(p, 6, m)
+        rng = random.Random(p * 10 + m)
+        units = [ring.random_unit(rng, prec) for prec in range(1, 7) for _ in range(4)]
+        # constant mod p: Euclid stops after one division
+        units.append(ring.element([1 + p, p, 2 * p][:m]))
+        for x in units:
+            inv = x.invert()
+            assert inv.prec == x.prec
+            assert x * inv == 1
+
+
+class TestFindIrreducible:
+    # first monic irreducible of degree m = 2, 3, 4 in lexicographic order
+    PINNED = {
+        3: [(1, 0, 1), (1, 0, 2, 1), (1, 0, 1, 1, 1)],
+        5: [(1, 1, 1), (1, 0, 1, 1), (1, 0, 1, 1, 1)],
+        7: [(1, 0, 1), (1, 0, 1, 1), (1, 0, 0, 1, 1)],
+        11: [(1, 0, 1), (1, 0, 4, 1), (1, 0, 0, 4, 1)],
+        13: [(1, 3, 1), (1, 0, 4, 1), (1, 0, 0, 1, 1)],
+    }
+
+    @pytest.mark.parametrize("p", sorted(PINNED))
+    def test_pinned_values(self, p):
+        assert [find_irreducible(p, m) for m in (2, 3, 4)] == self.PINNED[p]
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_rabin_matches_trial_division(self, p, m):
+        for tail in product(range(p), repeat=m):
+            f = list(tail) + [1]
+            assert _fp_is_irreducible(f, p) == trial_division_irreducible(f, p)
+
+    def test_large_prime_returns(self, deadline):
+        with deadline(1):
+            modulus = find_irreducible(101, 4)
+        assert modulus[0] != 0 and modulus[-1] == 1
+        assert RingParams(p=101, prec=2, m=4, modulus=modulus).q == 101**4
 
 
 class TestMixedPrecision:

@@ -429,8 +429,6 @@ def main(argv=None):
     except PrecisionExhausted as exc:
         code, result = EXIT_PRECISION, {"error": "precision-exhausted",
                                         "message": str(exc)}
-    except InputError as exc:
-        code, result = EXIT_INPUT, {"error": type(exc).__name__, "message": str(exc)}
     except DeltaForgeError as exc:
         code, result = EXIT_INPUT, {"error": type(exc).__name__, "message": str(exc)}
     doc = json.dumps(result, indent=2, sort_keys=True) + "\n"

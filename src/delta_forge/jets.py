@@ -12,9 +12,8 @@ field width ``bits``) puts the exponent of the n-th variable in bits
 [n*bits, (n+1)*bits) of an int key, so multiplying monomials adds keys.
 ``top`` bounds every exponent; a result uses a layout only if its
 exponents fit, so no field carries into the next.  ``terms`` maps keys to
-int residues mod p^prec on W(Z/p^N), to ring elements elsewhere.  One
-``prec`` covers the whole polynomial, the zero polynomial included; zero
-terms are never stored.  Tuple monomials ((j, i), e) are built only by
+nonzero normal forms in ``rings.Values``, the domain matrices share.  One
+``prec`` covers the whole polynomial, the zero polynomial included.  Tuple monomials ((j, i), e) are built only by
 ``sorted_terms``, for printing and serialization.
 """
 
@@ -27,7 +26,7 @@ from math import comb
 from operator import mul, or_
 
 from .errors import ArityError, InputError, PrecisionExhausted, TermBudgetError
-from .rings import ARITHMETIC, WittElement, _power
+from .rings import ARITHMETIC, Values, _power
 from .serialize import elem_from_json, elem_to_json
 
 DEFAULT_TERM_CAP = 10**6
@@ -41,38 +40,6 @@ def var_name(j: int, i: int) -> str:
     if i <= 3:
         return f"x{j}" + "'" * i
     return f"x{j}^({i})"
-
-
-class _Values:
-    """Coefficient values at one precision: int residues mod p^prec on
-    W(Z/p^N), ring elements lowered to prec elsewhere.  Raw values (sums,
-    products, lifted elements) are reduced before they are stored."""
-
-    def __init__(self, ring, prec):
-        self.ring, self.prec = ring, prec
-        self.native = ring.kind == ARITHMETIC and ring.m == 1
-        # value -> its normal form, which is 0 (falsy) exactly when it vanishes
-        self.reduce = (ring.p**prec).__rmod__ if self.native else self._lower
-
-    def _lower(self, c):
-        # elements define no truth value, so every nonzero one is truthy
-        c = c.at_prec(self.prec)
-        return 0 if c.is_zero() else c
-
-    def from_elem(self, x):
-        return x.coeffs[0] if self.native else x
-
-    def to_elem(self, v):
-        # stored values are reduced already
-        return WittElement(self.ring, (v,), self.prec) if self.native else v.at_prec(self.prec)
-
-    def div_p(self, v):
-        if not self.native:
-            return v._div_p_exact()
-        q, r = divmod(v, self.ring.p)
-        if r:
-            raise InputError(f"coefficient not divisible by p: {v}")
-        return q
 
 
 class JetPolynomial:
@@ -100,8 +67,8 @@ class JetPolynomial:
             prec = min(prec, c.prec)
             mono = tuple(sorted((v, e) for v, e in mono if e))
             merged[mono] = merged[mono] + c if mono in merged else c
-        dom = _Values(ring, prec)
-        merged = {m: r for m, c in merged.items() if (r := dom.reduce(dom.from_elem(c)))}
+        dom = Values(ring, prec)
+        merged = {m: r for m, c in merged.items() if (r := dom.from_elem(c))}
         vars_ = tuple(sorted({v for mono in merged for v, _ in mono}))
         top = max((e for mono in merged for _, e in mono), default=0)
         bits = top.bit_length()
@@ -125,7 +92,7 @@ class JetPolynomial:
 
     def _new(self, vars_, bits, top, acc, prec):
         """The polynomial of raw values ``acc``, normalised at ``prec``."""
-        red = _Values(self.ring, prec).reduce
+        red = Values(self.ring, prec).reduce
         terms = {k: r for k, c in acc.items() if (r := red(c))}
         self._check_cap(len(terms))
         return JetPolynomial(self.ring, vars_, bits, top, terms, prec, self.term_cap)
@@ -176,7 +143,7 @@ class JetPolynomial:
 
     def sorted_terms(self):
         """(monomial, element) pairs in monomial order."""
-        dom = _Values(self.ring, self.prec)
+        dom = Values(self.ring, self.prec)
         return sorted(
             ((tuple((v, e) for v, e in zip(self.vars, self._exponents(k)) if e), dom.to_elem(c))
              for k, c in self.terms.items()),
@@ -240,7 +207,7 @@ class JetPolynomial:
         if isinstance(c, int):
             c = self.ring.from_int(c)
         prec = min(self.prec, c.prec)
-        x = _Values(self.ring, prec).from_elem(c)
+        x = Values(self.ring, prec).from_elem(c)
         terms = {k: v * x for k, v in self.terms.items()}
         return self._new(self.vars, self.bits, self.top, terms, prec)
 
@@ -250,7 +217,7 @@ class JetPolynomial:
         # one layout wide enough for the last product serves every step
         bits = max(self.bits, (e * self.top).bit_length())
         base = self._new(self.vars, bits, self.top, self._relayout(self.vars, bits), self.prec)
-        one = {0: _Values(self.ring, self.prec).from_elem(self.ring.one)}
+        one = {0: Values(self.ring, self.prec).from_elem(self.ring.one)}
         return _power(mul, self._new(self.vars, bits, 0, one, self.prec), base, e)
 
     # -- prolongation ---------------------------------------------------
@@ -271,7 +238,7 @@ class JetPolynomial:
 
     def _prolong_arithmetic(self):
         ring, p, prec = self.ring, self.ring.p, self.prec
-        dom = _Values(ring, prec)
+        dom = Values(ring, prec)
         terms = [(self._exponents(k), dom.to_elem(c)) for k, c in self.terms.items()]
         # p * (total degree) bounds every exponent of f^phi and of f^p
         deg = max((sum(exps) for exps, _ in terms), default=0)
@@ -291,7 +258,7 @@ class JetPolynomial:
                     choices[(j, i), e] = [
                         ((p * (e - k) << s) + (k << s1), cv)
                         for k in range(e + 1)
-                        if (cv := dom.reduce(dom.from_elem(ring.from_int(comb(e, k) * p**k))))
+                        if (cv := dom.from_elem(ring.from_int(comb(e, k) * p**k)))
                     ]
                 partial = [
                     (ka + kb, r)
@@ -331,7 +298,7 @@ class JetPolynomial:
 
     def evaluate(self, point):
         factors = [(n * self.bits, point.component(j, i), {}) for n, (j, i) in self._used()]
-        dom = _Values(self.ring, min([self.prec] + [x.prec for _, x, _ in factors]))
+        dom = Values(self.ring, min([self.prec] + [x.prec for _, x, _ in factors]))
         mask = (1 << self.bits) - 1
         acc = dom.from_elem(self.ring.zero)
         for k, c in self.terms.items():
@@ -343,8 +310,7 @@ class JetPolynomial:
                         xe = powers[e] = dom.from_elem(x**e)
                     c = c * xe
             acc = acc + c
-        # acc is a raw sum, which to_elem does not reduce
-        return dom.to_elem(dom.reduce(acc) if dom.native else acc)
+        return dom.to_elem(acc)
 
     # -- serialization --------------------------------------------------
 

@@ -1,13 +1,18 @@
 """Square matrices over the ring backends, with exact linear solving.
 
-Both backends are local rings, so a matrix is invertible exactly when
-Gauss-Jordan elimination finds a unit pivot in every column.  That one
-kernel gives the determinant, the unit test, the inverse and linear
-solving in O(n^3); cofactor expansion only reports the exact value of a
-determinant that is not a unit.
+A matrix has one precision, the least among the elements it is built
+from, and holds its entries in the coefficient domain ``rings.Values``
+that jet polynomials use.  Both backends are local rings, so a matrix is
+invertible exactly when Gauss-Jordan elimination finds a unit pivot in
+every column.  That one kernel, run on values, gives the determinant, the
+unit test, the inverse and linear solving in O(n^3); cofactor expansion
+only reports the exact value of a determinant that is not a unit.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import add, sub
 
 from .errors import (
     InconsistentSystemError,
@@ -16,21 +21,35 @@ from .errors import (
     ShapeError,
     SingularPivotError,
 )
-from .rings import ARITHMETIC, dot
+from .rings import ARITHMETIC, Values, dot
 from .serialize import elem_from_json, elem_to_json
 
 
 class SquareMatrix:
-    """Immutable n x n matrix of ring elements."""
+    """Immutable n x n matrix at one precision ``prec``: ``vals`` holds the
+    normal forms of its entries in ``dom = Values(ring, prec)``, and
+    ``[i, j]`` and ``rows`` give them back as elements."""
 
-    __slots__ = ("ring", "n", "rows")
+    __slots__ = ("ring", "n", "prec", "dom", "vals")
 
     def __init__(self, ring, rows):
-        self.ring = ring
-        self.n = len(rows)
-        self.rows = tuple(tuple(r) for r in rows)
-        if not self.rows or any(len(r) != self.n for r in self.rows):
+        rows = [list(r) for r in rows]
+        if not rows or any(len(r) != len(rows) for r in rows):
             raise ShapeError("matrix rows must all have length n >= 1")
+        dom = Values(ring, min(e.prec for r in rows for e in r))
+        self.ring, self.n, self.prec, self.dom = ring, len(rows), dom.prec, dom
+        self.vals = [[dom.from_elem(e) for e in r] for r in rows]
+
+    @classmethod
+    def _of(cls, dom, vals):
+        """The matrix of the normal forms ``vals`` in ``dom``."""
+        m = cls.__new__(cls)
+        m.ring, m.n, m.prec, m.dom, m.vals = dom.ring, len(vals), dom.prec, dom, vals
+        return m
+
+    @property
+    def rows(self):
+        return tuple(tuple(map(self.dom.to_elem, r)) for r in self.vals)
 
     @classmethod
     def from_rows(cls, ring, rows):
@@ -42,9 +61,7 @@ class SquareMatrix:
 
     @classmethod
     def identity(cls, ring, n):
-        return cls.from_rows(
-            ring, [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        return cls.permutation(ring, range(n))
 
     @classmethod
     def zero(cls, ring, n):
@@ -79,7 +96,7 @@ class SquareMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return self.dom.to_elem(self.vals[i][j])
 
     def __repr__(self):
         return f"SquareMatrix({[[repr(e) for e in r] for r in self.rows]})"
@@ -87,98 +104,70 @@ class SquareMatrix:
     def __eq__(self, other):
         if not isinstance(other, SquareMatrix) or other.n != self.n:
             return NotImplemented
-        return all(
-            self.rows[i][j] == other.rows[i][j]
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return not any(map(any, (self - other).vals))
 
     __hash__ = None
 
-    def map(self, fn):
-        return SquareMatrix(self.ring, [[fn(e) for e in r] for r in self.rows])
-
-    def min_prec(self):
-        return min(e.prec for r in self.rows for e in r)
-
     def reduce_prec(self, prec):
-        return self.map(lambda e: e.at_prec(min(prec, e.prec)))
+        dom = Values(self.ring, min(prec, self.prec))
+        return SquareMatrix._of(dom, [list(map(dom.reduce, r)) for r in self.vals])
+
+    def _entrywise(self, other, op):
+        if not isinstance(other, SquareMatrix):
+            return NotImplemented
+        dom = self.dom if self.prec <= other.prec else other.dom
+        red = dom.reduce
+        return SquareMatrix._of(
+            dom, [[red(op(a, b)) for a, b in zip(r1, r2)] for r1, r2 in zip(self.vals, other.vals)]
+        )
 
     def __add__(self, other):
-        if not isinstance(other, SquareMatrix):
-            return NotImplemented
-        return SquareMatrix(
-            self.ring,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
+        return self._entrywise(other, add)
 
     def __sub__(self, other):
-        if not isinstance(other, SquareMatrix):
-            return NotImplemented
-        return SquareMatrix(
-            self.ring,
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
-
-    def __neg__(self):
-        return self.map(lambda e: -e)
+        return self._entrywise(other, sub)
 
     def __mul__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        cols = list(zip(*other.rows))
-        return SquareMatrix(self.ring, [[dot(r, c) for c in cols] for r in self.rows])
+        dom = self.dom if self.prec <= other.prec else other.dom
+        red, cols = dom.reduce, list(zip(*other.vals))
+        return SquareMatrix._of(dom, [[red(dot(r, c)) for c in cols] for r in self.vals])
 
     def scale(self, c):
         if isinstance(c, int):
             c = self.ring.from_int(c)
-        return self.map(lambda e: c * e)
+        dom = Values(self.ring, min(self.prec, c.prec))
+        x, red = dom.from_elem(c), dom.reduce
+        return SquareMatrix._of(dom, [[red(x * v) for v in r] for r in self.vals])
 
     def trace(self):
-        acc = self.rows[0][0]
-        for i in range(1, self.n):
-            acc = acc + self.rows[i][i]
-        return acc
+        return self.dom.to_elem(reduce(add, (r[i] for i, r in enumerate(self.vals))))
 
     def det(self):
-        pivots, d, _ = _eliminate([list(r) for r in self.rows], self.n)
-        return _det(self.rows) if None in pivots else d.at_prec(self.min_prec())
+        pivots, d, _ = _eliminate(self.dom, [list(r) for r in self.vals], self.n)
+        return self.dom.to_elem(_det(self.vals) if None in pivots else d)
 
     def is_unit(self):
-        return None not in _eliminate([list(r) for r in self.rows], self.n)[0]
+        return None not in _eliminate(self.dom, [list(r) for r in self.vals], self.n)[0]
 
     def invert(self):
-        n, one, zero = self.n, self.ring.one, self.ring.zero
-        aug = [list(r) + [zero] * i + [one] + [zero] * (n - 1 - i)
-               for i, r in enumerate(self.rows)]
-        if None in _eliminate(aug, n)[0]:
-            raise NonUnitError(_det(self.rows), "matrix determinant is not a unit")
-        # like the adjugate, each entry depends on every entry of the matrix
-        prec = self.min_prec()
-        return SquareMatrix(self.ring, [[e.at_prec(prec) for e in r[n:]] for r in aug])
+        n, dom = self.n, self.dom
+        one, zero = dom.from_elem(self.ring.one), dom.from_elem(self.ring.zero)
+        aug = [r + [zero] * i + [one] + [zero] * (n - 1 - i) for i, r in enumerate(self.vals)]
+        if None in _eliminate(dom, aug, n)[0]:
+            raise NonUnitError(dom.to_elem(_det(self.vals)), "matrix determinant is not a unit")
+        return SquareMatrix._of(dom, [r[n:] for r in aug])
 
     def block(self, r0, r1, c0, c1):
-        return SquareMatrix(
-            self.ring, [list(r[c0:c1]) for r in self.rows[r0:r1]]
-        )
+        return SquareMatrix._of(self.dom, [r[c0:c1] for r in self.vals[r0:r1]])
 
     def is_permutation_matrix(self):
-        one, zero = self.ring.one, self.ring.zero
-        for r in self.rows:
-            if sum(1 for e in r if e == one) != 1:
-                return False
-            if any(not (e == one or e == zero) for e in r):
-                return False
-        for c in zip(*self.rows):
-            if sum(1 for e in c if e == one) != 1:
-                return False
-        return True
+        # the only candidate has its ones at the first nonzero entry of each row
+        sigma = [next((j for j, v in enumerate(r) if v), 0) for r in self.vals]
+        if sorted(sigma) != list(range(self.n)):
+            return False
+        return self == SquareMatrix.permutation(self.ring, sigma)
 
     def to_json(self):
         return {"n": self.n, "rows": [[elem_to_json(e) for e in r] for r in self.rows]}
@@ -194,54 +183,51 @@ class SquareMatrix:
         return cls(ring, rows)
 
 
-def _eliminate(aug, ncols):
-    """Gauss-Jordan on the row lists ``aug``, in place, over their first
-    ``ncols`` columns, pivoting on the first unit at or below the pivot
-    row.  Returns (pivots, det, stop): the row of each column's pivot (None
-    for an all-zero column, which is skipped, or one never reached), the
-    signed pivot product, and the column with no unit pivot that stopped
-    the reduction, if any."""
+def _eliminate(dom, aug, ncols):
+    """Gauss-Jordan on the rows ``aug`` of normal forms in ``dom``, in
+    place, over their first ``ncols`` columns, pivoting on the first unit
+    at or below the pivot row.  Returns (pivots, det, stop): the row of
+    each column's pivot (None for an all-zero column, which is skipped, or
+    one never reached), the signed pivot product, and the column with no
+    unit pivot that stopped the reduction, if any."""
     m, width = len(aug), len(aug[0])
+    red, is_unit = dom.reduce, dom.is_unit
     pivots = [None] * ncols
     det, swaps, prow = None, 0, 0
     for col in range(ncols):
         if prow == m:
             break
-        sel = next((r for r in range(prow, m) if aug[r][col].is_unit()), None)
+        sel = next((r for r in range(prow, m) if is_unit(aug[r][col])), None)
         if sel is None:
-            if all(aug[r][col].is_zero() for r in range(prow, m)):
+            if not any(aug[r][col] for r in range(prow, m)):
                 continue
             return pivots, det, col
         if sel != prow:
             aug[prow], aug[sel] = aug[sel], aug[prow]
             swaps += 1
         row = aug[prow]
-        det = row[col] if det is None else det * row[col]
+        det = row[col] if det is None else red(det * row[col])
         # entries left of col are final, and col itself is never read again;
         # with nothing right of it (the last column of det) no inverse is due
         if col + 1 < width:
-            inv = row[col].invert()
+            inv = dom.invert(row[col])
             for j in range(col + 1, width):
-                row[j] = inv * row[j]
+                row[j] = red(inv * row[j])
         for other in aug:
             if other is row:
                 continue
             c = other[col]
-            if not c.is_zero():
+            if c:
                 for j in range(col + 1, width):
-                    other[j] = other[j] - c * row[j]
-            else:
-                # skipping e - c * pe keeps e only to the precision of c
-                for j in range(col + 1, width):
-                    if other[j].prec > c.prec:
-                        other[j] = other[j].at_prec(c.prec)
+                    other[j] = red(other[j] - c * row[j])
         pivots[col] = prow
         prow += 1
-    return pivots, (-det if swaps % 2 else det), None
+    return pivots, (red(-det) if swaps % 2 else det), None
 
 
 def solve_linear(ring, rows, rhs):
-    """Solve A x = b exactly; requires unit pivots.
+    """Solve A x = b exactly; requires unit pivots.  The solution has the
+    least precision among the entries of A and b.
 
     Raises SingularPivotError when some needed column has no unit pivot
     and InconsistentSystemError when eliminated rows leave a nonzero
@@ -250,22 +236,23 @@ def solve_linear(ring, rows, rhs):
     if not rows:
         return []
     m, k = len(rows), len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots, _, stop = _eliminate(aug, k)
+    dom = Values(ring, min(e.prec for r in (*rows, rhs) for e in r))
+    aug = [[dom.from_elem(e) for e in (*r, b)] for r, b in zip(rows, rhs)]
+    pivots, _, stop = _eliminate(dom, aug, k)
     prow = len(pivots) - pivots.count(None)
     if stop is not None:
-        col = [aug[r][stop] for r in range(prow, m)]
-        raise SingularPivotError(stop, min(e.valuation() for e in col if not e.is_zero()))
+        col = [dom.to_elem(v) for r in range(prow, m) if (v := aug[r][stop])]
+        raise SingularPivotError(stop, min(e.valuation() for e in col))
     for r in range(prow, m):
-        if not aug[r][k].is_zero():
-            raise InconsistentSystemError(f"residual {aug[r][k]!r} in eliminated row {r}")
+        if aug[r][k]:
+            raise InconsistentSystemError(f"residual {dom.to_elem(aug[r][k])!r} in eliminated row {r}")
     if None in pivots:
         raise SingularPivotError(pivots.index(None), None)
-    return [aug[r][k] for r in pivots]
+    return [dom.to_elem(aug[r][k]) for r in pivots]
 
 
 def _det(rows):
-    """Cofactor expansion: the exact value of a non-unit determinant."""
+    """Cofactor expansion over values: the exact non-unit determinant."""
     n = len(rows)
     if n == 1:
         return rows[0][0]

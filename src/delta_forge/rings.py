@@ -14,7 +14,9 @@ Two backends:
 Every element tracks its own effective precision (p-adic digits for the
 arithmetic backend, series order for the series backend); mixed-precision
 arithmetic truncates to the minimum, and ``delta`` consumes one digit.
-Elements are immutable values.
+Elements are immutable values, falsy exactly when zero.  ``Values`` is the
+one coefficient domain of jet polynomials and matrices: values at one
+precision, held as int residues on W(Z/p^N) and as elements elsewhere.
 """
 
 from __future__ import annotations
@@ -84,6 +86,49 @@ def dot(u, v):
     """u[0]*v[0] + u[1]*v[1] + ..., summed left to right from the first
     product, so the result has the precision of that plain sum."""
     return reduce(add, map(mul, u, v))
+
+
+class Values:
+    """Ring values at one precision, the coefficient domain of jet
+    polynomials and of matrices: int residues mod p^prec on W(Z/p^N),
+    ring elements elsewhere.  Sums and products of values are raw values;
+    ``reduce`` gives their normal form, which is falsy exactly when the
+    value vanishes."""
+
+    def __init__(self, ring, prec):
+        if prec < 1:
+            raise PrecisionExhausted("precision dropped below 1")
+        self.ring, self.prec = ring, prec
+        self.native = ring.kind == ARITHMETIC and ring.m == 1
+        if self.native:
+            self.pk = ring.p**prec
+            self.reduce = self.pk.__rmod__
+        else:
+            self.reduce = lambda v: v.at_prec(prec)
+
+    def from_elem(self, x):
+        """The normal form of an element of precision at least prec."""
+        return x.coeffs[0] % self.pk if self.native else x.at_prec(self.prec)
+
+    def to_elem(self, v):
+        """The element of a raw value."""
+        if self.native:
+            return WittElement(self.ring, (v % self.pk,), self.prec)
+        return v.at_prec(self.prec)
+
+    def is_unit(self, v):
+        return v % self.ring.p != 0 if self.native else v.is_unit()
+
+    def invert(self, v):
+        return pow(v, -1, self.pk) if self.native else v.invert()
+
+    def div_p(self, v):
+        if not self.native:
+            return v._div_p_exact()
+        q, r = divmod(v, self.ring.p)
+        if r:
+            raise InputError(f"coefficient not divisible by p: {v}")
+        return q
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +302,12 @@ class WittElement:
         pk = self.ring.p**prec
         return WittElement(self.ring, tuple(c % pk for c in self.coeffs), prec)
 
+    def __bool__(self):
+        # False exactly for zero, as for numbers
+        return any(self.coeffs)
+
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not self
 
     def is_unit(self):
         p = self.ring.p
@@ -611,8 +660,11 @@ class SeriesElement:
             return self
         return SeriesElement(self.ring, self.num[:trunc], self.den, trunc)
 
+    def __bool__(self):
+        return any(self.num)
+
     def is_zero(self):
-        return not any(self.num)
+        return not self
 
     def is_unit(self):
         return self.num[0] != 0

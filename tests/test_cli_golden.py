@@ -2,7 +2,9 @@
 
 Each digest was recorded from the implementation before the ring kernels
 were consolidated (one Frobenius matrix, one power loop, one Euclid, one
-dot product), so any change in the CLI's output bytes shows up here.
+dot product), and the three GL_3 and GL_4 cases at the end before matrices
+moved to one precision over coefficient values, so any change in the CLI's
+output bytes shows up here.
 ``selftest`` is left out because its report holds wall-clock seconds.
 To re-record after an intended output change, print
 ``hashlib.sha256(out.encode()).hexdigest()`` for each case.
@@ -13,6 +15,9 @@ import hashlib
 import pytest
 
 from delta_forge.cli import main
+
+# a classified cocycle on GL_3 over W(Z/5^4)
+C3 = '{"omega":{"lambda":[[67],[97]]},"v":{"n":3,"rows":[[[23],[89],[4]],[[60],[85],[7]],[[1],[2],[3]]]}}'
 
 CASES = [
     (('ring-info', '--p', '5', '--prec', '3'),
@@ -119,6 +124,12 @@ CASES = [
      0, '74de66353d8d940a354ea4402086b53c8522f71afbfcbe9f5ef022ce239e1333'),
     (('reconstruct', '--p', '3', '--prec', '4', '--m', '2', '{"factors":[{"kind":"perm","sigma":[0,1]},{"a":[2,1],"b":[[0,0]],"kind":"s"},{"kind":"perm","sigma":[1,0]},{"a":[1,1],"b":[[0,0]],"kind":"s"},{"kind":"perm","sigma":[0,1]},{"a":[1,0],"b":[[0,0]],"kind":"s"},{"kind":"perm","sigma":[1,0]}],"n":2}'),
      0, '7c267b4d383fb695dfacada88e1d059091aeaaf408699cbb345559e46492f994'),
+    (('cocycle-check', '--p', '5', '--prec', '4', '--n', '3', '--samples', '5', '--seed', '7', '--cocycle', C3),
+     0, '83c37eb383a7a5dbc1171f6736dc92343d0ce2181c5738d35f21eafd90bff0fe'),
+    (('coherence-check', '--p', '5', '--prec', '4', '--n', '3', '--samples', '5', '--seed', '7', '--subgroup', 'torus', '--cocycle', C3),
+     1, '8dfe0a84705783222550ee3d9a67663cb0a2173d67bcb3d6e15eb47eeb6d391a'),
+    (('decompose', '--p', '7', '--prec', '3', '--precondition', '--seed', '7', '{"n":4,"rows":[[0,1,2,3],[1,0,5,2],[3,4,0,1],[2,2,1,0]]}'),
+     0, '1fb9523c6b39c4d5e92e7c6f688dc9781ea32f039448e1796b311b05fd982e18'),
 ]
 
 

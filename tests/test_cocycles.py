@@ -79,7 +79,7 @@ class TestClassifiedEval:
         for _ in range(10):
             g = random_sl(ring, 3, rng)
             got = classified_eval(c, g)
-            assert got == coboundary(c.v, g).reduce_prec(got.min_prec())
+            assert got == coboundary(c.v, g).reduce_prec(got.prec)
 
     def test_cocycle_law_holds(self, ring):
         rng = random.Random(5)
@@ -108,7 +108,7 @@ class TestHandlePrecision:
         )
         h = classified_handle(c)
         g = SquareMatrix.identity(ring, 2)
-        assert h(g).min_prec() == ring.prec - h.order
+        assert h(g).prec == ring.prec - h.order
 
     def test_exhaustion(self, ring):
         h = DeltaMapHandle(lambda g: g, ring.prec)
@@ -140,7 +140,7 @@ class TestLogDerivative:
             g1, g2 = random_gl(R, 2, rng), random_gl(R, 2, rng)
             lhs = log_derivative(g1 * g2)
             rhs = log_derivative(g1) + g1 * log_derivative(g2) * g1.invert()
-            assert lhs == rhs.reduce_prec(lhs.min_prec())
+            assert lhs == rhs.reduce_prec(lhs.prec)
 
 
 class TestRecover:

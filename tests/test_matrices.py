@@ -7,6 +7,7 @@ must agree, at the precision it claims, with the result for any
 full-precision lift of its inputs.
 """
 
+import itertools
 import random
 import re
 from functools import lru_cache
@@ -210,3 +211,101 @@ def test_relift_solve_linear(system):
             [lift(ring, b, rng) for b in rhs],
         )
         assert all(agrees(li, xi) for li, xi in zip(lifted, x))
+
+
+# -- permutation matrices ----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_permutation_matrices_are_recognised(name, n):
+    ring = RINGS[name]
+    for sigma in itertools.permutations(range(n)):
+        assert SquareMatrix.permutation(ring, sigma).is_permutation_matrix()
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_non_permutation_matrices_are_rejected(name):
+    ring = RINGS[name]
+    one, zero = ring.one, ring.zero
+    two_in_a_row = [[one, one, zero], [zero, zero, zero], [zero, zero, one]]
+    two_in_a_column = [[one, zero, zero], [one, zero, zero], [zero, zero, one]]
+    assert not SquareMatrix(ring, two_in_a_row).is_permutation_matrix()
+    assert not SquareMatrix(ring, two_in_a_column).is_permutation_matrix()
+    for stray in (ring.from_int(2), uniformizer(ring), one + uniformizer(ring)):
+        rows = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+        rows[0][1] = stray
+        assert not SquareMatrix(ring, rows).is_permutation_matrix()
+
+
+# -- entrywise references ----------------------------------------------------
+
+
+def least_prec(*matrices):
+    return min(e.prec for rows in matrices for r in rows for e in r)
+
+
+def assert_holds(m, ref, prec):
+    """m claims prec and holds the entries of ref lowered to prec, through
+    both [i, j] and rows."""
+    assert m.prec == prec
+    want = [[e.at_prec(prec) for e in r] for r in ref]
+    assert len(m.rows) == len(want)
+    assert all(len(r) == len(w) and all(map(same, r, w)) for r, w in zip(m.rows, want))
+    assert all(same(m[i, j], e) for i, r in enumerate(want) for j, e in enumerate(r))
+
+
+def ref_product(a, b):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = a[i][0] * b[0][j]
+            for k in range(1, n):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@st.composite
+def matrix_cases(draw):
+    ring = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    n = draw(st.integers(1, 4))
+    elems = low_precision_elements(ring)
+    a = [[draw(elems) for _ in range(n)] for _ in range(n)]
+    b = [[draw(elems) for _ in range(n)] for _ in range(n)]
+    k = draw(st.integers(1, full_prec(ring)))
+    return ring, a, b, draw(elems), k, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150)
+@given(matrix_cases())
+def test_operations_match_entrywise_references(case):
+    ring, a, b, c, k, seed = case
+    rng = random.Random(seed)
+    n = len(a)
+    ma, mb = SquareMatrix(ring, a), SquareMatrix(ring, b)
+    pa, pab = least_prec(a), least_prec(a, b)
+    assert_holds(ma, a, pa)
+    assert_holds(ma + mb, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)], pab)
+    assert_holds(ma - mb, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)], pab)
+    assert_holds(ma * mb, ref_product(a, b), pab)
+    assert_holds(ma.scale(c), [[c * x for x in r] for r in a], min(pa, c.prec))
+    assert_holds(ma.reduce_prec(k), a, min(k, pa))
+    diag = a[0][0]
+    for i in range(1, n):
+        diag = diag + a[i][i]
+    assert same(ma.trace(), diag.at_prec(pa))
+    size = rng.randint(1, n)
+    r0, c0 = rng.randint(0, n - size), rng.randint(0, n - size)
+    block = [r[c0:c0 + size] for r in a[r0:r0 + size]]
+    assert_holds(ma.block(r0, r0 + size, c0, c0 + size), block, pa)
+    # equal at the least precision: b, and a changed only beyond that precision
+    near = [[x + uniformizer(ring) ** pa * ring.random_element(rng) for x in r] for r in a]
+    for other in (b, near):
+        p = least_prec(a, other)
+        agree = all(x.at_prec(p) == y.at_prec(p) for r, s in zip(a, other) for x, y in zip(r, s))
+        assert (ma == SquareMatrix(ring, other)) == agree
+    assert ma == SquareMatrix(ring, near)

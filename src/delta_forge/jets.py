@@ -13,20 +13,31 @@ field width ``bits``) puts the exponent of the n-th variable in bits
 ``top`` bounds every exponent; a result uses a layout only if its
 exponents fit, so no field carries into the next.  ``terms`` maps keys to
 nonzero normal forms in ``rings.Values``, the domain matrices share.  One
-``prec`` covers the whole polynomial, the zero polynomial included.  Tuple monomials ((j, i), e) are built only by
-``sorted_terms``, for printing and serialization.
+``prec`` covers the whole polynomial, the zero polynomial included.  Tuple
+monomials ((j, i), e) are built only by ``sorted_terms``, for printing and
+serialization.
+
+Products skip what vanishes at their precision N, by two exact facts:
+
+* layer rule: terms of valuations v and w (p-adic on W, t-adic on Q[[t]])
+  have a product of valuation at least v + w, so ``__mul__`` groups terms
+  by valuation and never pairs layers with v + w >= N;
+* lemma: a = b mod p^j gives a^p = b^p mod p^(j+1), so the f^p of an
+  arithmetic prolongation at precision N drops the terms of f of
+  valuation N - 1 before powering.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
 from operator import mul, or_
 
 from .errors import ArityError, InputError, PrecisionExhausted, TermBudgetError
-from .rings import ARITHMETIC, Values, _power
+from .rings import ARITHMETIC, Values, _power, same_ring
 from .serialize import elem_from_json, elem_to_json
 
 DEFAULT_TERM_CAP = 10**6
@@ -120,7 +131,7 @@ class JetPolynomial:
 
     def _align(self, other, top):
         """A layout for both operands with room for exponents up to top."""
-        if getattr(self.ring, "params", None) != getattr(other.ring, "params", None):
+        if not same_ring(self.ring, other.ring):
             raise TypeError("jet polynomials over different rings")
         if self.vars == other.vars and self.bits == other.bits and not top >> self.bits:
             return self.vars, self.bits, self.terms, other.terms
@@ -192,15 +203,25 @@ class JetPolynomial:
         top = self.top + other.top
         vars_, bits, a, b = self._align(other, top)
         prec = min(self.prec, other.prec)
+        # a layer of a of valuation v meets only the terms of b of valuation
+        # below prec - v, a prefix of b sorted by valuation: the other pairs
+        # vanish at prec
+        val = Values(self.ring, prec).valuation
+        layers = {}
+        for k, c in a.items():
+            layers.setdefault(val(c), []).append((k, c))
+        b = sorted(b.items(), key=lambda kc: val(kc[1]))
+        vals = [val(c) for _, c in b]
         # keys add as monomials multiply; values are reduced once, at the
         # end; every sum starts from the int 0, which elements accept
         out = {}
         get = out.get
-        b = list(b.items())
-        for ka, ca in a.items():
-            for kb, cb in b:
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
+        for v, layer in layers.items():
+            bl = b[:bisect_left(vals, prec - v)]
+            for ka, ca in layer:
+                for kb, cb in bl:
+                    k = ka + kb
+                    out[k] = get(k, 0) + ca * cb
         return self._new(vars_, bits, top, out, prec)
 
     def scale(self, c):
@@ -270,7 +291,9 @@ class JetPolynomial:
             for k, c in partial:
                 fphi[k] = get(k, 0) + c
         fphi = self._new(vars_, bits, p * deg, fphi, prec)
-        f = self._new(vars_, bits, self.top, self._relayout(vars_, bits), prec)
+        # f^p at prec needs f only mod p^(prec-1) (the lemma above)
+        f = {k: c for k, c in self._relayout(vars_, bits).items() if dom.valuation(c) < prec - 1}
+        f = self._new(vars_, bits, self.top, f, prec)
         g = fphi - f**p
         terms = {k: dom.div_p(c) for k, c in g.terms.items()}
         return JetPolynomial(ring, g.vars, g.bits, g.top, terms, prec - 1, self.term_cap)

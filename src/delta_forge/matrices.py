@@ -21,7 +21,7 @@ from .errors import (
     ShapeError,
     SingularPivotError,
 )
-from .rings import ARITHMETIC, Values, dot
+from .rings import ARITHMETIC, Values, dot, same_ring
 from .serialize import elem_from_json, elem_to_json
 
 
@@ -112,10 +112,19 @@ class SquareMatrix:
         dom = Values(self.ring, min(prec, self.prec))
         return SquareMatrix._of(dom, [list(map(dom.reduce, r)) for r in self.vals])
 
+    def _dom(self, other):
+        """The domain of a sum or product with ``other``, which must be a
+        matrix of the same size over the same ring."""
+        if not same_ring(self.ring, other.ring):
+            raise TypeError("matrices over different rings")
+        if other.n != self.n:
+            raise ShapeError(f"matrix sizes differ: {self.n} and {other.n}")
+        return self.dom if self.prec <= other.prec else other.dom
+
     def _entrywise(self, other, op):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        dom = self.dom if self.prec <= other.prec else other.dom
+        dom = self._dom(other)
         red = dom.reduce
         return SquareMatrix._of(
             dom, [[red(op(a, b)) for a, b in zip(r1, r2)] for r1, r2 in zip(self.vals, other.vals)]
@@ -130,7 +139,7 @@ class SquareMatrix:
     def __mul__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
-        dom = self.dom if self.prec <= other.prec else other.dom
+        dom = self._dom(other)
         red, cols = dom.reduce, list(zip(*other.vals))
         return SquareMatrix._of(dom, [[red(dot(r, c)) for c in cols] for r in self.vals])
 

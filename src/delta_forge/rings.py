@@ -82,6 +82,12 @@ def _power(mul, one, base, e):
     return result
 
 
+def same_ring(r, s):
+    """Whether values of rings r and s may be mixed: the same Witt ring
+    parameters, or two series rings (their elements carry their truncation)."""
+    return r is s or getattr(r, "params", None) == getattr(s, "params", None)
+
+
 def dot(u, v):
     """u[0]*v[0] + u[1]*v[1] + ..., summed left to right from the first
     product, so the result has the precision of that plain sum."""
@@ -93,7 +99,15 @@ class Values:
     polynomials and of matrices: int residues mod p^prec on W(Z/p^N),
     ring elements elsewhere.  Sums and products of values are raw values;
     ``reduce`` gives their normal form, which is falsy exactly when the
-    value vanishes."""
+    value vanishes.
+
+    ``valuation`` is p-adic on W and t-adic on Q[[t]], and ``prec`` for a
+    value that vanishes.  Two facts let products skip work exactly:
+
+    * layer rule: a product of values of valuations v and w has valuation
+      at least v + w, so it vanishes at prec when v + w >= prec;
+    * lemma: a = b mod p^j gives a^p = b^p mod p^(j+1), so a p-th power at
+      prec needs its base only mod p^(prec-1)."""
 
     def __init__(self, ring, prec):
         if prec < 1:
@@ -118,6 +132,15 @@ class Values:
 
     def is_unit(self, v):
         return v % self.ring.p != 0 if self.native else v.is_unit()
+
+    def valuation(self, v):
+        if not self.native:
+            return min(v.valuation(), self.prec)
+        p, k = self.ring.p, 0
+        while k < self.prec and not v % p:
+            v //= p
+            k += 1
+        return k
 
     def invert(self, v):
         return pow(v, -1, self.pk) if self.native else v.invert()

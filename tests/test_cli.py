@@ -154,6 +154,14 @@ class TestCocycles:
         assert code == 0
         assert rec["v"]["rows"][0][0] == [0]
 
+    def test_cocycle_of_another_size_exits_2(self, run):
+        # a 3x3 v against 2x2 samples used to pass on ragged products
+        code, rep = run("cocycle-check", "--p", "5", "--prec", "3", "--n", "2",
+                        "--samples", "2", "--map", "coboundary",
+                        "--cocycle", '{"n":3,"rows":[[1,2,0],[0,1,3],[4,0,1]]}')
+        assert code == 2
+        assert rep["error"] == "ShapeError"
+
     def test_logderiv_coherence(self, run):
         code, rep = run("coherence-check", "--backend", "kolchin",
                         "--trunc", "8", "--n", "2", "--map", "logderiv",

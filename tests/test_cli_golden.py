@@ -2,9 +2,11 @@
 
 Each digest was recorded from the implementation before the ring kernels
 were consolidated (one Frobenius matrix, one power loop, one Euclid, one
-dot product), and the three GL_3 and GL_4 cases at the end before matrices
-moved to one precision over coefficient values, so any change in the CLI's
-output bytes shows up here.
+dot product), the three GL_3 and GL_4 cases after them before matrices
+moved to one precision over coefficient values, and the ``jet-prolong``
+cases with coefficients of high valuation at the end before the jet product
+kernel skipped vanishing products, so any change in the CLI's output bytes
+shows up here.
 ``selftest`` is left out because its report holds wall-clock seconds.
 To re-record after an intended output change, print
 ``hashlib.sha256(out.encode()).hexdigest()`` for each case.
@@ -130,6 +132,16 @@ CASES = [
      1, '8dfe0a84705783222550ee3d9a67663cb0a2173d67bcb3d6e15eb47eeb6d391a'),
     (('decompose', '--p', '7', '--prec', '3', '--precondition', '--seed', '7', '{"n":4,"rows":[[0,1,2,3],[1,0,5,2],[3,4,0,1],[2,2,1,0]]}'),
      0, '1fb9523c6b39c4d5e92e7c6f688dc9781ea32f039448e1796b311b05fd982e18'),
+    (('jet-prolong', '--p', '3', '--prec', '4', '--times', '2', '9*x0^3 + 3*x0*x1 + x1^2'),
+     0, '3752f20e4520120dc4a7f128b14f6ee49efca636f1a8239159c96c9975f213d5'),
+    (('jet-prolong', '--p', '3', '--prec', '4', '--m', '2', '--times', '2', '9*x0^2*x1 + 3*x0*x1^2 + x1^2 + 27*x0'),
+     0, '6e149f4db0cff53ee807f327a6b8a34eeddeb364d0e76dc76b9b4ea97acac544'),
+    (('jet-prolong', '--p', '3', '--prec', '2', '--times', '1', '3*x0^3 + 6*x0*x1 + x0^2'),
+     0, '8d01edafd52e075d122b2da05ddbf7119149388f7dc2ef41e89b78d83bfdcb3b'),
+    (('jet-prolong', '--p', '5', '--prec', '3', '--times', '2', '25*x0^2*x1 + 5*x0^3 + x1^2 + x0'),
+     0, '7f275c60d935b23ede234fd8defbfaa12d0986093cec899664c1db4001eca66f'),
+    (('jet-prolong', '--p', '3', '--prec', '3', '--m', '3', '--times', '1', '[{"coefficient":[9,3,0],"exponents":[[0,0,2],[1,0,1]]},{"coefficient":[0,9,0],"exponents":[[0,0,1]]},{"coefficient":[1,0,2],"exponents":[[1,0,2]]}]'),
+     0, '636d0979931035caa17c00defe98771c36e0eae7a350df1074fc12577897601b'),
 ]
 
 

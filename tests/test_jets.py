@@ -210,14 +210,43 @@ _monomials = st.dictionaries(
 ).map(lambda d: tuple(sorted(d.items())))
 
 
+_KERNEL_RINGS = {
+    "W(Z/3^4)": lambda: make_ring(3, 4),
+    "W(F_9)/3^3": lambda: make_ring(3, 3, 2),
+    "Q[[t]]/t^6": lambda: SeriesRing(6),
+}
+
+
+def _layered_coefficients(ring, prec):
+    """Coefficients p^v*u at prec (t^v*u on Q[[t]]) with v in 0..prec, so
+    whole valuation layers appear and so do pairs that vanish across them."""
+    v = st.integers(0, prec)
+    if ring.kind == ARITHMETIC:
+        u = st.lists(st.integers(0, ring.p**prec - 1), min_size=ring.m, max_size=ring.m)
+        return st.builds(lambda v, u: ring.element([ring.p**v * x for x in u], prec), v, u)
+    u = st.lists(st.integers(-3, 3), min_size=1, max_size=prec)
+    return st.builds(lambda v, u: ring.element([0] * v + u, prec), v, u)
+
+
 @st.composite
 def _packed_polynomials(draw, ring, prec):
     terms = draw(st.dictionaries(
-        _monomials, st.integers(1, ring.p**prec - 1), min_size=64, max_size=72
+        _monomials, _layered_coefficients(ring, prec), min_size=64, max_size=72
     ))
-    return JetPolynomial.from_terms(
-        ring, [(m, ring.from_int(c, prec=prec)) for m, c in terms.items()]
-    )
+    return JetPolynomial.from_terms(ring, list(terms.items()))
+
+
+@settings(max_examples=5)
+@given(data=st.data())
+def _mul_matches_schoolbook(ring, data):
+    # the reference pairs every two terms, also those that vanish
+    prec = data.draw(st.integers(1, ring.one.prec))
+    f = data.draw(_packed_polynomials(ring, prec))
+    g = data.draw(_packed_polynomials(ring, prec))
+    product = f * g
+    assert product.prec == prec
+    ref = _schoolbook_mul(dict(f.sorted_terms()), dict(g.sorted_terms()))
+    assert _as_pairs(product.sorted_terms()) == _as_pairs(ref)
 
 
 class TestFastPaths:
@@ -233,17 +262,9 @@ class TestFastPaths:
         ref = dict(f.sorted_terms())
         assert _as_pairs(product.sorted_terms()) == _as_pairs(_schoolbook_mul(ref, ref))
 
-    @settings(max_examples=5)
-    @given(st.data())
-    def test_packed_mul_matches_schoolbook(self, data):
-        ring = make_ring(3, 4)
-        prec = data.draw(st.integers(1, 4))
-        f = data.draw(_packed_polynomials(ring, prec))
-        g = data.draw(_packed_polynomials(ring, prec))
-        product = f * g
-        assert product.prec == prec
-        ref = _schoolbook_mul(dict(f.sorted_terms()), dict(g.sorted_terms()))
-        assert _as_pairs(product.sorted_terms()) == _as_pairs(ref)
+    def test_packed_mul_matches_schoolbook(self):
+        for make in _KERNEL_RINGS.values():
+            _mul_matches_schoolbook(make())
 
     @settings(max_examples=6)
     @given(st.data())
@@ -345,11 +366,8 @@ def _ref_prolong(ring, f):
     return {m: c._div_p_exact() for m, c in g.items()}
 
 
-_PROLONG_RINGS = {
-    "W(Z/3^4)": lambda: make_ring(3, 4),
-    "W(F_9)/3^3": lambda: make_ring(3, 3, 2),
-    "Q[[t]]/t^6": lambda: SeriesRing(6),
-}
+# at prec 2 the drop before f^p leaves only the unit terms of f
+_PROLONG_RINGS = {**_KERNEL_RINGS, "W(Z/3^2)": lambda: make_ring(3, 2)}
 
 
 @st.composite
@@ -360,15 +378,37 @@ def _small_polynomials(draw, ring):
         ).map(lambda d: tuple(sorted(d.items()))),
         min_size=1, max_size=3,
     ))
-    if ring.kind == ARITHMETIC:
-        coeff = st.lists(st.integers(0, ring.p**ring.prec - 1), min_size=ring.m, max_size=ring.m)
-        coeff = coeff.map(ring.element)
-    else:
-        coeff = st.lists(st.integers(-3, 3), min_size=1, max_size=ring.trunc).map(ring.element)
+    coeff = _layered_coefficients(ring, ring.one.prec)
     return [(m, draw(coeff)) for m in monos]
 
 
 class TestProlongMatchesTupleForm:
+    @pytest.mark.parametrize("name", sorted(_PROLONG_RINGS))
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_pow_matches_schoolbook(self, name, data):
+        ring = _PROLONG_RINGS[name]()
+        f = JetPolynomial.from_terms(ring, data.draw(_small_polynomials(ring)))
+        ref = _ref_pow(ring, dict(f.sorted_terms()), 3)
+        assert _as_pairs((f**3).sorted_terms()) == _as_pairs(ref)
+
+    @pytest.mark.parametrize("p, prec", [(3, 2), (3, 3), (5, 3), (3, 4)])
+    def test_terms_of_valuation_prec_minus_1(self, p, prec):
+        # p^(prec-1) x0^2 and the constant reach f^p only through the lemma;
+        # at prec 2 the p x0 x1 term is dropped as well
+        ring = make_ring(p, prec)
+        top = ring.from_int(p ** (prec - 1))
+        f = JetPolynomial.from_terms(ring, [
+            ((((0, 0), 2),), top),
+            ((((0, 0), 1), ((1, 0), 1)), ring.from_int(p)),
+            ((((1, 0), 2),), ring.one),
+            ((), top * ring.from_int(2)),
+        ])
+        for _ in range(prec - 1):
+            ref = _ref_prolong(ring, dict(f.sorted_terms()))
+            f = f.prolong()
+            assert _as_pairs(f.sorted_terms()) == _as_pairs(ref)
+
     @pytest.mark.parametrize("name", sorted(_PROLONG_RINGS))
     @settings(max_examples=12)
     @given(data=st.data())

@@ -130,6 +130,27 @@ def test_empty_matrix_is_a_shape_error():
         SquareMatrix(RINGS["witt-m1"], [])
 
 
+@pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__"])
+def test_sizes_must_agree(op):
+    # rows of unequal length used to be zipped into a ragged matrix
+    ring = RINGS["witt-m1"]
+    a, b = SquareMatrix.identity(ring, 3), SquareMatrix.identity(ring, 2)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ShapeError):
+            getattr(x, op)(y)
+
+
+def test_mixed_rings_rejected():
+    # int residues carry no ring, so mixing W(Z/5^4) with W(Z/7^4) must not
+    # quietly reduce residues mod 7^k modulo 5^k
+    m = SquareMatrix.identity(make_ring(5, 4), 2)
+    for ring in (make_ring(7, 4), make_ring(5, 4, 2), SeriesRing(4)):
+        other = SquareMatrix.identity(ring, 2)
+        for op in (m.__add__, m.__sub__, m.__mul__, m.__eq__):
+            with pytest.raises(TypeError):
+                op(other)
+
+
 def test_solve_linear_claims_only_supported_digits():
     # the zero at prec 1 multiplies x0; lifted to 5 it changes the answer
     ring = RINGS["witt-m1"]

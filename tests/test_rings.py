@@ -18,7 +18,7 @@ from delta_forge import (
     teichmueller,
 )
 from delta_forge.errors import InputError, NonUnitError, PrecisionExhausted
-from delta_forge.rings import _fp_is_irreducible, _is_prime, find_irreducible, make_ring
+from delta_forge.rings import Values, _fp_is_irreducible, _is_prime, find_irreducible, make_ring
 
 
 def W(p, prec, m=1):
@@ -497,3 +497,15 @@ class TestSeriesStoredForm:
         assert [(c.numerator, c.denominator) for c in got] == [
             (int(w.numerator), int(w.denominator)) for w in want
         ]
+
+
+@pytest.mark.parametrize("ring", [make_ring(3, 4), make_ring(3, 4, 2), SeriesRing(4)],
+                         ids=["W(Z/3^4)", "W(F_9)/3^4", "Q[[t]]/t^4"])
+def test_values_valuation(ring):
+    # p^v * u and t^v * u for a unit u, and prec for a value that vanishes
+    dom = Values(ring, 4)
+    if ring.kind == "arithmetic":
+        of = lambda v: dom.from_elem(ring.element([2 * 3**v, 3**(v + 1)][:ring.m]))
+    else:
+        of = lambda v: dom.from_elem(ring.element([0] * v + [Fraction(1, 2), 3]))
+    assert [dom.valuation(of(v)) for v in range(5)] == [0, 1, 2, 3, 4]

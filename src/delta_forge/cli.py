@@ -5,6 +5,12 @@ document.  Exit codes: 0 success/pass, 1 mathematical failure
 (counterexample found), 2 input error, 3 precision exhaustion.  The
 default seed is DEFAULT_SEED; the environment variable DELTA_FORGE_SEED
 overrides it.
+
+A call imports only what its subcommand uses: this module loads the ring
+backends, their JSON encoding and the homomorphisms (a small module, and
+``psi`` stays a name of this module for tracers that patch it here); each
+handler imports the layer it runs (jets, matrices, cocycles, decomp or
+selftest) in its body.
 """
 
 from __future__ import annotations
@@ -14,22 +20,9 @@ import json
 import os
 import sys
 
-from .cocycles import (
-    ClassifiedCocycle,
-    classified_handle,
-    coboundary_handle,
-    cocycle_check,
-    coherence_check,
-    log_derivative_handle,
-    recover,
-)
-from .decomp import DecompositionWord, decompose, precondition, reconstruct
 from .errors import DeltaForgeError, InputError, PrecisionExhausted
 from .homs import GaHomParams, GmHomParams, TwistedCocycleParams, check_hom, ga_hom, gm_hom, psi, twisted_cocycle
-from .jets import JetPolynomial, nabla, parse_polynomial
-from .matrices import SquareMatrix, random_constant_gl
-from .rings import RingParams, SeriesRing, WittRing, find_irreducible
-from .selftest import DEFAULT_SEED, run_selftest
+from .rings import DEFAULT_SEED, RingParams, SeriesRing, WittRing, find_irreducible
 from .serialize import elem_from_json, elem_to_json
 
 EXIT_OK = 0
@@ -45,8 +38,11 @@ def _load_json(text):
     if text is None:
         return None
     if os.path.exists(text):
-        with open(text) as fh:
-            return json.load(fh)
+        try:
+            with open(text) as fh:
+                return json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot read a JSON payload from file {text!r}: {exc}")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -88,7 +84,10 @@ def _seed(args):
     if args.seed is not None:
         return args.seed
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise InputError(f"DELTA_FORGE_SEED must be an integer, got {env!r}")
     return DEFAULT_SEED
 
 
@@ -142,6 +141,8 @@ def cmd_psi(args):
 
 
 def cmd_jet_prolong(args):
+    from .jets import JetPolynomial, parse_polynomial
+
     ring = _make_ring(args)
     payload = args.poly
     try:
@@ -161,6 +162,8 @@ def cmd_jet_prolong(args):
 
 
 def cmd_jet_nabla(args):
+    from .jets import nabla
+
     ring = _make_ring(args)
     values = tuple(_elem(ring, v) for v in args.values)
     point = nabla(values, args.order)
@@ -200,6 +203,9 @@ def cmd_hom_check(args):
 
 
 def _cocycle_from_json(ring, obj):
+    from .cocycles import ClassifiedCocycle
+    from .matrices import SquareMatrix
+
     omega = obj.get("omega") if isinstance(obj, dict) else None
     lam = omega.get("lambda") if isinstance(omega, dict) else None
     if not isinstance(lam, list) or "v" not in obj:
@@ -210,6 +216,8 @@ def _cocycle_from_json(ring, obj):
 
 def cmd_cocycle_make(args):
     import random as _random
+
+    from .matrices import SquareMatrix
 
     ring = _make_ring(args)
     rng = _random.Random(f"{_seed(args)}:make")
@@ -226,6 +234,9 @@ def cmd_cocycle_make(args):
 
 
 def _handle_from_args(ring, args):
+    from .cocycles import classified_handle, coboundary_handle, log_derivative_handle
+    from .matrices import SquareMatrix
+
     if args.map == "logderiv":
         return log_derivative_handle()
     obj = _load_json(args.cocycle)
@@ -239,6 +250,8 @@ def _handle_from_args(ring, args):
 
 
 def cmd_cocycle_check(args):
+    from .cocycles import cocycle_check
+
     ring = _make_ring(args)
     f = _handle_from_args(ring, args)
     rep = cocycle_check(f, ring, args.n, samples=args.samples, seed=_seed(args))
@@ -246,6 +259,8 @@ def cmd_cocycle_check(args):
 
 
 def cmd_cocycle_recover(args):
+    from .cocycles import recover
+
     ring = _make_ring(args)
     f = _handle_from_args(ring, args)
     v, omega_eval = recover(f, ring, args.n, seed=_seed(args))
@@ -259,6 +274,9 @@ def cmd_cocycle_recover(args):
 
 
 def cmd_coherence_check(args):
+    from .cocycles import coherence_check
+    from .matrices import SquareMatrix, random_constant_gl
+
     ring = _make_ring(args)
     f = _handle_from_args(ring, args)
     u = None
@@ -278,6 +296,9 @@ def cmd_coherence_check(args):
 
 
 def cmd_decompose(args):
+    from .decomp import decompose, precondition
+    from .matrices import SquareMatrix
+
     ring = _make_ring(args)
     x = SquareMatrix.from_json(ring, _load_json(args.matrix))
     out = {}
@@ -292,6 +313,8 @@ def cmd_decompose(args):
 
 
 def cmd_reconstruct(args):
+    from .decomp import DecompositionWord, reconstruct
+
     ring = _make_ring(args)
     word = DecompositionWord.from_json(ring, _load_json(args.word))
     m = reconstruct(word, ring)
@@ -299,6 +322,8 @@ def cmd_reconstruct(args):
 
 
 def cmd_selftest(args):
+    from .selftest import run_selftest
+
     report = run_selftest(profile=args.profile, seed=_seed(args), out=sys.stderr)
     return (EXIT_OK if report["pass"] else EXIT_COUNTEREXAMPLE), report
 
@@ -431,13 +456,20 @@ def main(argv=None):
                                         "message": str(exc)}
     except DeltaForgeError as exc:
         code, result = EXIT_INPUT, {"error": type(exc).__name__, "message": str(exc)}
-    doc = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc)
-    else:
-        sys.stdout.write(doc)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(_document(result))
+            return code
+        except OSError as exc:
+            code, result = EXIT_INPUT, {"error": "InputError",
+                                        "message": f"cannot write --out {args.out!r}: {exc}"}
+    sys.stdout.write(_document(result))
     return code
+
+
+def _document(result):
+    return json.dumps(result, indent=2, sort_keys=True) + "\n"
 
 
 if __name__ == "__main__":

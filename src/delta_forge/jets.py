@@ -5,7 +5,8 @@ and jet order i.  On the arithmetic backend prolongation is
 (f^phi - f^p)/p with the substitution x^(i) -> (x^(i))^p + p x^(i+1) and
 coefficientwise Frobenius; the division by p is exact.  On the series
 backend prolongation is the formal derivation x^(i) -> x^(i+1) with
-coefficientwise d/dt.
+coefficientwise d/dt.  On both, the result has one digit or order less
+precision than its input.
 
 One packed form: a layout (``vars``, a sorted tuple of (j, i), and a
 field width ``bits``) puts the exponent of the n-th variable in bits
@@ -305,17 +306,14 @@ class JetPolynomial:
         get = out.get
         for exps, c in terms:
             key = sum(e << slot[v] for v, e in zip(self.vars, exps))
-            dc = c.delta()
-            # a coefficient whose derivative vanishes adds no term, and the
-            # result keeps the precision of the terms it has
-            if not dc.is_zero():
-                out[key] = get(key, 0) + dc
+            out[key] = get(key, 0) + c.delta()
             for (j, i), e in zip(self.vars, exps):
                 if e:
                     k = key - (1 << slot[(j, i)]) + (1 << slot[(j, i + 1)])
                     out[k] = get(k, 0) + c * e
-        prec = min((c.prec for c in out.values() if not c.is_zero()), default=self.prec)
-        return self._new(vars_, bits, self.top + 1, out, prec)
+        # d/dt costs one order of every coefficient, constants included: a
+        # coefficient known mod t^M has a derivative known only mod t^(M-1)
+        return self._new(vars_, bits, self.top + 1, out, self.prec - 1)
 
     # -- evaluation -----------------------------------------------------
 

@@ -33,6 +33,8 @@ from .errors import BackendError, InputError, NonUnitError, PrecisionExhausted
 
 ARITHMETIC = "arithmetic"
 KOLCHIN = "kolchin"
+# seed of the CLI and the self-test when none is given
+DEFAULT_SEED = 31415
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -31,9 +31,7 @@ from .homs import GmHomParams, TwistedCocycleParams, check_hom, gm_hom, psi, twi
 from .jets import JetPolynomial, eval_jet, nabla
 from .matrices import SquareMatrix, random_constant_gl, random_gl
 # find_irreducible is re-exported: perfbench calls and traces selftest.find_irreducible
-from .rings import SeriesRing, dot, find_irreducible, make_ring  # noqa: F401
-
-DEFAULT_SEED = 31415
+from .rings import DEFAULT_SEED, SeriesRing, dot, find_irreducible, make_ring  # noqa: F401
 
 
 def _sc(n, scale):

@@ -232,8 +232,17 @@ class TestDeterminism:
     ("jet-nabla", "--p", "5", "--prec", "3", "--order", "-1", "2"),
     ("jet-prolong", "--p", "3", "--prec", "3", "--times", "-1", "x0"),
     ("hom-check", "--p", "5", "--prec", "3", "--law", "additive", "--samples", "0"),
+    # TMP is a scratch directory holding bad.json, which reads "{bad"
+    ("ring-info", "--ring", "TMP"),
+    ("ring-info", "--ring", "TMP/bad.json"),
+    ("DELTA_FORGE_SEED=abc", "cocycle-make", "--p", "5", "--prec", "3", "--n", "2"),
+    ("--out", "TMP/missing/x.json", "ring-info", "--p", "5", "--prec", "3"),
 ], ids=" ".join)
-def test_malformed_payload_is_input_error(run, argv):
+def test_malformed_payload_is_input_error(run, argv, tmp_path, monkeypatch):
+    (tmp_path / "bad.json").write_text("{bad")
+    argv = [a.replace("TMP", str(tmp_path)) for a in argv]
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
     code, doc = run(*argv)
     assert code == 2
     assert "error" in doc

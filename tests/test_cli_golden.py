@@ -6,7 +6,9 @@ dot product), the three GL_3 and GL_4 cases after them before matrices
 moved to one precision over coefficient values, and the ``jet-prolong``
 cases with coefficients of high valuation at the end before the jet product
 kernel skipped vanishing products, so any change in the CLI's output bytes
-shows up here.
+shows up here.  The ``--backend kolchin`` ``jet-prolong`` case was
+re-recorded when series prolongation began to cost every coefficient one
+order (its output is now printed mod t^4, not t^6).
 ``selftest`` is left out because its report holds wall-clock seconds.
 To re-record after an intended output change, print
 ``hashlib.sha256(out.encode()).hexdigest()`` for each case.
@@ -65,7 +67,7 @@ CASES = [
     (('jet-prolong', '--p', '3', '--prec', '4', '--m', '3', '[{"coefficient":[1,2,0],"exponents":[[0,0,2],[1,0,1]]}]'),
      0, '13007593112ea3a571d134aeda93d3399e5bda4beb547da5231c60e02d3fac23'),
     (('jet-prolong', '--backend', 'kolchin', '--trunc', '6', '--times', '2', "x0^2 + 3*x0*x1'"),
-     0, 'c207a1822be5090baa23ddbd6250cd0db9de6c5afb7ecc5c3e8bd04e1150fb2b'),
+     0, 'b4bea81f2fc61978decfd646273ccb33e5e63b5fbfdbbbafb1a207f105c30399'),
     (('jet-prolong', '--p', '3', '--prec', '3', '--times', '3', 'x0^2'),
      3, '5c8b3313386a85a37599a454f13b4278e46baad8aa4beea7f9517d43a3907680'),
     (('jet-nabla', '--p', '5', '--prec', '3', '--order', '2', '2', '3'),

@@ -2,7 +2,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from delta_forge import (
@@ -228,6 +228,12 @@ def _layered_coefficients(ring, prec):
     return st.builds(lambda v, u: ring.element([0] * v + u, prec), v, u)
 
 
+# Shrinking 64-72-term examples takes minutes, so a wrong product kernel
+# would look like a hang; the kernel properties run the same examples
+# without the shrink phase and fail at once.
+_NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
 @st.composite
 def _packed_polynomials(draw, ring, prec):
     terms = draw(st.dictionaries(
@@ -236,7 +242,7 @@ def _packed_polynomials(draw, ring, prec):
     return JetPolynomial.from_terms(ring, list(terms.items()))
 
 
-@settings(max_examples=5)
+@settings(max_examples=5, phases=_NO_SHRINK)
 @given(data=st.data())
 def _mul_matches_schoolbook(ring, data):
     # the reference pairs every two terms, also those that vanish
@@ -266,7 +272,7 @@ class TestFastPaths:
         for make in _KERNEL_RINGS.values():
             _mul_matches_schoolbook(make())
 
-    @settings(max_examples=6)
+    @settings(max_examples=6, phases=_NO_SHRINK)
     @given(st.data())
     def test_packed_evaluate_matches_generic(self, data):
         ring = make_ring(5, 4)
@@ -328,13 +334,14 @@ def _ref_prolong(ring, f):
     """Prolongation on {monomial: element} dicts, each coefficient carrying
     its own precision, as the library computed it before the packed form."""
     if ring.kind != ARITHMETIC:
+        # d/dt costs every coefficient one order, constants included
         out = {}
         for mono, c in f.items():
             items = [(mono, c.delta())]
             for idx, ((j, i), e) in enumerate(mono):
                 rest = mono[:idx] + mono[idx + 1:]
                 shifted = tuple(x for x in [((j, i), e - 1), ((j, i + 1), 1)] if x[1])
-                items.append((_mono_mul(rest, shifted), c * ring.from_int(e)))
+                items.append((_mono_mul(rest, shifted), (c * ring.from_int(e)).at_prec(c.prec - 1)))
             out = _ref_add(out, {m: c for m, c in items if not c.is_zero()})
         return out
     if any(c.prec < 2 for c in f.values()):
@@ -384,7 +391,7 @@ def _small_polynomials(draw, ring):
 
 class TestProlongMatchesTupleForm:
     @pytest.mark.parametrize("name", sorted(_PROLONG_RINGS))
-    @settings(max_examples=12)
+    @settings(max_examples=12, phases=_NO_SHRINK)
     @given(data=st.data())
     def test_pow_matches_schoolbook(self, name, data):
         ring = _PROLONG_RINGS[name]()
@@ -433,7 +440,7 @@ class TestProlongMatchesTupleForm:
             if ref:
                 assert f.prec == min(c.prec for c in ref.values())
             else:
-                assert f.prec == (prec_in - 1 if ring.kind == ARITHMETIC else prec_in)
+                assert f.prec == prec_in - 1
             # the tuple form's coefficients, lowered to the one precision of
             # the packed form, are the packed form's coefficients
             want = {m: c.at_prec(f.prec) for m, c in ref.items()}

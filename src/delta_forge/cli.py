@@ -23,7 +23,7 @@ import sys
 from .errors import DeltaForgeError, InputError, PrecisionExhausted
 from .homs import GaHomParams, GmHomParams, TwistedCocycleParams, check_hom, ga_hom, gm_hom, psi, twisted_cocycle
 from .rings import DEFAULT_SEED, RingParams, SeriesRing, WittRing, find_irreducible
-from .serialize import elem_from_json, elem_to_json
+from .serialize import all_ints, elem_from_json, elem_to_json
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -66,17 +66,13 @@ def _make_ring(args):
         raise InputError(f"ring config must be a JSON object, got {cfg!r}")
     p, prec, m = cfg.get("p"), cfg.get("prec"), cfg.get("m", 1)
     modulus = cfg.get("modulus", [])
-    if not (_all_ints([p, prec, m]) and isinstance(modulus, list) and _all_ints(modulus)):
+    if not (all_ints([p, prec, m]) and isinstance(modulus, list) and all_ints(modulus)):
         raise InputError(
             f"ring config needs integers p, prec (and m, modulus list), got {cfg!r}"
         )
     if m > 1 and not modulus:
         modulus = find_irreducible(p, m)
     return WittRing(RingParams(p=p, prec=prec, m=m, modulus=tuple(modulus)))
-
-
-def _all_ints(values):
-    return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
 
 
 def _seed(args):
@@ -126,7 +122,7 @@ def cmd_delta_eval(args):
 def cmd_teich(args):
     ring = _make_ring(args)
     residue = _load_json(args.residue)
-    if not _all_ints(residue if isinstance(residue, list) else [residue]):
+    if not all_ints(residue if isinstance(residue, list) else [residue]):
         raise InputError(f"residue must be an integer or a list of them, got {residue!r}")
     t = ring.teichmueller(residue)
     return EXIT_OK, {"residue": residue, "teichmueller": elem_to_json(t)}

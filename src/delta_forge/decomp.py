@@ -30,7 +30,7 @@ from .errors import (
 )
 from .matrices import SquareMatrix
 from .rings import dot
-from .serialize import elem_from_json, elem_to_json
+from .serialize import all_ints, elem_from_json, elem_to_json
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,12 @@ class DecompositionWord:
     @classmethod
     def from_json(cls, ring, obj):
         recs = obj.get("factors") if isinstance(obj, dict) else None
-        if not isinstance(recs, list) or not isinstance(obj.get("n"), int):
+        if not isinstance(recs, list) or not all_ints([obj.get("n")]):
             raise InputError('word must be {"n": n, "factors": [...]}')
         factors = []
         for rec in recs:
             kind = rec.get("kind") if isinstance(rec, dict) else None
-            if kind == "perm" and isinstance(rec.get("sigma"), list):
+            if kind == "perm" and isinstance(rec.get("sigma"), list) and all_ints(rec["sigma"]):
                 factors.append(PermFactor(tuple(rec["sigma"])))
             elif kind == "s" and isinstance(rec.get("b"), list) and "a" in rec:
                 factors.append(

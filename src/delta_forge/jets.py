@@ -270,7 +270,8 @@ class JetPolynomial:
         choices = {}
         for exps, c in terms:
             # per-variable expansion of (x^p + p x')^e; factors p^k that
-            # vanish at this precision are left out, keeping this short
+            # vanish at this precision (every k >= prec) are left out,
+            # keeping this short
             partial = [(0, dom.from_elem(c.frobenius()))]
             for (j, i), e in zip(self.vars, exps):
                 if not e:
@@ -279,7 +280,7 @@ class JetPolynomial:
                     s, s1 = slot[(j, i)], slot[(j, i + 1)]
                     choices[(j, i), e] = [
                         ((p * (e - k) << s) + (k << s1), cv)
-                        for k in range(e + 1)
+                        for k in range(min(e, prec - 1) + 1)
                         if (cv := dom.from_elem(ring.from_int(comb(e, k) * p**k)))
                     ]
                 partial = [

@@ -303,8 +303,7 @@ def random_constant_gl(ring, n, rng):
     while True:
         if ring.kind == ARITHMETIC:
             entries = [
-                [ring.teichmueller(rng.randrange(ring.q) if ring.m == 1
-                                   else [rng.randrange(ring.p) for _ in range(ring.m)])
+                [ring.teichmueller([rng.randrange(ring.p) for _ in range(ring.m)])
                  for _ in range(n)]
                 for _ in range(n)
             ]

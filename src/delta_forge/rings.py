@@ -228,8 +228,8 @@ def _fp_is_irreducible(coeffs, p):
 
 
 # ---------------------------------------------------------------------------
-# Z[t] helpers with reduction by a fixed monic modulus (no p-power
-# reduction): used where exact divisibility by p must be visible.
+# The product in Z[t] reduced by a fixed monic modulus, with no p-power
+# reduction: the one product of every m >= 2; callers reduce mod p^k.
 
 def _zpoly_mul_reduce(a, b, mlift):
     m = len(mlift) - 1
@@ -245,19 +245,6 @@ def _zpoly_mul_reduce(a, b, mlift):
             for i in range(m):
                 out[d - m + i] -= c * mlift[i]
     return out[:m] + [0] * (m - len(out))
-
-
-def _z2_pow(a0, a1, e, c0, c1):
-    # exact integer power for m=2 with t^2 = -c1 t - c0
-    r0, r1 = 1, 0
-    while e:
-        if e & 1:
-            hi = r1 * a1
-            r0, r1 = r0 * a0 - hi * c0, r0 * a1 + r1 * a0 - hi * c1
-        hi = a1 * a1
-        a0, a1 = a0 * a0 - hi * c0, 2 * a0 * a1 - hi * c1
-        e >>= 1
-    return r0, r1
 
 
 @dataclass(frozen=True)
@@ -351,17 +338,11 @@ class WittElement:
         return best
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other, prec=self.prec)
-        if not isinstance(other, WittElement) or (
-            other.ring is not self.ring and other.ring.params != self.ring.params
-        ):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        prec = min(self.prec, other.prec)
-        pk = self.ring.p**prec
-        return all(
-            a % pk == b % pk for a, b in zip(self.coeffs, other.coeffs)
-        )
+        pk = self.ring.p ** min(self.prec, o.prec)
+        return all(a % pk == b % pk for a, b in zip(self.coeffs, o.coeffs))
 
     __hash__ = None
 
@@ -376,15 +357,18 @@ class WittElement:
             return self.ring.from_int(other, prec=self.prec)
         return None
 
-    def __add__(self, other):
+    def _add(self, other, sign):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         prec = min(self.prec, o.prec)
         pk = self.ring.p**prec
         return WittElement(
-            self.ring, tuple((a + b) % pk for a, b in zip(self.coeffs, o.coeffs)), prec
+            self.ring, tuple((a + sign * b) % pk for a, b in zip(self.coeffs, o.coeffs)), prec
         )
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     __radd__ = __add__
 
@@ -393,14 +377,7 @@ class WittElement:
         return WittElement(self.ring, tuple(-c % pk for c in self.coeffs), self.prec)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        prec = min(self.prec, o.prec)
-        pk = self.ring.p**prec
-        return WittElement(
-            self.ring, tuple((a - b) % pk for a, b in zip(self.coeffs, o.coeffs)), prec
-        )
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -417,17 +394,6 @@ class WittElement:
         pk = ring.p**prec
         if ring.m == 1:
             return WittElement(ring, ((self.coeffs[0] * o.coeffs[0]) % pk,), prec)
-        if ring.m == 2:
-            # inline t^2 = -c1 t - c0 reduction
-            a0, a1 = self.coeffs
-            b0, b1 = o.coeffs
-            hi = a1 * b1
-            c0, c1 = ring.mlift[0], ring.mlift[1]
-            return WittElement(
-                ring,
-                ((a0 * b0 - hi * c0) % pk, (a0 * b1 + a1 * b0 - hi * c1) % pk),
-                prec,
-            )
         raw = _zpoly_mul_reduce(self.coeffs, o.coeffs, ring.mlift)
         return WittElement(ring, tuple(c % pk for c in raw), prec)
 
@@ -440,10 +406,6 @@ class WittElement:
         if ring.m == 1:
             pk = ring.p**self.prec
             return WittElement(ring, (pow(self.coeffs[0], e, pk),), self.prec)
-        if ring.m == 2 and e <= ring.p:
-            pk = ring.p**self.prec
-            r0, r1 = _z2_pow(*self.coeffs, e, ring.mlift[0], ring.mlift[1])
-            return WittElement(ring, (r0 % pk, r1 % pk), self.prec)
         return _power(mul, ring.one.at_prec(self.prec), self, e)
 
     def invert(self):
@@ -558,14 +520,20 @@ class WittRing:
 
     # -- constructors -------------------------------------------------------
 
-    def from_int(self, n: int, prec=None) -> WittElement:
+    def _check_prec(self, prec):
+        """prec, or the ring's precision for None; PrecisionExhausted
+        outside [1, self.prec]."""
         prec = self.prec if prec is None else prec
         if prec < 1 or prec > self.prec:
             raise PrecisionExhausted(f"precision {prec} outside [1, {self.prec}]")
+        return prec
+
+    def from_int(self, n: int, prec=None) -> WittElement:
+        prec = self._check_prec(prec)
         return WittElement(self, (n % self.p**prec,) + (0,) * (self.m - 1), prec)
 
     def element(self, coeffs, prec=None) -> WittElement:
-        prec = self.prec if prec is None else prec
+        prec = self._check_prec(prec)
         coeffs = list(coeffs)
         if len(coeffs) > self.m:
             raise InputError(f"coefficient list longer than m={self.m}")
@@ -591,28 +559,12 @@ class WittRing:
         return x
 
     def carry_term(self, x: WittElement, y: WittElement) -> WittElement:
-        """C_p(x,y) = (x^p + y^p - (x+y)^p)/p by exact integer arithmetic."""
-        prec = min(x.prec, y.prec)
-        if prec < 2:
+        """C_p(x,y) = (x^p + y^p - (x+y)^p)/p; the numerator is divisible
+        by p, so dividing its residue mod p^prec gives C_p mod p^(prec-1)."""
+        if min(x.prec, y.prec) < 2:
             raise PrecisionExhausted("carry term needs prec >= 2")
-        xl, yl = list(x.coeffs), list(y.coeffs)
-        sl = [a + b for a, b in zip(xl, yl)]
-        if self.m == 1:
-            num = xl[0] ** self.p + yl[0] ** self.p - sl[0] ** self.p
-            coeffs = [num // self.p]
-        elif self.m == 2:
-            c0, c1 = self.mlift[0], self.mlift[1]
-            xp = _z2_pow(xl[0], xl[1], self.p, c0, c1)
-            yp = _z2_pow(yl[0], yl[1], self.p, c0, c1)
-            sp = _z2_pow(sl[0], sl[1], self.p, c0, c1)
-            coeffs = [(a + b - c) // self.p for a, b, c in zip(xp, yp, sp)]
-        else:
-            one = [1] + [0] * (self.m - 1)
-            mulred = lambda a, b: _zpoly_mul_reduce(a, b, self.mlift)
-            xp, yp, sp = (_power(mulred, one, a, self.p) for a in (xl, yl, sl))
-            coeffs = [(a + b - c) // self.p for a, b, c in zip(xp, yp, sp)]
-        pk = self.p ** (prec - 1)
-        return WittElement(self, tuple(c % pk for c in coeffs), prec - 1)
+        p = self.p
+        return (x**p + y**p - (x + y) ** p)._div_p_exact()
 
     # -- residue field / sampling -------------------------------------------
 
@@ -624,7 +576,7 @@ class WittRing:
         return [tuple(t) for t in out]
 
     def random_element(self, rng: random.Random, prec=None) -> WittElement:
-        prec = self.prec if prec is None else prec
+        prec = self._check_prec(prec)
         pk = self.p**prec
         return WittElement(
             self, tuple(rng.randrange(pk) for _ in range(self.m)), prec

@@ -16,10 +16,15 @@ def elem_to_json(x):
     raise InputError(f"not a ring element: {x!r}")
 
 
+def all_ints(values):
+    """Whether every value is a JSON integer: an int that is not a bool."""
+    return all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+
+
 def _coefficient(ring, c):
     """One JSON coefficient: an int, or a string holding an integer
     (arithmetic backend) or a rational such as "-3/4" (series backend)."""
-    if isinstance(c, int) and not isinstance(c, bool):
+    if all_ints([c]):
         return c
     if isinstance(c, str):
         try:

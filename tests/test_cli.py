@@ -224,6 +224,10 @@ class TestDeterminism:
     ("ring-info", "--p", "5", "--prec", "3", "--m", "2", "--modulus", "[1,1"),
     ("teich", "--p", "5", "--prec", "2", "abc"),
     ("reconstruct", "--p", "5", "--prec", "3", '{"n":2}'),
+    ("reconstruct", "--p", "5", "--prec", "3",
+     '{"n":2,"factors":[{"kind":"perm","sigma":[0,"a"]},{"kind":"s","a":1,"b":[0]},'
+     '{"kind":"perm","sigma":[0,1]}]}'),
+    ("reconstruct", "--p", "5", "--prec", "3", '{"n":true,"factors":[{"kind":"perm","sigma":[0]}]}'),
     ("delta-eval", "--backend", "kolchin", "--trunc", "4", '["1/0"]'),
     ("jet-prolong", "--p", "3", "--prec", "3", '[{"exponents":1}]'),
     ("hom-check", "--p", "5", "--prec", "3", "--law", "additive", "--params", '{"lambda":5}'),

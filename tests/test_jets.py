@@ -55,6 +55,18 @@ class TestProlong:
         g = prolong(f)
         assert g == JetPolynomial.constant(ring, c.delta())
 
+    def test_high_power_keeps_only_terms_below_precision(self, deadline):
+        # of the e + 1 terms C(e, k) p^k x^(p(e-k)) x'^k of (x^p + p x')^e,
+        # those with k >= prec vanish and k = 0 cancels against f^p
+        ring, e = make_ring(3, 3), 20000
+        with deadline(10):
+            g = prolong(parse_polynomial(f"x0^{e}", ring))
+        want = JetPolynomial.from_terms(ring, [
+            ((((0, 0), 3 * (e - k)), ((0, 1), k)), ring.from_int(comb(e, k) * 3 ** (k - 1), prec=2))
+            for k in (1, 2)
+        ])
+        assert g.prec == 2 and g == want
+
     def test_series_backend_is_derivation(self):
         R = SeriesRing(6)
         f = parse_polynomial("x0^2", R)

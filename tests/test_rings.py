@@ -18,7 +18,17 @@ from delta_forge import (
     teichmueller,
 )
 from delta_forge.errors import InputError, NonUnitError, PrecisionExhausted
-from delta_forge.rings import Values, _fp_is_irreducible, _is_prime, find_irreducible, make_ring
+from delta_forge.rings import (
+    Values,
+    _fp_euclid,
+    _fp_is_irreducible,
+    _is_prime,
+    _power,
+    _zpoly_mul_reduce,
+    dot,
+    find_irreducible,
+    make_ring,
+)
 
 
 def W(p, prec, m=1):
@@ -200,15 +210,37 @@ class TestInvert:
             assert x * invert(x) == 1
 
 
+def exact_power(ring, a, e):
+    """a**e for integer coefficients a, in Z[t] mod the modulus (not mod p^k)."""
+    one = [1] + [0] * (ring.m - 1)
+    return _power(lambda u, v: _zpoly_mul_reduce(u, v, ring.mlift), one, list(a), e)
+
+
 class TestCarryTerm:
     def test_definition(self):
-        ring = W(3, 6)
         rng = random.Random(4)
-        p = ring.p
-        for _ in range(30):
-            x, y = ring.random_element(rng), ring.random_element(rng)
-            lhs = ring.carry_term(x, y) * p
-            assert lhs == (x**p + y**p - (x + y) ** p).at_prec(lhs.prec)
+        for p, m in [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]:
+            ring = W(p, 6, m)
+            for _ in range(30):
+                # mixed precisions: the carry term is good to one digit less
+                # than the lower of the two
+                x = ring.random_element(rng, rng.randint(2, 6))
+                y = ring.random_element(rng, rng.randint(2, 6))
+                c, prec = ring.carry_term(x, y), min(x.prec, y.prec)
+                assert c.prec == prec - 1
+                lhs = c * p
+                assert lhs == (x**p + y**p - (x + y) ** p).at_prec(lhs.prec)
+                # the same numerator in exact integer arithmetic, divided by p
+                s = [a + b for a, b in zip(x.coeffs, y.coeffs)]
+                xp, yp, sp = (exact_power(ring, a, p) for a in (x.coeffs, y.coeffs, s))
+                num = [a + b - d for a, b, d in zip(xp, yp, sp)]
+                assert all(v % p == 0 for v in num)
+                assert c.coeffs == tuple(v // p % p ** (prec - 1) for v in num)
+
+    def test_needs_two_digits(self):
+        ring = W(5, 4, 2)
+        with pytest.raises(PrecisionExhausted):
+            ring.carry_term(ring.one, ring.one.at_prec(1))
 
     def test_symmetry(self):
         ring = W(5, 4, 2)
@@ -303,6 +335,54 @@ class TestKernels:
             assert x * inv == 1
 
 
+# The m = 1 branches of WittElement (int arithmetic mod p^prec) against the
+# kernels that every m >= 2 runs, on coefficient lists.
+
+
+def general_mul(ring, a, b, pk):
+    return [c % pk for c in _zpoly_mul_reduce(list(a), list(b), ring.mlift)]
+
+
+def general_frobenius(ring, a, pk):
+    return [dot(row, a) % pk for row in ring.frobenius_rows]
+
+
+def general_invert(ring, a, prec):
+    """The inverse mod p by Euclid in F_p[t], then Newton steps b(2 - ab)."""
+    p, pk = ring.p, ring.p**prec
+    g, s = _fp_euclid(ring.mlift, list(a), p)
+    c = pow(g[0], -1, p)
+    b = [c * si % p for si in s] + [0] * (ring.m - len(s))
+    for _ in range(prec.bit_length()):
+        ab = general_mul(ring, a, b, pk)
+        b = general_mul(ring, b, [2 - ab[0]] + [-v for v in ab[1:]], pk)
+    return b
+
+
+class TestWittM1Branches:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_matches_general_kernels(self, p):
+        ring = W(p, 6)
+        rng = random.Random(p)
+        as_pair = lambda x: (list(x.coeffs), x.prec)
+        for _ in range(60):
+            x = ring.random_element(rng, rng.randint(1, 6))
+            y = ring.random_element(rng, rng.randint(1, 6))
+            prec, pk = x.prec, p**x.prec
+            lower = min(prec, y.prec)
+            assert as_pair(x * y) == (general_mul(ring, x.coeffs, y.coeffs, p**lower), lower)
+            for e in (0, 1, 2, p, rng.randint(3, 3 * p)):
+                assert as_pair(x**e) == ([c % pk for c in exact_power(ring, x.coeffs, e)], prec)
+            phi = general_frobenius(ring, x.coeffs, pk)
+            assert as_pair(x.frobenius()) == (phi, prec)
+            if x.is_unit():
+                assert as_pair(x.invert()) == (general_invert(ring, x.coeffs, prec), prec)
+            if prec >= 2:
+                num = [(a - b) % pk for a, b in zip(phi, exact_power(ring, x.coeffs, p))]
+                assert all(v % p == 0 for v in num)
+                assert as_pair(x.delta()) == ([v // p for v in num], prec - 1)
+
+
 class TestFindIrreducible:
     # first monic irreducible of degree m = 2, 3, 4 in lexicographic order
     PINNED = {
@@ -342,6 +422,17 @@ class TestMixedPrecision:
     def test_equality_at_min_precision(self):
         ring = W(3, 6)
         assert ring.from_int(5 + 81) == ring.from_int(5, prec=4)
+
+
+class TestElementPrecision:
+    @pytest.mark.parametrize("prec", [-1, 0, 5, 9])
+    def test_outside_ring_precision_rejected(self, prec):
+        ring = make_ring(5, 4)
+        for build in (lambda: ring.element([1], prec=prec),
+                      lambda: ring.random_element(random.Random(0), prec),
+                      lambda: ring.from_int(1, prec)):
+            with pytest.raises(PrecisionExhausted):
+                build()
 
 
 class TestSeriesBackend:

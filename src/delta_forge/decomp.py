@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
 
 from .errors import (
@@ -115,7 +115,8 @@ class DecompositionWord:
 
 def trailing_minors(x: SquareMatrix):
     """Determinants after deleting the first i rows and columns, and
-    their product."""
+    their product: one O(n^3) elimination per minor, which gives the exact
+    value of a minor that is not a unit as well."""
     n = x.n
     minors = [x.block(i, n, i, n).det() for i in range(1, n)]
     prod = x.ring.one
@@ -233,29 +234,20 @@ def precondition(x: SquareMatrix, seed: int = 0):
     d = x.det()
     if not d.is_unit():
         raise NonUnitError(d, "determinant is not a unit")
-    cap = factorial(n) * 4
-    ident = tuple(range(n))
-    attempts = 0
-    tried = []
-    for sigma in permutations(range(n)):
-        tried.append((sigma, ident))
-        if len(tried) >= cap:
-            break
+    ident, cap = tuple(range(n)), factorial(n) * 4
     rng = random.Random(f"{seed}:precondition")
-    while len(tried) < cap:
-        tried.append(
-            (
-                tuple(rng.sample(range(n), n)),
-                tuple(rng.sample(range(n), n)),
-            )
-        )
+    sample = lambda: tuple(rng.sample(range(n), n))  # noqa: E731
+    # drawn lazily: the n! row permutations, then seeded random pairs up to the cap
+    tried = chain(
+        ((sigma, ident) for sigma in permutations(range(n))),
+        ((sample(), sample()) for _ in range(cap - factorial(n))),
+    )
     for sl, sr in tried:
-        attempts += 1
         wl = SquareMatrix.permutation(ring, sl)
         wr = SquareMatrix.permutation(ring, sr)
         xp = wl * x * wr
         if is_admissible(xp):
             return wl, wr, xp
     raise ExhaustedSearchError(
-        f"no admissible permutation pair found in {attempts} attempts"
+        f"no admissible permutation pair found in {cap} attempts"
     )

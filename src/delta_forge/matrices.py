@@ -2,11 +2,12 @@
 
 A matrix has one precision, the least among the elements it is built
 from, and holds its entries in the coefficient domain ``rings.Values``
-that jet polynomials use.  Both backends are local rings, so a matrix is
-invertible exactly when Gauss-Jordan elimination finds a unit pivot in
-every column.  That one kernel, run on values, gives the determinant, the
-unit test, the inverse and linear solving in O(n^3); cofactor expansion
-only reports the exact value of a determinant that is not a unit.
+that jet polynomials use.  Both backends are local rings with uniformizer
+pi (p on W, t on Q[[t]]), so every nonzero value is pi^v times a unit, and
+an entry divisible by a pivot's power of pi is cleared by it exactly.  One
+elimination kernel, pivoting on an entry of least valuation, gives the
+determinant of every matrix, the unit test, the inverse and linear solving
+in O(n^3); a matrix is invertible exactly when every pivot is a unit.
 """
 
 from __future__ import annotations
@@ -154,18 +155,18 @@ class SquareMatrix:
         return self.dom.to_elem(reduce(add, (r[i] for i, r in enumerate(self.vals))))
 
     def det(self):
-        pivots, d, _ = _eliminate(self.dom, [list(r) for r in self.vals], self.n)
-        return self.dom.to_elem(_det(self.vals) if None in pivots else d)
+        return self.dom.to_elem(_eliminate(self.dom, [list(r) for r in self.vals], self.n)[1])
 
     def is_unit(self):
-        return None not in _eliminate(self.dom, [list(r) for r in self.vals], self.n)[0]
+        return self.det().is_unit()
 
     def invert(self):
         n, dom = self.n, self.dom
         one, zero = dom.from_elem(self.ring.one), dom.from_elem(self.ring.zero)
         aug = [r + [zero] * i + [one] + [zero] * (n - 1 - i) for i, r in enumerate(self.vals)]
-        if None in _eliminate(dom, aug, n)[0]:
-            raise NonUnitError(dom.to_elem(_det(self.vals)), "matrix determinant is not a unit")
+        d = _eliminate(dom, aug, n)[1]
+        if not dom.is_unit(d):
+            raise NonUnitError(dom.to_elem(d), "matrix determinant is not a unit")
         return SquareMatrix._of(dom, [r[n:] for r in aug])
 
     def block(self, r0, r1, c0, c1):
@@ -194,53 +195,62 @@ class SquareMatrix:
 
 def _eliminate(dom, aug, ncols):
     """Gauss-Jordan on the rows ``aug`` of normal forms in ``dom``, in
-    place, over their first ``ncols`` columns, pivoting on the first unit
-    at or below the pivot row.  Returns (pivots, det, stop): the row of
-    each column's pivot (None for an all-zero column, which is skipped, or
-    one never reached), the signed pivot product, and the column with no
-    unit pivot that stopped the reduction, if any."""
+    place, over their first ``ncols`` columns.  Each column pivots on its
+    first entry of least valuation at or below the pivot row, found
+    without any valuation when it is a unit.  The pivot row is scaled so
+    that its pivot pi^v * w, w a unit, reads pi^v; then each entry pi^v * c
+    below it is cleared with the exact multiplier c, and a unit pivot
+    clears the rows above as well.  Returns (pivots, det, stop): the row
+    of each column's pivot (None for a column that vanishes at and below
+    the pivot row, which is skipped and makes det zero, or for one never
+    reached), the signed pivot product, which on a square ``aug`` is the
+    determinant, and the first column whose pivot is not a unit, if any."""
     m, width = len(aug), len(aug[0])
-    red, is_unit = dom.reduce, dom.is_unit
+    red, is_unit, valuation, div_pi = dom.reduce, dom.is_unit, dom.valuation, dom.div_pi
     pivots = [None] * ncols
-    det, swaps, prow = None, 0, 0
+    det, swaps, prow, stop = None, 0, 0, None
     for col in range(ncols):
         if prow == m:
             break
-        sel = next((r for r in range(prow, m) if is_unit(aug[r][col])), None)
+        sel, v = next((r for r in range(prow, m) if is_unit(aug[r][col])), None), 0
         if sel is None:
-            if not any(aug[r][col] for r in range(prow, m)):
+            v, sel = min((valuation(aug[r][col]), r) for r in range(prow, m))
+            if v == dom.prec:
+                det = aug[sel][col]  # zero, and so is the determinant
                 continue
-            return pivots, det, col
+            if stop is None:
+                stop = col
         if sel != prow:
             aug[prow], aug[sel] = aug[sel], aug[prow]
             swaps += 1
         row = aug[prow]
         det = row[col] if det is None else red(det * row[col])
         # entries left of col are final, and col itself is never read again;
-        # with nothing right of it (the last column of det) no inverse is due
+        # with nothing right of it (the last column of det) no scaling is due
         if col + 1 < width:
-            inv = dom.invert(row[col])
+            inv = dom.invert(div_pi(row[col], v) if v else row[col])
             for j in range(col + 1, width):
                 row[j] = red(inv * row[j])
-        for other in aug:
+        for other in aug[prow + 1:] if v else aug:
             if other is row:
                 continue
             c = other[col]
             if c:
+                c = div_pi(c, v) if v else c
                 for j in range(col + 1, width):
                     other[j] = red(other[j] - c * row[j])
         pivots[col] = prow
         prow += 1
-    return pivots, (red(-det) if swaps % 2 else det), None
+    return pivots, (red(-det) if swaps % 2 else det), stop
 
 
 def solve_linear(ring, rows, rhs):
     """Solve A x = b exactly; requires unit pivots.  The solution has the
     least precision among the entries of A and b.
 
-    Raises SingularPivotError when some needed column has no unit pivot
-    and InconsistentSystemError when eliminated rows leave a nonzero
-    right-hand side.
+    Raises SingularPivotError with the column and valuation of the first
+    pivot that is not a unit, and InconsistentSystemError when eliminated
+    rows leave a nonzero right-hand side.
     """
     if not rows:
         return []
@@ -248,31 +258,15 @@ def solve_linear(ring, rows, rhs):
     dom = Values(ring, min(e.prec for r in (*rows, rhs) for e in r))
     aug = [[dom.from_elem(e) for e in (*r, b)] for r, b in zip(rows, rhs)]
     pivots, _, stop = _eliminate(dom, aug, k)
-    prow = len(pivots) - pivots.count(None)
     if stop is not None:
-        col = [dom.to_elem(v) for r in range(prow, m) if (v := aug[r][stop])]
-        raise SingularPivotError(stop, min(e.valuation() for e in col))
+        raise SingularPivotError(stop, dom.valuation(aug[pivots[stop]][stop]))
+    prow = len(pivots) - pivots.count(None)
     for r in range(prow, m):
         if aug[r][k]:
             raise InconsistentSystemError(f"residual {dom.to_elem(aug[r][k])!r} in eliminated row {r}")
     if None in pivots:
         raise SingularPivotError(pivots.index(None), None)
     return [dom.to_elem(aug[r][k]) for r in pivots]
-
-
-def _det(rows):
-    """Cofactor expansion over values: the exact non-unit determinant."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,16 @@ class Values:
     def invert(self, v):
         return pow(v, -1, self.pk) if self.native else v.invert()
 
+    def div_pi(self, v, k):
+        """v / pi^k (pi = p on W, t on Q[[t]]) for v divisible by pi^k:
+        known mod pi^(prec-k), and lifted to prec with zero top digits."""
+        if self.native:
+            return v // self.ring.p**k
+        if self.ring.kind == ARITHMETIC:
+            pk = self.ring.p**k
+            return WittElement(self.ring, tuple(c // pk for c in v.coeffs), self.prec)
+        return SeriesElement(self.ring, v.num[k:] + (0,) * k, v.den, self.prec)
+
     def div_p(self, v):
         if not self.native:
             return v._div_p_exact()

@@ -9,6 +9,9 @@ kernel skipped vanishing products, so any change in the CLI's output bytes
 shows up here.  The ``--backend kolchin`` ``jet-prolong`` case was
 re-recorded when series prolongation began to cost every coefficient one
 order (its output is now printed mod t^4, not t^6).
+The three ``decompose`` error cases at the end, whose documents carry an
+exact non-unit trailing minor or determinant, were recorded before
+elimination began to pivot on entries of least valuation.
 ``selftest`` is left out because its report holds wall-clock seconds.
 To re-record after an intended output change, print
 ``hashlib.sha256(out.encode()).hexdigest()`` for each case.
@@ -144,6 +147,12 @@ CASES = [
      0, '7f275c60d935b23ede234fd8defbfaa12d0986093cec899664c1db4001eca66f'),
     (('jet-prolong', '--p', '3', '--prec', '3', '--m', '3', '--times', '1', '[{"coefficient":[9,3,0],"exponents":[[0,0,2],[1,0,1]]},{"coefficient":[0,9,0],"exponents":[[0,0,1]]},{"coefficient":[1,0,2],"exponents":[[1,0,2]]}]'),
      0, '636d0979931035caa17c00defe98771c36e0eae7a350df1074fc12577897601b'),
+    (('decompose', '--p', '5', '--prec', '3', '{"n":5,"rows":[[0,7,10,10,4],[3,7,0,3,7],[4,2,4,4,7],[15,7,10,25,15],[1,0,2,4,4]]}'),
+     2, '44679dd440d4ad5c69c09e0057d19e6d78dc870dcbc63fdf5ba1712887a21f56'),
+    (('decompose', '--p', '3', '--prec', '3', '--m', '2', '{"n":3,"rows":[[[0,0],[3,3],[1,0]],[[2,2],[3,1],[1,0]],[[1,0],[1,0],[3,2]]]}'),
+     2, '3fa020eea50e58b2a3c971b0ceeebe5be15aae4b0995ab14e3976c783f15b0a6'),
+    (('decompose', '--p', '5', '--prec', '3', '--precondition', '--seed', '7', '{"n":4,"rows":[[6,2,5,3],[5,5,0,2],[2,1,4,2],[2,7,6,6]]}'),
+     2, '0966469795c5ddf43d536c1c2a8b49b89299cbe7ba23b07aebab89a284bb5209'),
 ]
 
 

@@ -312,6 +312,15 @@ class TestSolveLinear:
         with pytest.raises(SingularPivotError):
             solve_linear(ring, rows, [ring.from_int(5)])
 
+    def test_singular_pivot_names_column_and_valuation(self, ring):
+        from delta_forge.errors import SingularPivotError
+
+        # after the unit pivot of column 0, column 1 holds 0 and 75 = 3 * 5^2
+        rows = [[ring.from_int(c) for c in r] for r in ([1, 25, 3], [2, 50, 1], [0, 75, 4])]
+        with pytest.raises(SingularPivotError) as info:
+            solve_linear(ring, rows, [ring.one, ring.one, ring.one])
+        assert (info.value.column, info.value.valuation) == (1, 2)
+
     def test_inconsistent(self, ring):
         from delta_forge.errors import InconsistentSystemError
 

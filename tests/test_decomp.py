@@ -76,6 +76,28 @@ class TestDecompose:
         with pytest.raises(NonUnitError):
             decompose(x)
 
+    def test_non_unit_minor_of_size_eleven_is_prompt(self, ring, deadline):
+        # the trailing 10 x 10 block is L * D * U with unit triangular L and
+        # U and D = diag(1, 1, 1, 5, 1, 1, 1, 1, 5, 1), so minor 1 is 25, and
+        # its elimination meets a pivot of valuation 1 midway
+        rng = random.Random(33)
+        n = 11
+        lower = [[1 if i == j else rng.randrange(125) if j < i else 0 for j in range(n - 1)]
+                 for i in range(n - 1)]
+        upper = [[1 if i == j else rng.randrange(125) if j > i else 0 for j in range(n - 1)]
+                 for i in range(n - 1)]
+        d = [5 if i in (3, 8) else 1 for i in range(n - 1)]
+        block = SquareMatrix.from_rows(ring, lower) * SquareMatrix.diagonal(
+            ring, [ring.from_int(c) for c in d]) * SquareMatrix.from_rows(ring, upper)
+        rows = [[ring.random_element(rng) for _ in range(n)]]
+        rows += [[ring.random_element(rng), *r] for r in block.rows]
+        x = SquareMatrix(ring, rows)
+        with deadline(1):
+            with pytest.raises(NonUnitMinorError) as info:
+                decompose(x)
+        assert info.value.index == 1
+        assert info.value.value == 25 and info.value.value.prec == 3
+
     def test_roundtrip_random(self, ring):
         rng = random.Random(31)
         done = 0
@@ -145,6 +167,13 @@ class TestPrecondition:
         x = SquareMatrix.from_rows(ring, [[5, 0], [0, 1]])
         with pytest.raises(NonUnitError):
             precondition(x, seed=3)
+
+    def test_admissible_identity_of_size_ten_is_prompt(self, ring, deadline):
+        # the first of the 4 * 10! candidates is taken without listing the rest
+        x = SquareMatrix.identity(ring, 10)
+        with deadline(1):
+            wl, wr, xp = precondition(x, seed=5)
+        assert wl == x and wr == x and xp == x
 
     def test_enables_decomposition(self, ring):
         rng = random.Random(32)

@@ -22,6 +22,8 @@ from delta_forge.rings import SeriesRing, make_ring
 
 RINGS = {
     "witt-m1": make_ring(5, 4),
+    "witt-m1-p3": make_ring(3, 4),
+    "witt-m1-p7": make_ring(7, 2),
     "witt-m2": make_ring(3, 3, 2),
     "series": SeriesRing(4),
 }
@@ -82,10 +84,12 @@ def sample_rows(ring, n, style, rng):
     for _ in range(n):
         row = []
         for _ in range(n):
-            prec = top if style in ("full", "non-unit", "zero-column") else rng.randint(1, top)
+            prec = top if style in ("full", "non-unit", "zero-column", "valuations") else rng.randint(1, top)
             e = ring.random_element(rng, prec)
             if style == "sparse" and rng.random() < 0.4:
                 e = ring.zero.at_prec(prec)
+            if style == "valuations" and rng.random() < 0.4:
+                e = e * uniformizer(ring) ** rng.randint(1, 2)
             row.append(e)
         rows.append(row)
     if style == "non-unit":
@@ -99,7 +103,7 @@ def sample_rows(ring, n, style, rng):
     return rows
 
 
-STYLES = ("full", "mixed", "sparse", "non-unit", "zero-column")
+STYLES = ("full", "mixed", "sparse", "non-unit", "zero-column", "valuations")
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
@@ -123,6 +127,21 @@ def test_det_and_invert_match_cofactor_reference(name, n):
                 expected = f"matrix determinant is not a unit: {d!r}"
                 with pytest.raises(NonUnitError, match=re.escape(expected)):
                     m.invert()
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_non_unit_determinant_of_size_ten_is_prompt(name, deadline):
+    # a deadline that cofactor expansion, 10! products, cannot meet
+    ring = RINGS[name]
+    rows = sample_rows(ring, 10, "non-unit", random.Random(f"{name}:10"))
+    d = ref_det(rows)
+    m = SquareMatrix(ring, rows)
+    with deadline(1):
+        det = m.det()
+        with pytest.raises(NonUnitError) as info:
+            m.invert()
+    assert same(det, d)
+    assert same(info.value.element, d)
 
 
 def test_empty_matrix_is_a_shape_error():

@@ -29,6 +29,8 @@ TORUS = "torus"
 SL = "sl_n"
 BOREL = "borel"
 CONJUGATED_TORUS = "conjugated-torus"
+# random SL_n points ``recover`` samples beside the elementary matrices
+RECOVER_EXTRA_SAMPLES = 2
 
 
 @dataclass(frozen=True)
@@ -141,8 +143,7 @@ def cocycle_check(f: DeltaMapHandle, ring, n: int, samples: int = 1000,
     return CocycleReport(passed=True, samples=samples, precision=precision)
 
 
-def recover(f: DeltaMapHandle, ring, n: int, seed: int = 0,
-            extra_samples: int = 2):
+def recover(f: DeltaMapHandle, ring, n: int, seed: int = 0):
     """Recover (v, omega) from a claimed classified cocycle.
 
     Samples f on elementary SL_n matrices 1 + e_kl (plus a few random
@@ -164,7 +165,7 @@ def recover(f: DeltaMapHandle, ring, n: int, seed: int = 0,
                 rows[k][l] = ring.one
                 points.append(SquareMatrix(ring, rows))
     rng = random.Random(f"{seed}:recover")
-    for _ in range(extra_samples):
+    for _ in range(RECOVER_EXTRA_SAMPLES):
         points.append(random_sl(ring, n, rng))
 
     rows, rhs = [], []

@@ -13,8 +13,8 @@ import functools
 import random
 from dataclasses import dataclass, field
 
-from .errors import BackendError, DeltaForgeError, InputError, NonUnitError
-from .rings import ARITHMETIC, dot
+from .errors import BackendError, InputError, NonUnitError
+from .rings import ARITHMETIC, _vp, dot
 from .serialize import elem_to_json
 
 ADDITIVE = "additive"
@@ -69,14 +69,6 @@ class TwistedCocycleParams:
             raise InputError("twist exponent s must be nonzero")
 
 
-def _vp(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def _past_target(p: int, n: int, vu: int, target: int) -> bool:
     """Whether n - 1 - log_p(n) + n*vu >= target, tested in integers as
     p^(n - 1 + n*vu - target) >= n.  The left side never decreases in n
@@ -89,15 +81,18 @@ def _past_target(p: int, n: int, vu: int, target: int) -> bool:
 def _psi_coefficients(p: int, target: int) -> tuple:
     """(n, n - 1 - v_p(n), c_n) for every n a unit (val(u) = 0) needs at
     precision target, with c_n = (-1)^(n-1) p^(n-1-v_p(n)) (n/p^v_p(n))^-1
-    mod p^target."""
+    mod p^target.  Trailing entries with n - 1 - v_p(n) >= target, whose
+    c_n is 0, are left out."""
     pk = p**target
     out = []
     n = 1
     while not _past_target(p, n, 0, target):
-        e = _vp(n, p)
+        e = _vp(n, p, n)
         c = p ** (n - 1 - e) * pow(n // p**e, -1, pk)
         out.append((n, n - 1 - e, (c if n % 2 else -c) % pk))
         n += 1
+    while out and out[-1][1] >= target:
+        out.pop()
     return tuple(out)
 
 
@@ -106,12 +101,12 @@ def psi(a):
 
         sum_{n>=1} (-1)^(n-1) (p^(n-1)/n) (delta a / a^p)^n
 
-    Term n has valuation at least n - 1 - v_p(n) + n*val(u), u = delta a /
-    a^p; a term whose bound reaches the working precision is skipped, and
-    the sum stops exactly at the first n where n - 1 - log_p(n) + n*val(u),
-    which bounds every later term, reaches it.  The signed coefficients
-    come from a table cached per (p, precision).  The result carries one
-    digit less than the input.
+    evaluated in u = delta a / a^p by Horner's rule over the signed
+    coefficients, a table cached per (p, precision).  Term n has valuation
+    at least n - 1 - log_p(n) + n*val(u), which never decreases in n, so
+    the polynomial stops before the first n where that bound reaches the
+    working precision: no later term adds anything.  The result carries
+    one digit less than the input.
     """
     ring = a.ring
     if ring.kind != ARITHMETIC:
@@ -123,22 +118,9 @@ def psi(a):
     target = u.prec
     vu = u.valuation()
     acc = ring.from_int(0, prec=target)
-    un, last = ring.from_int(1, prec=target), 0
-    for n, b, c in _psi_coefficients(p, target):
-        if _past_target(p, n, vu, target):
-            break
-        bound = b + n * vu
-        if bound >= target:
-            continue
-        # u^n from the last power used: skipped n cost no multiplication
-        un = un * (u if n - last == 1 else u ** (n - last))
-        last = n
-        term = ring.element([c * x for x in un.coeffs], prec=target)
-        if term.valuation() < bound:
-            raise DeltaForgeError(
-                f"psi term {n} has valuation below its bound {bound}"
-            )
-        acc = acc + term
+    for n, _, c in reversed(_psi_coefficients(p, target)):
+        if not _past_target(p, n, vu, target):
+            acc = (acc + c) * u
     return acc
 
 
@@ -211,12 +193,8 @@ def check_hom(f, law: str, ring, samples: int = 1000, seed: int = 0,
             a1 = ring.random_unit(rng)
             a2 = ring.random_unit(rng)
             combined = a1 * a2
-        try:
-            lhs = f(combined)
-            f1, f2 = f(a1), f(a2)
-        except DeltaForgeError as exc:
-            exc.sample = (elem_to_json(a1), elem_to_json(a2))
-            raise
+        lhs = f(combined)
+        f1, f2 = f(a1), f(a2)
         if law == TWISTED:
             rhs = f1 + a1**s * f2
         else:

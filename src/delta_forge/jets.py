@@ -41,7 +41,13 @@ from .errors import ArityError, InputError, PrecisionExhausted, TermBudgetError
 from .rings import ARITHMETIC, Values, _power, same_ring
 from .serialize import elem_from_json, elem_to_json
 
-DEFAULT_TERM_CAP = 10**6
+# most terms any polynomial may have; a larger result raises TermBudgetError
+TERM_CAP = 10**6
+
+
+def _check_cap(n):
+    if n > TERM_CAP:
+        raise TermBudgetError(n, TERM_CAP)
 
 
 def _naturals(values):
@@ -57,19 +63,18 @@ def var_name(j: int, i: int) -> str:
 class JetPolynomial:
     """Immutable sparse polynomial in jet variables over a ring backend."""
 
-    __slots__ = ("ring", "vars", "bits", "top", "terms", "prec", "term_cap")
+    __slots__ = ("ring", "vars", "bits", "top", "terms", "prec")
 
-    def __init__(self, ring, vars_, bits, top, terms, prec, term_cap=DEFAULT_TERM_CAP):
+    def __init__(self, ring, vars_, bits, top, terms, prec):
         self.ring = ring
         self.vars = vars_
         self.bits = bits
         self.top = top
         self.terms = terms
         self.prec = prec
-        self.term_cap = term_cap
 
     @classmethod
-    def from_terms(cls, ring, items, term_cap=DEFAULT_TERM_CAP):
+    def from_terms(cls, ring, items):
         """Build from (monomial, element) pairs, a monomial being pairs
         ((j, i), e).  The polynomial takes the least precision among the
         coefficients, those that cancel or vanish included."""
@@ -86,7 +91,7 @@ class JetPolynomial:
         bits = top.bit_length()
         slot = {v: n * bits for n, v in enumerate(vars_)}
         terms = {sum(e << slot[v] for v, e in mono): c for mono, c in merged.items()}
-        return cls(ring, vars_, bits, top, terms, prec, term_cap)
+        return cls(ring, vars_, bits, top, terms, prec)
 
     @classmethod
     def zero(cls, ring):
@@ -106,8 +111,8 @@ class JetPolynomial:
         """The polynomial of raw values ``acc``, normalised at ``prec``."""
         red = Values(self.ring, prec).reduce
         terms = {k: r for k, c in acc.items() if (r := red(c))}
-        self._check_cap(len(terms))
-        return JetPolynomial(self.ring, vars_, bits, top, terms, prec, self.term_cap)
+        _check_cap(len(terms))
+        return JetPolynomial(self.ring, vars_, bits, top, terms, prec)
 
     # -- layout -----------------------------------------------------------
 
@@ -177,10 +182,6 @@ class JetPolynomial:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _check_cap(self, n):
-        if n > self.term_cap:
-            raise TermBudgetError(n, self.term_cap)
-
     def __add__(self, other):
         if not isinstance(other, JetPolynomial):
             return NotImplemented
@@ -224,14 +225,6 @@ class JetPolynomial:
                     k = ka + kb
                     out[k] = get(k, 0) + ca * cb
         return self._new(vars_, bits, top, out, prec)
-
-    def scale(self, c):
-        if isinstance(c, int):
-            c = self.ring.from_int(c)
-        prec = min(self.prec, c.prec)
-        x = Values(self.ring, prec).from_elem(c)
-        terms = {k: v * x for k, v in self.terms.items()}
-        return self._new(self.vars, self.bits, self.top, terms, prec)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -289,7 +282,7 @@ class JetPolynomial:
                     for kb, cb in choices[(j, i), e]
                     if (r := dom.reduce(ca * cb))
                 ]
-                self._check_cap(len(partial))
+                _check_cap(len(partial))
             for k, c in partial:
                 fphi[k] = get(k, 0) + c
         fphi = self._new(vars_, bits, p * deg, fphi, prec)
@@ -298,7 +291,7 @@ class JetPolynomial:
         f = self._new(vars_, bits, self.top, f, prec)
         g = fphi - f**p
         terms = {k: dom.div_p(c) for k, c in g.terms.items()}
-        return JetPolynomial(ring, g.vars, g.bits, g.top, terms, prec - 1, self.term_cap)
+        return JetPolynomial(ring, g.vars, g.bits, g.top, terms, prec - 1)
 
     def _prolong_kolchin(self):
         vars_, bits, slot = self._prolonged_layout(self.top + 1)

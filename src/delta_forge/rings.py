@@ -84,6 +84,15 @@ def _power(mul, one, base, e):
     return result
 
 
+def _vp(c, p, cap):
+    """The p-adic valuation of the int c, at most cap (cap for c = 0)."""
+    k = 0
+    while k < cap and not c % p:
+        c //= p
+        k += 1
+    return k
+
+
 def same_ring(r, s):
     """Whether values of rings r and s may be mixed: the same Witt ring
     parameters, or two series rings (their elements carry their truncation)."""
@@ -119,8 +128,10 @@ class Values:
         if self.native:
             self.pk = ring.p**prec
             self.reduce = self.pk.__rmod__
+            self.valuation = lambda v: _vp(v, ring.p, prec)
         else:
             self.reduce = lambda v: v.at_prec(prec)
+            self.valuation = lambda v: min(v.valuation(), prec)
 
     def from_elem(self, x):
         """The normal form of an element of precision at least prec."""
@@ -134,15 +145,6 @@ class Values:
 
     def is_unit(self, v):
         return v % self.ring.p != 0 if self.native else v.is_unit()
-
-    def valuation(self, v):
-        if not self.native:
-            return min(v.valuation(), self.prec)
-        p, k = self.ring.p, 0
-        while k < self.prec and not v % p:
-            v //= p
-            k += 1
-        return k
 
     def invert(self, v):
         return pow(v, -1, self.pk) if self.native else v.invert()
@@ -169,7 +171,8 @@ class Values:
 # ---------------------------------------------------------------------------
 # F_p[t] helpers (dense low-to-high coefficient lists), used only for
 # modulus validation and inversion mod p.  A product reduced by a monic
-# modulus is exact over Z, so _zpoly_mul_reduce serves here too.
+# modulus is exact over Z, so _zpoly_mul_reduce and _zpoly_pow serve here
+# too.
 
 def _fp_trim(a):
     while a and a[-1] == 0:
@@ -209,14 +212,8 @@ def _fp_is_irreducible(coeffs, p):
     m = len(coeffs) - 1
     if m < 1:
         return False
-
-    def t_power(e):
-        # t^e mod (coeffs, p), as m coefficients
-        mulmod = lambda a, b: [c % p for c in _zpoly_mul_reduce(a, b, coeffs)]
-        return _power(mulmod, [1], [0, 1], e)
-
     # t^(p^m) == t mod f
-    if _fp_trim(t_power(p**m)) != [0, 1]:
+    if _fp_trim(_zpoly_pow([0, 1], p**m, coeffs, p)) != [0, 1]:
         return False
     d = 2
     mm = m
@@ -230,7 +227,7 @@ def _fp_is_irreducible(coeffs, p):
     if mm > 1:
         prime_divs.add(mm)
     for q in prime_divs:
-        h = t_power(p ** (m // q))
+        h = _zpoly_pow([0, 1], p ** (m // q), coeffs, p)
         h[1] -= 1
         if len(_fp_euclid(coeffs, h, p)[0]) != 1:
             return False
@@ -255,6 +252,12 @@ def _zpoly_mul_reduce(a, b, mlift):
             for i in range(m):
                 out[d - m + i] -= c * mlift[i]
     return out[:m] + [0] * (m - len(out))
+
+
+def _zpoly_pow(base, e, mlift, pk):
+    """base**e in (Z/pk)[t]/(mlift) for e >= 0, as m coefficients."""
+    mulmod = lambda a, b: [c % pk for c in _zpoly_mul_reduce(a, b, mlift)]
+    return _power(mulmod, [1] + [0] * (len(mlift) - 2), base, e)
 
 
 @dataclass(frozen=True)
@@ -292,7 +295,32 @@ class RingParams:
         return self.p**self.m
 
 
-class WittElement:
+class _Element:
+    """Operator wiring of both element classes, over each class's own
+    ``_coerce`` (an operand as an element of this ring, or None) and
+    ``_add(other, sign)``."""
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return not self
+
+    def __add__(self, other):
+        return self._add(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+
+class WittElement(_Element):
     """Element of a WittRing: polynomial coefficients mod p^prec.
 
     Canonical representatives live in [0, p^prec).  Instances are
@@ -328,24 +356,13 @@ class WittElement:
         # False exactly for zero, as for numbers
         return any(self.coeffs)
 
-    def is_zero(self):
-        return not self
-
     def is_unit(self):
         p = self.ring.p
         return any(c % p for c in self.coeffs)
 
     def valuation(self):
         """min p-adic valuation over coefficients; prec when zero."""
-        p, best = self.ring.p, self.prec
-        for c in self.coeffs:
-            if c:
-                v = 0
-                while c % p == 0:
-                    c //= p
-                    v += 1
-                best = min(best, v)
-        return best
+        return min(_vp(c, self.ring.p, self.prec) for c in self.coeffs)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -353,8 +370,6 @@ class WittElement:
             return NotImplemented
         pk = self.ring.p ** min(self.prec, o.prec)
         return all(a % pk == b % pk for a, b in zip(self.coeffs, o.coeffs))
-
-    __hash__ = None
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -377,23 +392,9 @@ class WittElement:
             self.ring, tuple((a + sign * b) % pk for a, b in zip(self.coeffs, o.coeffs)), prec
         )
 
-    def __add__(self, other):
-        return self._add(other, 1)
-
-    __radd__ = __add__
-
     def __neg__(self):
         pk = self.ring.p**self.prec
         return WittElement(self.ring, tuple(-c % pk for c in self.coeffs), self.prec)
-
-    def __sub__(self, other):
-        return self._add(other, -1)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -413,10 +414,10 @@ class WittElement:
         if e < 0:
             return self.invert() ** (-e)
         ring = self.ring
+        pk = ring.p**self.prec
         if ring.m == 1:
-            pk = ring.p**self.prec
             return WittElement(ring, (pow(self.coeffs[0], e, pk),), self.prec)
-        return _power(mul, ring.one.at_prec(self.prec), self, e)
+        return WittElement(ring, tuple(_zpoly_pow(self.coeffs, e, ring.mlift, pk)), self.prec)
 
     def invert(self):
         ring, p = self.ring, self.ring.p
@@ -602,7 +603,7 @@ class WittRing:
 # ---------------------------------------------------------------------------
 
 
-class SeriesElement:
+class SeriesElement(_Element):
     """Truncated power series over Q as integer numerators over one
     denominator: the coefficient of t^i is ``num[i] / den`` for i < trunc.
 
@@ -650,9 +651,6 @@ class SeriesElement:
     def __bool__(self):
         return any(self.num)
 
-    def is_zero(self):
-        return not self
-
     def is_unit(self):
         return self.num[0] != 0
 
@@ -667,8 +665,6 @@ class SeriesElement:
         if o is None:
             return NotImplemented
         return all(a * o.den == b * self.den for a, b in zip(self.num, o.num))
-
-    __hash__ = None
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
@@ -686,22 +682,8 @@ class SeriesElement:
         num = tuple(a * fa + b * fb for a, b in zip(self.num, o.num))
         return SeriesElement(self.ring, num, self.den * fa, len(num))
 
-    def __add__(self, other):
-        return self._add(other, 1)
-
-    __radd__ = __add__
-
     def __neg__(self):
         return SeriesElement(self.ring, tuple(-c for c in self.num), self.den, self.trunc)
-
-    def __sub__(self, other):
-        return self._add(other, -1)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)

@@ -12,8 +12,10 @@ settings.load_profile("delta-forge")
 
 @pytest.fixture
 def deadline():
-    """Context manager that fails the block with TimeoutError once it has
-    run for the given seconds (SIGALRM, so it also stops a hung loop)."""
+    """Context manager that fails the test once the block has run for the
+    given seconds (SIGALRM, so it also stops a hung loop).  The failure
+    is reported by its message alone (``pytrace=False``): formatting a
+    traceback through the frame the alarm interrupted can crash pytest."""
 
     @contextmanager
     def within(seconds):
@@ -24,6 +26,8 @@ def deadline():
         signal.setitimer(signal.ITIMER_REAL, seconds)
         try:
             yield
+        except TimeoutError as exc:
+            pytest.fail(str(exc), pytrace=False)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)

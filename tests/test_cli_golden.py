@@ -12,12 +12,18 @@ order (its output is now printed mod t^4, not t^6).
 The three ``decompose`` error cases at the end, whose documents carry an
 exact non-unit trailing minor or determinant, were recorded before
 elimination began to pivot on entries of least valuation.
+The five cases after them (a ``jet-prolong`` fed the document that
+``--times 0`` prints, ``conjugated-torus`` coherence on the arithmetic
+backend with and without ``--u``, and a ``coboundary`` map given as
+``{"v": ...}``) were recorded before ``psi`` moved to Horner's rule and
+the ring layer to one valuation, one power and one operator wiring.
 ``selftest`` is left out because its report holds wall-clock seconds.
 To re-record after an intended output change, print
 ``hashlib.sha256(out.encode()).hexdigest()`` for each case.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -25,6 +31,13 @@ from delta_forge.cli import main
 
 # a classified cocycle on GL_3 over W(Z/5^4)
 C3 = '{"omega":{"lambda":[[67],[97]]},"v":{"n":3,"rows":[[[23],[89],[4]],[[60],[85],[7]],[[1],[2],[3]]]}}'
+
+# a classified cocycle on GL_2 over W(Z/5^3)
+C2 = '{"omega":{"lambda":[[67],[97]]},"v":{"n":2,"rows":[[[23],[89]],[[60],[85]]]}}'
+# the document that `jet-prolong --p 3 --prec 4 --times 0 'x0*x1 + 2*x0^2'` prints
+T0 = json.dumps({"order": 0, "terms": [{"coefficient": [1], "exponents": [[0, 0, 1], [1, 0, 1]]},
+                                       {"coefficient": [2], "exponents": [[0, 0, 2]]}],
+                 "text": "x0*x1 + 2*x0^2"}, indent=2, sort_keys=True) + "\n"
 
 CASES = [
     (('ring-info', '--p', '5', '--prec', '3'),
@@ -153,6 +166,16 @@ CASES = [
      2, '3fa020eea50e58b2a3c971b0ceeebe5be15aae4b0995ab14e3976c783f15b0a6'),
     (('decompose', '--p', '5', '--prec', '3', '--precondition', '--seed', '7', '{"n":4,"rows":[[6,2,5,3],[5,5,0,2],[2,1,4,2],[2,7,6,6]]}'),
      2, '0966469795c5ddf43d536c1c2a8b49b89299cbe7ba23b07aebab89a284bb5209'),
+    (('jet-prolong', '--p', '3', '--prec', '4', '--times', '1', T0),
+     0, '2699a51916494e3881667c4934e5d74b6a3a20be820b9fc4d9232a44a07da89e'),
+    (('coherence-check', '--p', '5', '--prec', '3', '--n', '2', '--samples', '5', '--seed', '7', '--subgroup', 'conjugated-torus', '--cocycle', C2),
+     1, 'dde979920b3d33c340475af5e1ab192a560eba08f8b07f0d473f991b1cb91c67'),
+    (('coherence-check', '--p', '3', '--prec', '4', '--m', '2', '--n', '2', '--samples', '5', '--seed', '7', '--subgroup', 'conjugated-torus', '--cocycle', '{"omega":{"lambda":[[67,23]]},"v":{"n":2,"rows":[[[60,16],[0,77]],[[58,59],[17,21]]]}}'),
+     1, '1332203e4bca60ec27b4aed2c11777ab7ec64e4be38cc7923fbe04e0c7e1cff0'),
+    (('coherence-check', '--p', '5', '--prec', '3', '--n', '2', '--samples', '5', '--seed', '7', '--subgroup', 'conjugated-torus', '--u', '{"n":2,"rows":[[1,57],[57,1]]}', '--cocycle', C2),
+     1, 'b1e840942e9736f109a186bbe466637fc9e4e758ffa7b66d5bf700fb0c1c9867'),
+    (('cocycle-check', '--p', '5', '--prec', '3', '--n', '3', '--samples', '5', '--seed', '7', '--map', 'coboundary', '--cocycle', '{"v":{"n":3,"rows":[[1,2,0],[0,1,3],[4,0,1]]}}'),
+     0, '17136e01610ee3b459d721ec60a77fafa00bc4961b8eefb6321de0650eb689d1'),
 ]
 
 

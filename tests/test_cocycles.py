@@ -321,6 +321,15 @@ class TestSolveLinear:
             solve_linear(ring, rows, [ring.one, ring.one, ring.one])
         assert (info.value.column, info.value.valuation) == (1, 2)
 
+    def test_zero_column_has_no_valuation(self, ring):
+        from delta_forge.errors import SingularPivotError
+
+        # a consistent system whose column 1 is zero: no pivot there at all
+        rows = [[ring.from_int(c) for c in r] for r in ([1, 0], [2, 0])]
+        with pytest.raises(SingularPivotError) as info:
+            solve_linear(ring, rows, [ring.one, ring.from_int(2)])
+        assert (info.value.column, info.value.valuation) == (1, None)
+
     def test_inconsistent(self, ring):
         from delta_forge.errors import InconsistentSystemError
 

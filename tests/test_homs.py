@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delta_forge import (
     GaHomParams,
@@ -103,6 +106,46 @@ class TestPsi:
     def test_precision(self):
         ring = make_ring(3, 6)
         assert psi(ring.from_int(2)).prec == 5
+
+
+# the largest precision the property below draws, per prime
+PSI_N = {3: 6, 5: 5, 7: 4}
+
+
+@lru_cache
+def psi_ring(p, m):
+    return make_ring(p, PSI_N[p], m)
+
+
+@st.composite
+def psi_inputs(draw):
+    """A unit of W(F_{p^m}) at a precision in [2, N]: random, Teichmueller
+    (u = 0), or a Teichmueller unit times 1 + p^k x, k >= 2 (v(u) >= 1)."""
+    p = draw(st.sampled_from(sorted(PSI_N)))
+    ring = psi_ring(p, draw(st.sampled_from((1, 2, 3))))
+    prec = draw(st.integers(2, ring.prec))
+    kind = draw(st.sampled_from(("random", "teichmueller", "near-teichmueller")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "random":
+        return ring.random_unit(rng, prec), kind
+    r = ring.teichmueller(ring.random_unit(rng)).at_prec(prec)
+    if kind == "teichmueller" or prec < 3:
+        return r, "teichmueller"
+    k = rng.randrange(2, prec)
+    return r * (ring.one.at_prec(prec) + p**k * ring.random_element(rng, prec)), kind
+
+
+@settings(max_examples=150)
+@given(psi_inputs())
+def test_psi_matches_series_oracle(case):
+    a, kind = case
+    u = a.delta() * (a**a.ring.p).invert()
+    if kind == "teichmueller":
+        assert u.is_zero()
+    elif kind == "near-teichmueller":
+        assert u.valuation() >= 1
+    got, want = psi(a), psi_series_oracle(a)
+    assert got == want and got.prec == want.prec == a.prec - 1
 
 
 class TestGaHom:

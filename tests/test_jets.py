@@ -13,6 +13,7 @@ from delta_forge import (
     parse_polynomial,
     prolong,
 )
+from delta_forge import jets
 from delta_forge.errors import ArityError, InputError, PrecisionExhausted, TermBudgetError
 from delta_forge.jets import JetPoint
 from delta_forge.rings import ARITHMETIC, SeriesRing, _zpoly_mul_reduce, make_ring
@@ -160,11 +161,14 @@ class TestEvalJet:
 
 
 class TestTermBudget:
-    def test_cap_enforced(self, ring):
+    def test_cap_enforced(self, ring, monkeypatch):
         f = parse_polynomial("x0 + x1 + x2", ring)
-        f.term_cap = 2
-        with pytest.raises(TermBudgetError):
-            f * f
+        g = parse_polynomial("x0", ring)
+        monkeypatch.setattr(jets, "TERM_CAP", 2)
+        # the cap binds whichever operand comes first
+        for x, y in ((f, f), (g, f), (f, g)):
+            with pytest.raises(TermBudgetError):
+                x * y
 
 
 def test_mixed_rings_rejected(ring):

@@ -10,7 +10,9 @@ A call imports only what its subcommand uses: this module loads the ring
 backends, their JSON encoding and the homomorphisms (a small module, and
 ``psi`` stays a name of this module for tracers that patch it here); each
 handler imports the layer it runs (jets, matrices, cocycles, decomp or
-selftest) in its body.
+selftest) in its body.  No call loads ``dataclasses``, and only calls that
+run the series backend (``--backend kolchin``, and selftest) load
+``fractions``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ solving on SL_n samples, where the determinant part contributes nothing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .errors import DeltaForgeError, BackendError, InputError, PrecisionExhausted
 from .homs import GmHomParams, gm_hom
@@ -23,7 +22,7 @@ from .matrices import (
     random_sl,
     solve_linear,
 )
-from .rings import KOLCHIN
+from .rings import KOLCHIN, Record
 
 TORUS = "torus"
 SL = "sl_n"
@@ -33,28 +32,30 @@ CONJUGATED_TORUS = "conjugated-torus"
 RECOVER_EXTRA_SAMPLES = 2
 
 
-@dataclass(frozen=True)
-class ClassifiedCocycle:
+class ClassifiedCocycle(Record):
     """Parameters (omega, v) of a classified cocycle."""
 
-    omega: GmHomParams
-    v: SquareMatrix
+    __slots__ = ("omega", "v")
+
+    def __init__(self, omega: GmHomParams, v: SquareMatrix):
+        super().__init__(omega, v)
 
     @property
     def order(self) -> int:
         return self.omega.order
 
 
-@dataclass(frozen=True)
-class DeltaMapHandle:
+class DeltaMapHandle(Record):
     """Black-box matrix map of a declared order.
 
     Calling the handle evaluates the wrapped map and truncates every
     entry to (input precision - order); precision below one digit raises.
     """
 
-    evaluator: object
-    order: int
+    __slots__ = ("evaluator", "order")
+
+    def __init__(self, evaluator, order: int):
+        super().__init__(evaluator, order)
 
     def __call__(self, g: SquareMatrix) -> SquareMatrix:
         out_prec = g.prec - self.order
@@ -65,12 +66,12 @@ class DeltaMapHandle:
         return self.evaluator(g).reduce_prec(out_prec)
 
 
-@dataclass
-class CocycleReport:
-    passed: bool
-    samples: int
-    precision: int
-    counterexample: dict | None = field(default=None)
+class CocycleReport(Record):
+    __slots__ = ("passed", "samples", "precision", "counterexample")
+
+    def __init__(self, passed: bool, samples: int, precision: int,
+                 counterexample: dict | None = None):
+        super().__init__(passed, samples, precision, counterexample)
 
     def to_dict(self):
         out = {
@@ -200,8 +201,7 @@ def recover(f: DeltaMapHandle, ring, n: int, seed: int = 0):
 _BLOCK_MEMO_SIZE = 4
 
 
-@dataclass(frozen=True)
-class HBlockComponents:
+class HBlockComponents(Record):
     """Block reading of a handle on the subgroup [[a, b], [0, 1_{n-1}]].
 
     alpha, beta, gamma and epsilon of one point share one handle
@@ -211,10 +211,10 @@ class HBlockComponents:
     b list mutated in place, or equal values in new objects, miss.
     """
 
-    handle: DeltaMapHandle
-    ring: object
-    n: int
-    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("handle", "ring", "n", "_memo")
+
+    def __init__(self, handle: DeltaMapHandle, ring, n: int):
+        super().__init__(handle, ring, n, {})
 
     def _eval(self, a, b):
         b = tuple(b)

@@ -17,7 +17,6 @@ sequence, and hence the word length, depends only on n.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain, permutations
 from math import factorial
 
@@ -29,13 +28,15 @@ from .errors import (
     ShapeError,
 )
 from .matrices import SquareMatrix
-from .rings import dot
+from .rings import Record, dot
 from .serialize import all_ints, elem_from_json, elem_to_json
 
 
-@dataclass(frozen=True)
-class PermFactor:
-    sigma: tuple
+class PermFactor(Record):
+    __slots__ = ("sigma",)
+
+    def __init__(self, sigma: tuple):
+        super().__init__(sigma)
 
     def matrix(self, ring):
         return SquareMatrix.permutation(ring, self.sigma)
@@ -44,10 +45,11 @@ class PermFactor:
         return {"kind": "perm", "sigma": list(self.sigma)}
 
 
-@dataclass(frozen=True)
-class SFactor:
-    a: object
-    b: tuple
+class SFactor(Record):
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b: tuple):
+        super().__init__(a, b)
 
     def matrix(self, ring):
         return SquareMatrix.h_block(ring, self.a, self.b)
@@ -60,26 +62,24 @@ class SFactor:
         }
 
 
-@dataclass(frozen=True)
-class DecompositionWord:
+class DecompositionWord(Record):
     """Alternating factor sequence perm, s, perm, ..., s, perm."""
 
-    n: int
-    factors: tuple
+    __slots__ = ("n", "factors")
 
-    def __post_init__(self):
-        fs = self.factors
-        if len(fs) % 2 == 0 or not fs:
+    def __init__(self, n: int, factors: tuple):
+        if len(factors) % 2 == 0 or not factors:
             raise ShapeError("word must alternate w0 s1 w1 ... sL wL")
-        for i, f in enumerate(fs):
+        for i, f in enumerate(factors):
             if i % 2 == 0 and not isinstance(f, PermFactor):
                 raise ShapeError(f"factor {i} must be a permutation")
             if i % 2 == 1 and not isinstance(f, SFactor):
                 raise ShapeError(f"factor {i} must be an s-block")
-            if isinstance(f, PermFactor) and len(f.sigma) != self.n:
+            if isinstance(f, PermFactor) and len(f.sigma) != n:
                 raise ShapeError(f"permutation factor {i} has wrong size")
-            if isinstance(f, SFactor) and len(f.b) != self.n - 1:
+            if isinstance(f, SFactor) and len(f.b) != n - 1:
                 raise ShapeError(f"s factor {i} has wrong size")
+        super().__init__(n, factors)
 
     @property
     def length(self) -> int:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
 
 from .errors import BackendError, InputError, NonUnitError
-from .rings import ARITHMETIC, _vp, dot
+from .rings import ARITHMETIC, Record, _vp, dot
 from .serialize import elem_to_json
 
 ADDITIVE = "additive"
@@ -29,29 +28,27 @@ def _trim(lam):
     return tuple(lam)
 
 
-@dataclass(frozen=True)
-class GaHomParams:
+class GaHomParams(Record):
     """Coefficients lambda_0..lambda_r of an additive-group family."""
 
-    lam: tuple
+    __slots__ = ("lam",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _trim(self.lam))
+    def __init__(self, lam):
+        super().__init__(_trim(lam))
 
     @property
     def order(self) -> int:
         return max(len(self.lam) - 1, 0)
 
 
-@dataclass(frozen=True)
-class GmHomParams:
+class GmHomParams(Record):
     """Coefficients lambda_0..lambda_r applied to psi (resp. the
     logarithmic derivative) of a unit."""
 
-    lam: tuple
+    __slots__ = ("lam",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _trim(self.lam))
+    def __init__(self, lam):
+        super().__init__(_trim(lam))
 
     @property
     def order(self) -> int:
@@ -59,14 +56,13 @@ class GmHomParams:
         return len(self.lam)
 
 
-@dataclass(frozen=True)
-class TwistedCocycleParams:
-    mu: object
-    s: int
+class TwistedCocycleParams(Record):
+    __slots__ = ("mu", "s")
 
-    def __post_init__(self):
-        if self.s == 0:
+    def __init__(self, mu, s):
+        if s == 0:
             raise InputError("twist exponent s must be nonzero")
+        super().__init__(mu, s)
 
 
 def _past_target(p: int, n: int, vu: int, target: int) -> bool:
@@ -156,12 +152,11 @@ def twisted_cocycle(params: TwistedCocycleParams, a):
     return params.mu * (one - a**params.s)
 
 
-@dataclass
-class HomReport:
-    passed: bool
-    samples: int
-    law: str
-    counterexample: dict | None = field(default=None)
+class HomReport(Record):
+    __slots__ = ("passed", "samples", "law", "counterexample")
+
+    def __init__(self, passed: bool, samples: int, law: str, counterexample: dict | None = None):
+        super().__init__(passed, samples, law, counterexample)
 
     def to_dict(self):
         out = {"pass": self.passed, "samples": self.samples, "law": self.law}

@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import reduce
 from math import comb
 from operator import mul, or_
 
 from .errors import ArityError, InputError, PrecisionExhausted, TermBudgetError
-from .rings import ARITHMETIC, Values, _power, same_ring
+from .rings import ARITHMETIC, Record, Values, _power, same_ring
 from .serialize import elem_from_json, elem_to_json
 
 # most terms any polynomial may have; a larger result raises TermBudgetError
@@ -388,13 +387,13 @@ def _coeff_str(c):
     return "[" + ",".join(str(x) for x in coeffs) + "]"
 
 
-@dataclass(frozen=True)
-class JetPresentation:
+class JetPresentation(Record):
     """Generators (f, delta f, ..., delta^n f) of a jet-space presentation."""
 
-    generators: tuple
-    level: int
-    base_count: int
+    __slots__ = ("generators", "level", "base_count")
+
+    def __init__(self, generators: tuple, level: int, base_count: int):
+        super().__init__(generators, level, base_count)
 
 
 def prolong(f: JetPolynomial) -> JetPolynomial:

@@ -22,8 +22,6 @@ precision, held as int residues on W(Z/p^N) and as elements elsewhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import product, zip_longest
 from math import gcd, lcm
@@ -260,35 +258,74 @@ def _zpoly_pow(base, e, mlift, pk):
     return _power(mulmod, [1] + [0] * (len(mlift) - 2), base, e)
 
 
-@dataclass(frozen=True)
-class RingParams:
-    """Parameters of a truncated Witt ring W(F_{p^m}) mod p^prec."""
+class Record:
+    """Base of the library's immutable value classes.
 
-    p: int
-    prec: int
-    m: int = 1
-    modulus: tuple = ()  # F_p coefficients low-to-high, length m+1, monic
+    A subclass names its fields in ``__slots__``, in the order of its
+    ``__init__``, which validates its arguments and hands the values of
+    its slots to ``Record.__init__`` in that order.  Slots whose names begin with an
+    underscore hold private state (a cache) and take no part in equality,
+    hashing or repr.  Instances compare equal field by field, and only to
+    instances of the same class; assigning or deleting an attribute after
+    construction raises AttributeError.
+    """
 
-    def __post_init__(self):
-        if not _is_prime(self.p) or self.p == 2:
-            raise InputError(f"p must be an odd prime, got {self.p}")
-        if self.prec < 2:
-            raise InputError(f"prec must be >= 2, got {self.prec}")
-        if self.m < 1:
-            raise InputError(f"m must be >= 1, got {self.m}")
-        if self.m == 1:
-            if self.modulus and tuple(self.modulus) != (0, 1):
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, n) for n in self.__slots__ if n[0] != "_")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {self.__class__.__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {self.__class__.__name__}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not by assignment
+        return self.__class__, self._values()
+
+
+class RingParams(Record):
+    """Parameters of a truncated Witt ring W(F_{p^m}) mod p^prec; modulus
+    holds F_p coefficients low-to-high, length m+1, monic."""
+
+    __slots__ = ("p", "prec", "m", "modulus")
+
+    def __init__(self, p, prec, m=1, modulus=()):
+        if not _is_prime(p) or p == 2:
+            raise InputError(f"p must be an odd prime, got {p}")
+        if prec < 2:
+            raise InputError(f"prec must be >= 2, got {prec}")
+        if m < 1:
+            raise InputError(f"m must be >= 1, got {m}")
+        if m == 1:
+            if modulus and tuple(modulus) != (0, 1):
                 raise InputError("m=1 takes no modulus")
-            object.__setattr__(self, "modulus", (0, 1))
-            return
-        mod = tuple(c % self.p for c in self.modulus)
-        if len(mod) != self.m + 1 or mod[-1] != 1:
-            raise InputError(
-                f"modulus must be monic of degree m={self.m}, got {self.modulus}"
-            )
-        if not _fp_is_irreducible(list(mod), self.p):
-            raise InputError(f"modulus {self.modulus} is reducible over F_{self.p}")
-        object.__setattr__(self, "modulus", mod)
+            mod = (0, 1)
+        else:
+            mod = tuple(c % p for c in modulus)
+            if len(mod) != m + 1 or mod[-1] != 1:
+                raise InputError(f"modulus must be monic of degree m={m}, got {modulus}")
+            if not _fp_is_irreducible(list(mod), p):
+                raise InputError(f"modulus {modulus} is reducible over F_{p}")
+        super().__init__(p, prec, m, mod)
 
     @property
     def q(self) -> int:
@@ -297,8 +334,8 @@ class RingParams:
 
 class _Element:
     """Operator wiring of both element classes, over each class's own
-    ``_coerce`` (an operand as an element of this ring, or None) and
-    ``_add(other, sign)``."""
+    ``__neg__`` and ``_add(other, sign)``, which returns NotImplemented for
+    an operand that is neither a number nor an element of the same ring."""
 
     __slots__ = ()
 
@@ -314,10 +351,7 @@ class _Element:
         return self._add(other, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return (-self)._add(other, 1)
 
 
 class WittElement(_Element):
@@ -365,6 +399,11 @@ class WittElement(_Element):
         return min(_vp(c, self.ring.p, self.prec) for c in self.coeffs)
 
     def __eq__(self, other):
+        if isinstance(other, int):
+            # an int is a constant: compare the first coefficient, and the
+            # others with zero
+            c = self.coeffs
+            return (c[0] - other) % self.ring.p**self.prec == 0 and not any(c[1:])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -383,6 +422,10 @@ class WittElement(_Element):
         return None
 
     def _add(self, other, sign):
+        if isinstance(other, int):
+            c = self.coeffs
+            first = (c[0] + sign * other) % self.ring.p**self.prec
+            return WittElement(self.ring, (first, *c[1:]), self.prec)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -632,6 +675,8 @@ class SeriesElement(_Element):
 
     @property
     def coeffs(self):
+        from fractions import Fraction
+
         return tuple(Fraction(c, self.den) for c in self.num)
 
     def __repr__(self):
@@ -667,11 +712,14 @@ class SeriesElement(_Element):
         return all(a * o.den == b * self.den for a, b in zip(self.num, o.num))
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.ring.from_rational(other, trunc=self.trunc)
         if isinstance(other, SeriesElement):
             return other
-        return None
+        if not isinstance(other, int):
+            from fractions import Fraction
+
+            if not isinstance(other, Fraction):
+                return None
+        return self.ring.from_rational(other, trunc=self.trunc)
 
     def _add(self, other, sign):
         o = self._coerce(other)
@@ -766,6 +814,8 @@ class SeriesRing:
         trunc = self.trunc if trunc is None else trunc
         if trunc < 1 or trunc > self.trunc:
             raise PrecisionExhausted(f"truncation {trunc} outside [1, {self.trunc}]")
+        from fractions import Fraction
+
         coeffs = [Fraction(c) for c in coeffs][:trunc]
         den = lcm(*(c.denominator for c in coeffs))
         num = [c.numerator * (den // c.denominator) for c in coeffs]

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 from .cocycles import (
     ClassifiedCocycle,
@@ -31,7 +30,7 @@ from .homs import GmHomParams, TwistedCocycleParams, check_hom, gm_hom, psi, twi
 from .jets import JetPolynomial, eval_jet, nabla
 from .matrices import SquareMatrix, random_constant_gl, random_gl
 # find_irreducible is re-exported: perfbench calls and traces selftest.find_irreducible
-from .rings import DEFAULT_SEED, SeriesRing, dot, find_irreducible, make_ring  # noqa: F401
+from .rings import DEFAULT_SEED, Record, SeriesRing, dot, find_irreducible, make_ring  # noqa: F401
 
 
 def _sc(n, scale):
@@ -427,12 +426,11 @@ CRITERIA = [
 ]
 
 
-@dataclass
-class CriterionResult:
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CriterionResult(Record):
+    __slots__ = ("name", "passed", "detail", "seconds")
+
+    def __init__(self, name: str, passed: bool, detail: str, seconds: float):
+        super().__init__(name, passed, detail, seconds)
 
 
 def run_selftest(profile: str = "quick", seed: int = DEFAULT_SEED, out=None):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InputError
 from .rings import ARITHMETIC, SeriesElement, WittElement
 
@@ -28,7 +26,11 @@ def _coefficient(ring, c):
         return c
     if isinstance(c, str):
         try:
-            return int(c) if ring.kind == ARITHMETIC else Fraction(c)
+            if ring.kind == ARITHMETIC:
+                return int(c)
+            from fractions import Fraction
+
+            return Fraction(c)
         except (ValueError, ZeroDivisionError):
             pass
     raise InputError(f"cannot decode coefficient from {c!r}")

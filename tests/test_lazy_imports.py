@@ -1,6 +1,7 @@
 """Lazy loading: ``import delta_forge`` imports no submodule, its public
 names resolve on first use, and each CLI call imports only the modules of
-its subcommand (checked in a fresh interpreter per call)."""
+its subcommand, never ``dataclasses``, and ``fractions`` only on the series
+backend (checked in a fresh interpreter per call)."""
 
 import importlib
 import json
@@ -95,6 +96,7 @@ def test_default_seed_is_shared():
 
 _PROBE = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 argv = sys.argv[1:]
 if argv:
     from delta_forge.cli import main
@@ -103,22 +105,26 @@ if argv:
 else:
     import delta_forge
     code = None
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "delta_forge")]))
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 
 
 def _loaded(argv):
-    """(exit code, library modules loaded) of one call in a fresh interpreter."""
+    """(exit code, library modules loaded, other modules loaded) of one call
+    in a fresh interpreter, beyond those loaded before the call."""
     env = {k: v for k, v in os.environ.items() if k != "DELTA_FORGE_SEED"}
     env["PYTHONPATH"] = SRC
     out = subprocess.run([sys.executable, "-c", _PROBE, *argv], capture_output=True,
                          text=True, env=env, timeout=120, check=True)
-    code, modules = json.loads(out.stdout)
-    return code, {m.removeprefix("delta_forge.") for m in modules} - {"delta_forge"}
+    code, added = json.loads(out.stdout)
+    ours = {m for m in added if m.split(".")[0] == "delta_forge"}
+    return code, {m.removeprefix("delta_forge.") for m in ours} - {"delta_forge"}, set(added) - ours
 
 
 def test_import_loads_no_submodule():
-    assert _loaded([]) == (None, set())
+    code, modules, others = _loaded([])
+    assert (code, modules) == (None, set())
+    assert not {"dataclasses", "fractions"} & others
 
 
 COCYCLE = '{"omega":{"lambda":[[67],[97]]},"v":{"n":2,"rows":[[[23],[89]],[[60],[85]]]}}'
@@ -150,6 +156,55 @@ CALLS = [
 
 @pytest.mark.parametrize("argv, modules", CALLS, ids=[argv[0] for argv, _ in CALLS])
 def test_cli_call_loads_only_its_subcommands_modules(argv, modules):
-    code, loaded = _loaded(argv)
+    code, loaded, others = _loaded(argv)
     assert code == 0
     assert loaded == modules
+    assert "dataclasses" not in others
+    # rationals appear only on the series backend, which selftest runs too
+    assert ("fractions" in others) == ("kolchin" in argv or argv[0] == "selftest")
+
+
+def test_call_on_a_degree_3_extension():
+    # cli-session runs its calls on m = 2 and m = 3 rings
+    code, loaded, others = _loaded(("psi", "--ring", '{"p":3,"prec":4,"m":3}', "[1,2,0]"))
+    assert (code, loaded) == (0, BASE)
+    assert not {"dataclasses", "fractions"} & others
+
+
+_RATIONALS = """
+import json
+from fractions import Fraction
+from delta_forge.errors import InputError
+from delta_forge.rings import SeriesRing
+from delta_forge.serialize import elem_from_json
+R = SeriesRing(4)
+x, c = R.element([1, 2, -3]), Fraction(-3, 4)
+show = lambda y: [str(v) for v in y.coeffs] + [y.prec]
+out = [show(y) for y in (x + c, c + x, x - c, c - x, x * c, c * x)]
+out += [x == c, c == x, R.from_int(c) == c, c == R.from_int(c), x != c]
+out += [show(elem_from_json(R, "-3/4")), show(elem_from_json(R, ["1/2", -3, "7"]))]
+try:
+    elem_from_json(R, "1/0")
+except InputError as exc:
+    out.append(str(exc))
+print(json.dumps(out))
+"""
+
+
+def test_rational_operands_in_a_fresh_interpreter():
+    env = {k: v for k, v in os.environ.items() if k != "DELTA_FORGE_SEED"}
+    env["PYTHONPATH"] = SRC
+    out = subprocess.run([sys.executable, "-c", _RATIONALS], capture_output=True,
+                         text=True, env=env, timeout=120, check=True)
+    assert json.loads(out.stdout) == [
+        ["1/4", "2", "-3", "0", 4], ["1/4", "2", "-3", "0", 4],
+        ["7/4", "2", "-3", "0", 4], ["-7/4", "-2", "3", "0", 4],
+        ["-3/4", "-3/2", "9/4", "0", 4], ["-3/4", "-3/2", "9/4", "0", 4],
+        False, False, True, True, True,
+        ["-3/4", "0", "0", "0", 4], ["1/2", "-3", "7", "0", 4],
+        "cannot decode coefficient from '1/0'",
+    ]
+    bad = subprocess.run([sys.executable, "-m", "delta_forge.cli", "delta-eval", "--backend",
+                          "kolchin", "--trunc", "4", '["1/0"]'], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert bad.returncode == 2 and "Traceback" not in bad.stderr

@@ -335,6 +335,40 @@ class TestKernels:
             assert x * inv == 1
 
 
+class TestIntOperands:
+    # x + c, c + x, x - c, c - x and x == c for an int c, against the same
+    # operation on the element ring.from_int(c, prec=x.prec)
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_match_the_element_operand(self, p, m):
+        ring = W(p, 4, m)
+        rng = random.Random(p * 10 + m)
+        pN = p**ring.prec
+        ints = [0, 1, -1, p - 1, p, -p - 2, pN, pN + 7, -pN, -3 * pN + 2, 5 * pN**2 + 4]
+        as_pair = lambda x: (x.coeffs, x.prec)
+        for prec in range(1, ring.prec + 1):
+            xs = [ring.random_element(rng, prec) for _ in range(3)]
+            xs += [ring.from_int(c, prec) for c in ints]
+            for x in xs:
+                for c in ints:
+                    e = ring.from_int(c, prec=x.prec)
+                    assert as_pair(x + c) == as_pair(x + e)
+                    assert as_pair(c + x) == as_pair(e + x)
+                    assert as_pair(x - c) == as_pair(x - e)
+                    assert as_pair(c - x) == as_pair(e - x)
+                    assert (x == c) == (x == e) and (c == x) == (e == x)
+                    assert (x != c) == (x != e)
+
+    def test_other_operands_are_not_implemented(self):
+        x = W(5, 3, 2).one
+        for other in (1.0, "1", None, W(7, 3).one):
+            for op in (lambda: x + other, lambda: other + x, lambda: x - other,
+                       lambda: other - x):
+                with pytest.raises(TypeError):
+                    op()
+            assert x != other and not x == other
+
+
 # The m = 1 branches of WittElement (int arithmetic mod p^prec) against the
 # kernels that every m >= 2 runs, on coefficient lists.
 

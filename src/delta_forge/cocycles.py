@@ -90,11 +90,13 @@ def coboundary(v: SquareMatrix, g: SquareMatrix) -> SquareMatrix:
 
 
 def classified_eval(c: ClassifiedCocycle, g: SquareMatrix) -> SquareMatrix:
-    """omega(det g) 1_n + g v g^{-1} - v."""
+    """omega(det g) 1_n + g v g^{-1} - v.
+
+    The coboundary runs first: inverting g keeps its determinant on g, so
+    the ``g.det()`` after it costs no second elimination."""
+    cob = coboundary(c.v, g)
     w = gm_hom(c.omega, g.det())
-    n = g.n
-    scalar = SquareMatrix.diagonal(g.ring, [w] * n)
-    return scalar + coboundary(c.v, g)
+    return SquareMatrix.diagonal(g.ring, [w] * g.n) + cob
 
 
 def classified_handle(c: ClassifiedCocycle) -> DeltaMapHandle:

@@ -13,7 +13,7 @@ import functools
 import random
 
 from .errors import BackendError, InputError, NonUnitError
-from .rings import ARITHMETIC, Record, _vp, dot
+from .rings import ARITHMETIC, Record, Values, _vp, dot
 from .serialize import elem_to_json
 
 ADDITIVE = "additive"
@@ -98,7 +98,8 @@ def psi(a):
         sum_{n>=1} (-1)^(n-1) (p^(n-1)/n) (delta a / a^p)^n
 
     evaluated in u = delta a / a^p by Horner's rule over the signed
-    coefficients, a table cached per (p, precision).  Term n has valuation
+    coefficients, a table cached per (p, precision), in the coefficient
+    domain ``Values`` (int residues on W(Z/p^N)).  Term n has valuation
     at least n - 1 - log_p(n) + n*val(u), which never decreases in n, so
     the polynomial stops before the first n where that bound reaches the
     working precision: no later term adds anything.  The result carries
@@ -113,11 +114,13 @@ def psi(a):
     u = a.delta() * (a**p).invert()
     target = u.prec
     vu = u.valuation()
-    acc = ring.from_int(0, prec=target)
+    dom = Values(ring, target)
+    x, red = dom.from_elem(u), dom.reduce
+    acc = dom.from_elem(ring.zero)
     for n, _, c in reversed(_psi_coefficients(p, target)):
         if not _past_target(p, n, vu, target):
-            acc = (acc + c) * u
-    return acc
+            acc = red((acc + c) * x)
+    return dom.to_elem(acc)
 
 
 def ga_hom(params: GaHomParams, a):

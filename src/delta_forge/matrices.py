@@ -8,6 +8,12 @@ an entry divisible by a pivot's power of pi is cleared by it exactly.  One
 elimination kernel, pivoting on an entry of least valuation, gives the
 determinant of every matrix, the unit test, the inverse and linear solving
 in O(n^3); a matrix is invertible exactly when every pivot is a unit.
+
+A matrix is eliminated at most once per job and keeps what it found:
+the determinant (which also answers the unit test) and the inverse each
+come from at most one elimination, an inversion gives the determinant
+too, and a second request costs nothing.  So a matrix's ``vals`` must
+never be mutated.
 """
 
 from __future__ import annotations
@@ -29,23 +35,33 @@ from .serialize import elem_from_json, elem_to_json
 class SquareMatrix:
     """Immutable n x n matrix at one precision ``prec``: ``vals`` holds the
     normal forms of its entries in ``dom = Values(ring, prec)``, and
-    ``[i, j]`` and ``rows`` give them back as elements."""
+    ``[i, j]`` and ``rows`` give them back as elements.
 
-    __slots__ = ("ring", "n", "prec", "dom", "vals")
+    ``_elim`` keeps what elimination found: None before any, else
+    (det, inverse) with the determinant's normal form and the inverse,
+    None until an augmented pass has produced it (or for ever, on a
+    matrix whose determinant is not a unit).  The inverse holds no
+    reference back, so the memo makes no reference cycle."""
+
+    __slots__ = ("ring", "n", "prec", "dom", "vals", "_elim")
 
     def __init__(self, ring, rows):
         rows = [list(r) for r in rows]
         if not rows or any(len(r) != len(rows) for r in rows):
             raise ShapeError("matrix rows must all have length n >= 1")
+        if not all(same_ring(ring, s) for s in {e.ring for r in rows for e in r}):
+            raise TypeError("matrix entries over a different ring")
         dom = Values(ring, min(e.prec for r in rows for e in r))
         self.ring, self.n, self.prec, self.dom = ring, len(rows), dom.prec, dom
         self.vals = [[dom.from_elem(e) for e in r] for r in rows]
+        self._elim = None
 
     @classmethod
     def _of(cls, dom, vals):
         """The matrix of the normal forms ``vals`` in ``dom``."""
         m = cls.__new__(cls)
         m.ring, m.n, m.prec, m.dom, m.vals = dom.ring, len(vals), dom.prec, dom, vals
+        m._elim = None
         return m
 
     @property
@@ -83,9 +99,9 @@ class SquareMatrix:
         n = len(sigma)
         if sorted(sigma) != list(range(n)):
             raise ShapeError(f"not a permutation: {sigma}")
-        return cls.from_rows(
-            ring, [[1 if j == sigma[i] else 0 for j in range(n)] for i in range(n)]
-        )
+        dom = Values(ring, ring.one.prec)
+        one, zero = dom.from_elem(ring.one), dom.from_elem(ring.zero)
+        return cls._of(dom, [[one if j == s else zero for j in range(n)] for s in sigma])
 
     @classmethod
     def h_block(cls, ring, a, b):
@@ -147,6 +163,8 @@ class SquareMatrix:
     def scale(self, c):
         if isinstance(c, int):
             c = self.ring.from_int(c)
+        elif not same_ring(self.ring, c.ring):
+            raise TypeError("scalar over a different ring")
         dom = Values(self.ring, min(self.prec, c.prec))
         x, red = dom.from_elem(c), dom.reduce
         return SquareMatrix._of(dom, [[red(x * v) for v in r] for r in self.vals])
@@ -155,19 +173,25 @@ class SquareMatrix:
         return self.dom.to_elem(reduce(add, (r[i] for i, r in enumerate(self.vals))))
 
     def det(self):
-        return self.dom.to_elem(_eliminate(self.dom, [list(r) for r in self.vals], self.n)[1])
+        if self._elim is None:
+            self._elim = (_eliminate(self.dom, [list(r) for r in self.vals], self.n)[1], None)
+        return self.dom.to_elem(self._elim[0])
 
     def is_unit(self):
         return self.det().is_unit()
 
     def invert(self):
         n, dom = self.n, self.dom
-        one, zero = dom.from_elem(self.ring.one), dom.from_elem(self.ring.zero)
-        aug = [r + [zero] * i + [one] + [zero] * (n - 1 - i) for i, r in enumerate(self.vals)]
-        d = _eliminate(dom, aug, n)[1]
-        if not dom.is_unit(d):
-            raise NonUnitError(dom.to_elem(d), "matrix determinant is not a unit")
-        return SquareMatrix._of(dom, [r[n:] for r in aug])
+        memo = self._elim
+        if memo is None or (memo[1] is None and dom.is_unit(memo[0])):
+            one, zero = dom.from_elem(self.ring.one), dom.from_elem(self.ring.zero)
+            aug = [r + [zero] * i + [one] + [zero] * (n - 1 - i) for i, r in enumerate(self.vals)]
+            d = _eliminate(dom, aug, n)[1]
+            inv = SquareMatrix._of(dom, [r[n:] for r in aug]) if dom.is_unit(d) else None
+            memo = self._elim = (d, inv)
+        if memo[1] is None:
+            raise NonUnitError(dom.to_elem(memo[0]), "matrix determinant is not a unit")
+        return memo[1]
 
     def block(self, r0, r1, c0, c1):
         return SquareMatrix._of(self.dom, [r[c0:c1] for r in self.vals[r0:r1]])

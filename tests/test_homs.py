@@ -17,6 +17,7 @@ from delta_forge import (
     twisted_cocycle,
 )
 from delta_forge.errors import BackendError, InputError, NonUnitError
+from delta_forge.homs import _past_target, _psi_coefficients
 from delta_forge.rings import SeriesRing, make_ring
 
 
@@ -51,8 +52,6 @@ class TestPsi:
             assert psi(ring.teichmueller(a)).is_zero()
 
     def test_matches_series_oracle(self):
-        from delta_forge.homs import _psi_coefficients
-
         terms = 60
         cases = []
         for p in (3, 5):
@@ -117,22 +116,30 @@ def psi_ring(p, m):
     return make_ring(p, PSI_N[p], m)
 
 
-@st.composite
-def psi_inputs(draw):
-    """A unit of W(F_{p^m}) at a precision in [2, N]: random, Teichmueller
-    (u = 0), or a Teichmueller unit times 1 + p^k x, k >= 2 (v(u) >= 1)."""
-    p = draw(st.sampled_from(sorted(PSI_N)))
-    ring = psi_ring(p, draw(st.sampled_from((1, 2, 3))))
-    prec = draw(st.integers(2, ring.prec))
-    kind = draw(st.sampled_from(("random", "teichmueller", "near-teichmueller")))
-    rng = random.Random(draw(st.integers(0, 2**32)))
+PSI_KINDS = ("random", "teichmueller", "near-teichmueller")
+
+
+def psi_unit(ring, prec, kind, rng):
+    """(a, kind) for a unit a of ``ring`` at ``prec`` of the given kind:
+    random, Teichmueller (u = 0), or a Teichmueller unit times 1 + p^k x,
+    k >= 2 (v(u) >= 1), which falls back to Teichmueller below prec 3."""
     if kind == "random":
         return ring.random_unit(rng, prec), kind
     r = ring.teichmueller(ring.random_unit(rng)).at_prec(prec)
     if kind == "teichmueller" or prec < 3:
         return r, "teichmueller"
     k = rng.randrange(2, prec)
-    return r * (ring.one.at_prec(prec) + p**k * ring.random_element(rng, prec)), kind
+    return r * (ring.one.at_prec(prec) + ring.p**k * ring.random_element(rng, prec)), kind
+
+
+@st.composite
+def psi_inputs(draw):
+    """A unit of W(F_{p^m}) at a precision in [2, N], of any ``PSI_KINDS``."""
+    p = draw(st.sampled_from(sorted(PSI_N)))
+    ring = psi_ring(p, draw(st.sampled_from((1, 2, 3))))
+    prec = draw(st.integers(2, ring.prec))
+    kind = draw(st.sampled_from(PSI_KINDS))
+    return psi_unit(ring, prec, kind, random.Random(draw(st.integers(0, 2**32))))
 
 
 @settings(max_examples=150)
@@ -146,6 +153,39 @@ def test_psi_matches_series_oracle(case):
         assert u.valuation() >= 1
     got, want = psi(a), psi_series_oracle(a)
     assert got == want and got.prec == want.prec == a.prec - 1
+
+
+def psi_element_horner(a):
+    """psi by Horner's rule in ring elements, the reference for the loop in
+    the coefficient domain that ``homs.psi`` runs."""
+    ring = a.ring
+    p = ring.p
+    u = a.delta() * (a**p).invert()
+    target = u.prec
+    vu = u.valuation()
+    acc = ring.from_int(0, prec=target)
+    for n, _, c in reversed(_psi_coefficients(p, target)):
+        if not _past_target(p, n, vu, target):
+            acc = (acc + c) * u
+    return acc
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+@pytest.mark.parametrize("p", sorted(PSI_N))
+def test_psi_matches_element_horner(p, m):
+    ring = psi_ring(p, m)
+    rng = random.Random(f"horner:{p}:{m}")
+    seen = set()
+    for prec in range(2, ring.prec + 1):
+        for kind in PSI_KINDS:
+            for _ in range(3):
+                a, kind = psi_unit(ring, prec, kind, rng)
+                seen.add(kind)
+                got, want = psi(a), psi_element_horner(a)
+                assert got.coeffs == want.coeffs and got.prec == want.prec == prec - 1
+                if kind == "teichmueller":
+                    assert got.is_zero()
+    assert seen == set(PSI_KINDS)
 
 
 class TestGaHom:

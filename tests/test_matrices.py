@@ -7,15 +7,18 @@ must agree, at the precision it claims, with the result for any
 full-precision lift of its inputs.
 """
 
+import gc
 import itertools
 import random
 import re
+import weakref
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delta_forge import matrices
 from delta_forge.errors import NonUnitError, ShapeError
 from delta_forge.matrices import SquareMatrix, solve_linear
 from delta_forge.rings import SeriesRing, make_ring
@@ -161,13 +164,28 @@ def test_sizes_must_agree(op):
 
 def test_mixed_rings_rejected():
     # int residues carry no ring, so mixing W(Z/5^4) with W(Z/7^4) must not
-    # quietly reduce residues mod 7^k modulo 5^k
-    m = SquareMatrix.identity(make_ring(5, 4), 2)
-    for ring in (make_ring(7, 4), make_ring(5, 4, 2), SeriesRing(4)):
-        other = SquareMatrix.identity(ring, 2)
-        for op in (m.__add__, m.__sub__, m.__mul__, m.__eq__):
+    # quietly reduce residues mod 7^k modulo 5^k.  Building a matrix from,
+    # or scaling it by, elements of another ring is refused too: these used
+    # to give diag(7, 7) over W(Z/5^4) from a scalar of W(Z/7^4), and a
+    # Witt matrix holding a Fraction.
+    cases = (
+        (make_ring(5, 4), (make_ring(7, 4), make_ring(5, 4, 2), SeriesRing(4)), make_ring(5, 4)),
+        (SeriesRing(4), (make_ring(7, 4), make_ring(5, 4)), SeriesRing(6)),
+    )
+    for ring, others, twin in cases:
+        m = SquareMatrix.identity(ring, 2)
+        for other in others:
+            for op in (m.__add__, m.__sub__, m.__mul__, m.__eq__):
+                with pytest.raises(TypeError):
+                    op(SquareMatrix.identity(other, 2))
             with pytest.raises(TypeError):
-                op(other)
+                m.scale(other.from_int(7))
+            with pytest.raises(TypeError):
+                SquareMatrix(ring, [[ring.one, ring.zero], [other.zero, ring.one]])
+        # a ring with equal parameters, or a series ring of another
+        # truncation, mixes
+        assert m.scale(twin.from_int(7)) == SquareMatrix.diagonal(ring, [ring.from_int(7)] * 2)
+        assert SquareMatrix(ring, [[twin.one]]) == SquareMatrix.identity(ring, 1)
 
 
 def test_solve_linear_claims_only_supported_digits():
@@ -180,6 +198,119 @@ def test_solve_linear_claims_only_supported_digits():
     lifted = solve_linear(ring, rows, rhs)
     assert all(xi.prec == 1 for xi in x)
     assert all(li.at_prec(xi.prec) == xi for li, xi in zip(lifted, x))
+
+
+# -- the elimination memo ----------------------------------------------------
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The column counts of the ``_eliminate`` calls made from now on."""
+    calls = []
+    real = matrices._eliminate
+
+    def counted(dom, aug, ncols):
+        calls.append(ncols)
+        return real(dom, aug, ncols)
+
+    monkeypatch.setattr(matrices, "_eliminate", counted)
+    return calls
+
+
+def outcome(m, op):
+    """What m.op() gives: a value with its precision, or the error text."""
+    try:
+        r = getattr(m, op)()
+    except NonUnitError as e:
+        return "raises", str(e)
+    if op == "is_unit":
+        return r
+    if op == "det":
+        return r.coeffs, r.prec
+    return [[(e.coeffs, e.prec) for e in row] for row in r.rows]
+
+
+MEMO_OPS = ("det", "is_unit", "invert")
+
+
+def memo_rows(ring, unit, rng):
+    """Rows of a 3 x 3 matrix of mixed precisions whose determinant is a
+    unit, or of one whose determinant is not."""
+    if not unit:
+        return sample_rows(ring, 3, "non-unit", rng)
+    while True:
+        rows = sample_rows(ring, 3, "mixed", rng)
+        if ref_det(rows).is_unit():
+            return rows
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "non-unit"])
+def test_memo_gives_a_fresh_matrix_results_in_any_order(name, unit, eliminations):
+    ring = RINGS[name]
+    rows = memo_rows(ring, unit, random.Random(f"memo:{name}:{unit}"))
+    fresh = {op: outcome(SquareMatrix(ring, rows), op) for op in MEMO_OPS}
+    assert fresh["is_unit"] == unit
+    for order in itertools.permutations(MEMO_OPS):
+        m = SquareMatrix(ring, rows)
+        eliminations.clear()
+        for op in order:
+            assert outcome(m, op) == fresh[op], (order, op)
+            assert outcome(m, op) == fresh[op], (order, op)
+        # a unit matrix inverted after its det needs the augmented pass too
+        assert len(eliminations) == (2 if unit and order[0] != "invert" else 1), order
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_each_matrix_is_eliminated_at_most_once_per_job(name, eliminations):
+    ring = RINGS[name]
+    rng = random.Random(f"once:{name}")
+    rows = memo_rows(ring, True, rng)
+    m = SquareMatrix(ring, rows)
+    m.det()
+    assert eliminations == [3]
+    m.det(), m.is_unit(), m.det()
+    assert eliminations == [3]
+
+    m = SquareMatrix(ring, rows)
+    eliminations.clear()
+    inv = m.invert()
+    assert eliminations == [3]
+    assert m.invert() is inv
+    m.det(), m.is_unit()
+    assert eliminations == [3]
+
+    m = SquareMatrix(ring, memo_rows(ring, False, rng))
+    eliminations.clear()
+    for _ in range(2):
+        with pytest.raises(NonUnitError):
+            m.invert()
+    assert eliminations == [3]
+
+
+class Tracked(SquareMatrix):
+    """A matrix a weak reference can follow."""
+
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "non-unit"])
+def test_memo_makes_no_reference_cycle(unit):
+    ring = RINGS["witt-m2"]
+    m = Tracked(ring, memo_rows(ring, unit, random.Random(f"cycle:{unit}")))
+    gc.disable()
+    try:
+        try:
+            inv = m.invert()
+        except NonUnitError:
+            inv = None
+        m.det()
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+        assert inv is None or inv.det().is_unit()
+    finally:
+        gc.enable()
 
 
 # -- re-lift properties ------------------------------------------------------

@@ -93,10 +93,11 @@ def classified_eval(c: ClassifiedCocycle, g: SquareMatrix) -> SquareMatrix:
     """omega(det g) 1_n + g v g^{-1} - v.
 
     The coboundary runs first: inverting g keeps its determinant on g, so
-    the ``g.det()`` after it costs no second elimination."""
+    the ``g.det()`` after it costs no second elimination.  omega(det g) is
+    added onto the coboundary's diagonal by ``add_scalar``, in its values,
+    at the lesser of the two precisions."""
     cob = coboundary(c.v, g)
-    w = gm_hom(c.omega, g.det())
-    return SquareMatrix.diagonal(g.ring, [w] * g.n) + cob
+    return cob.add_scalar(gm_hom(c.omega, g.det()))
 
 
 def classified_handle(c: ClassifiedCocycle) -> DeltaMapHandle:

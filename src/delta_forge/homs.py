@@ -123,16 +123,22 @@ def psi(a):
     return dom.to_elem(acc)
 
 
+def _additive(lam, a):
+    """sum lam_i phi^i(a), or sum lam_i delta^i(a) on the series backend,
+    for a nonempty lam."""
+    arithmetic = a.ring.kind == ARITHMETIC
+    xs = [a]
+    for _ in lam[1:]:
+        xs.append(xs[-1].frobenius() if arithmetic else xs[-1].delta())
+    return dot(lam, xs)
+
+
 def ga_hom(params: GaHomParams, a):
     """Additive family: sum lambda_i phi^i(a), or sum lambda_i delta^i(a)
     on the series backend."""
-    ring = a.ring
     if not params.lam:
-        return ring.zero
-    xs = [a]
-    for _ in params.lam[1:]:
-        xs.append(xs[-1].frobenius() if ring.kind == ARITHMETIC else xs[-1].delta())
-    return dot(params.lam, xs)
+        return a.ring.zero
+    return _additive(params.lam, a)
 
 
 def gm_hom(params: GmHomParams, a):
@@ -144,7 +150,7 @@ def gm_hom(params: GmHomParams, a):
     if not params.lam:
         return ring.zero
     base = psi(a) if ring.kind == ARITHMETIC else a.delta() * a.invert()
-    return ga_hom(GaHomParams(params.lam), base)
+    return _additive(params.lam, base)
 
 
 def twisted_cocycle(params: TwistedCocycleParams, a):

@@ -7,7 +7,10 @@ pi (p on W, t on Q[[t]]), so every nonzero value is pi^v times a unit, and
 an entry divisible by a pivot's power of pi is cleared by it exactly.  One
 elimination kernel, pivoting on an entry of least valuation, gives the
 determinant of every matrix, the unit test, the inverse and linear solving
-in O(n^3); a matrix is invertible exactly when every pivot is a unit.
+in O(n^3); a matrix is invertible exactly when every pivot is a unit.  It
+clears the rows above a unit pivot only for the inverse and for solving,
+whose rows carry columns beyond the matrix; the determinant alone needs
+only the rows below.
 
 A matrix is eliminated at most once per job and keeps what it found:
 the determinant (which also answers the unit test) and the inverse each
@@ -46,11 +49,10 @@ class SquareMatrix:
     __slots__ = ("ring", "n", "prec", "dom", "vals", "_elim")
 
     def __init__(self, ring, rows):
-        rows = [list(r) for r in rows]
+        """The matrix of ``rows``, whose entries are what ``_element`` takes."""
+        rows = [[_element(ring, e) for e in r] for r in rows]
         if not rows or any(len(r) != len(rows) for r in rows):
             raise ShapeError("matrix rows must all have length n >= 1")
-        if not all(same_ring(ring, s) for s in {e.ring for r in rows for e in r}):
-            raise TypeError("matrix entries over a different ring")
         dom = Values(ring, min(e.prec for r in rows for e in r))
         self.ring, self.n, self.prec, self.dom = ring, len(rows), dom.prec, dom
         self.vals = [[dom.from_elem(e) for e in r] for r in rows]
@@ -69,20 +71,12 @@ class SquareMatrix:
         return tuple(tuple(map(self.dom.to_elem, r)) for r in self.vals)
 
     @classmethod
-    def from_rows(cls, ring, rows):
-        conv = [
-            [ring.from_int(e) if isinstance(e, int) else e for e in row]
-            for row in rows
-        ]
-        return cls(ring, conv)
-
-    @classmethod
     def identity(cls, ring, n):
         return cls.permutation(ring, range(n))
 
     @classmethod
     def zero(cls, ring, n):
-        return cls.from_rows(ring, [[0] * n for _ in range(n)])
+        return cls(ring, [[0] * n for _ in range(n)])
 
     @classmethod
     def diagonal(cls, ring, entries):
@@ -126,7 +120,11 @@ class SquareMatrix:
     __hash__ = None
 
     def reduce_prec(self, prec):
-        dom = Values(self.ring, min(prec, self.prec))
+        """The matrix at precision min(prec, self.prec).  At or above its
+        own precision that is the matrix itself, which is never mutated."""
+        if prec >= self.prec:
+            return self
+        dom = Values(self.ring, prec)
         return SquareMatrix._of(dom, [list(map(dom.reduce, r)) for r in self.vals])
 
     def _dom(self, other):
@@ -160,14 +158,27 @@ class SquareMatrix:
         red, cols = dom.reduce, list(zip(*other.vals))
         return SquareMatrix._of(dom, [[red(dot(r, c)) for c in cols] for r in self.vals])
 
+    def _scalar(self, c):
+        """The domain of self combined with the scalar c, at the lesser of
+        their precisions, and c's value in it."""
+        c = _element(self.ring, c)
+        dom = self.dom if c.prec >= self.prec else Values(self.ring, c.prec)
+        return dom, dom.from_elem(c)
+
     def scale(self, c):
-        if isinstance(c, int):
-            c = self.ring.from_int(c)
-        elif not same_ring(self.ring, c.ring):
-            raise TypeError("scalar over a different ring")
-        dom = Values(self.ring, min(self.prec, c.prec))
-        x, red = dom.from_elem(c), dom.reduce
+        """c * self for a scalar c that ``_element`` takes."""
+        dom, x = self._scalar(c)
+        red = dom.reduce
         return SquareMatrix._of(dom, [[red(x * v) for v in r] for r in self.vals])
+
+    def add_scalar(self, c):
+        """self + c * 1_n for a scalar c that ``_element`` takes."""
+        dom, x = self._scalar(c)
+        red = dom.reduce
+        vals = [list(map(red, r)) for r in self.vals]
+        for i, r in enumerate(vals):
+            r[i] = red(r[i] + x)
+        return SquareMatrix._of(dom, vals)
 
     def trace(self):
         return self.dom.to_elem(reduce(add, (r[i] for i, r in enumerate(self.vals))))
@@ -217,18 +228,31 @@ class SquareMatrix:
         return cls(ring, rows)
 
 
+def _element(ring, x):
+    """x as an element of ``ring``, taking what element arithmetic takes:
+    an element of ``ring`` or of a ring that mixes with it, an int, or on
+    Q[[t]] a Fraction.  Anything else raises TypeError."""
+    e = ring.one._coerce(x)
+    if e is None:
+        raise TypeError(f"not a value of {ring!r}: {x!r}")
+    return e
+
+
 def _eliminate(dom, aug, ncols):
     """Gauss-Jordan on the rows ``aug`` of normal forms in ``dom``, in
     place, over their first ``ncols`` columns.  Each column pivots on its
     first entry of least valuation at or below the pivot row, found
     without any valuation when it is a unit.  The pivot row is scaled so
     that its pivot pi^v * w, w a unit, reads pi^v; then each entry pi^v * c
-    below it is cleared with the exact multiplier c, and a unit pivot
-    clears the rows above as well.  Returns (pivots, det, stop): the row
-    of each column's pivot (None for a column that vanishes at and below
-    the pivot row, which is skipped and makes det zero, or for one never
-    reached), the signed pivot product, which on a square ``aug`` is the
-    determinant, and the first column whose pivot is not a unit, if any."""
+    below it is cleared with the exact multiplier c.  A unit pivot clears
+    the rows above as well, but only when the rows have columns beyond
+    ``ncols`` (an inverse or a right-hand side to finish): the
+    determinant never reads those rows again.  Returns (pivots, det,
+    stop): the row of each column's pivot (None for a column that
+    vanishes at and below the pivot row, which is skipped and makes det
+    zero, or for one never reached), the signed pivot product, which on a
+    square ``aug`` is the determinant, and the first column whose pivot
+    is not a unit, if any."""
     m, width = len(aug), len(aug[0])
     red, is_unit, valuation, div_pi = dom.reduce, dom.is_unit, dom.valuation, dom.div_pi
     pivots = [None] * ncols
@@ -255,7 +279,7 @@ def _eliminate(dom, aug, ncols):
             inv = dom.invert(div_pi(row[col], v) if v else row[col])
             for j in range(col + 1, width):
                 row[j] = red(inv * row[j])
-        for other in aug[prow + 1:] if v else aug:
+        for other in aug if not v and width > ncols else aug[prow + 1:]:
             if other is row:
                 continue
             c = other[col]
@@ -298,11 +322,14 @@ def solve_linear(ring, rows, rhs):
 
 
 def random_gl(ring, n, rng):
-    """Uniform entries, resampled until the determinant is a unit."""
+    """Uniform entries at the ring's full precision, resampled until the
+    determinant is a unit.  Each entry is drawn as a value, with the same
+    draws on ``rng`` as ``ring.random_element``."""
+    if n < 1:
+        raise ShapeError("matrix rows must all have length n >= 1")
+    dom = Values(ring, ring.one.prec)
     while True:
-        m = SquareMatrix(
-            ring, [[ring.random_element(rng) for _ in range(n)] for _ in range(n)]
-        )
+        m = SquareMatrix._of(dom, [[dom.random(rng) for _ in range(n)] for _ in range(n)])
         if m.is_unit():
             return m
 

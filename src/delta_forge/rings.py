@@ -108,7 +108,9 @@ class Values:
     polynomials and of matrices: int residues mod p^prec on W(Z/p^N),
     ring elements elsewhere.  Sums and products of values are raw values;
     ``reduce`` gives their normal form, which is falsy exactly when the
-    value vanishes.
+    value vanishes.  ``random`` draws one normal form exactly as
+    ``ring.random_element(rng, prec)`` draws an element, with the same
+    calls on the generator.
 
     ``valuation`` is p-adic on W and t-adic on Q[[t]], and ``prec`` for a
     value that vanishes.  Two facts let products skip work exactly:
@@ -140,6 +142,11 @@ class Values:
         if self.native:
             return WittElement(self.ring, (v % self.pk,), self.prec)
         return v.at_prec(self.prec)
+
+    def random(self, rng):
+        if self.native:
+            return rng.randrange(self.pk)
+        return self.ring.random_element(rng, self.prec)
 
     def is_unit(self, v):
         return v % self.ring.p != 0 if self.native else v.is_unit()

@@ -350,7 +350,7 @@ def criterion_11_kolchin_side(seed, scale):
         if not rep.passed:
             return False, f"normal form cocycle check failed at n={n}"
         # a coboundary with non-scalar v must fail on some conjugated torus
-        vns = SquareMatrix.from_rows(
+        vns = SquareMatrix(
             ring, [[1 if (i, j) == (0, 1) else 0 for j in range(n)] for i in range(n)]
         )
         cb = coboundary_handle(vns)

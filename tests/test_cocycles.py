@@ -13,6 +13,7 @@ from delta_forge import (
     coboundary_handle,
     cocycle_check,
     coherence_check,
+    gm_hom,
     h_block_components,
     log_derivative,
     log_derivative_handle,
@@ -21,7 +22,7 @@ from delta_forge import (
     random_sl,
     recover,
 )
-from delta_forge.errors import BackendError, InputError, PrecisionExhausted
+from delta_forge.errors import BackendError, InputError, NonUnitError, PrecisionExhausted
 from delta_forge.matrices import solve_linear
 from delta_forge.rings import SeriesRing, make_ring
 
@@ -33,7 +34,7 @@ def ring():
 
 def e12(ring, n=2):
     rows = [[1 if (i, j) == (0, 1) else 0 for j in range(n)] for i in range(n)]
-    return SquareMatrix.from_rows(ring, rows)
+    return SquareMatrix(ring, rows)
 
 
 class TestCoboundary:
@@ -46,7 +47,7 @@ class TestCoboundary:
     def test_diagonal_conjugation(self, ring):
         # diag(2,1) e12 diag(2,1)^{-1} = 2 e12, minus e12 leaves e12
         v = e12(ring)
-        g = SquareMatrix.from_rows(ring, [[2, 0], [0, 1]])
+        g = SquareMatrix(ring, [[2, 0], [0, 1]])
         assert coboundary(v, g) == v
 
     def test_trace_free(self, ring):
@@ -99,6 +100,50 @@ class TestClassifiedEval:
         rep = cocycle_check(DeltaMapHandle(bad, 1), ring, 2, samples=200, seed=7)
         assert not rep.passed
         assert rep.counterexample is not None
+
+
+    RINGS = {"witt-m1": make_ring(5, 6), "witt-m2": make_ring(3, 4, 2), "series": SeriesRing(6)}
+
+    @staticmethod
+    def reference(c, g):
+        """omega(det g) 1_n + g v g^{-1} - v with omega(det g) on an
+        element diagonal matrix."""
+        cob = coboundary(c.v, g)
+        w = gm_hom(c.omega, g.det())
+        return SquareMatrix.diagonal(g.ring, [w] * g.n) + cob
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_element_diagonal(self, name, n):
+        ring = self.RINGS[name]
+        top = ring.one.prec
+        rng = random.Random(f"classified:{name}:{n}")
+
+        def elem(prec):
+            return ring.random_element(rng, prec)
+
+        # omega(det g) and the coboundary each have the lower precision in turn
+        for _ in range(8):
+            lam = tuple(elem(rng.randint(1, top)) for _ in range(rng.randint(0, 2)))
+            pv = rng.randint(1, top)
+            c = ClassifiedCocycle(
+                GmHomParams(lam), SquareMatrix(ring, [[elem(pv) for _ in range(n)] for _ in range(n)])
+            )
+            g = random_gl(ring, n, rng)
+            got, want = classified_eval(c, g), self.reference(c, g)
+            assert (got.prec, got.vals) == (want.prec, want.vals)
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_non_unit_message(self, name):
+        ring = self.RINGS[name]
+        pi = ring.t if ring.kind == "kolchin" else ring.from_int(ring.p)
+        c = ClassifiedCocycle(GmHomParams((ring.one,)), e12(ring))
+        rows = [[ring.one, ring.one], [ring.zero, pi]]
+        with pytest.raises(NonUnitError) as got:
+            classified_eval(c, SquareMatrix(ring, rows))
+        with pytest.raises(NonUnitError) as want:
+            self.reference(c, SquareMatrix(ring, rows))
+        assert str(got.value) == str(want.value) == f"matrix determinant is not a unit: {pi!r}"
 
 
 class TestHandlePrecision:
@@ -291,7 +336,7 @@ class TestCoherence:
 
     def test_conjugated_torus_needs_constant_u(self):
         R = SeriesRing(8)
-        u = SquareMatrix.from_rows(R, [[R.one + R.t, R.zero], [R.zero, R.one]])
+        u = SquareMatrix(R, [[R.one + R.t, R.zero], [R.zero, R.one]])
         with pytest.raises(InputError):
             coherence_check(log_derivative_handle(), R, 2, "conjugated-torus",
                             samples=5, seed=20, u=u)

@@ -30,26 +30,26 @@ class TestTrailingMinors:
         assert prod == 1
 
     def test_two_by_two(self, ring):
-        x = SquareMatrix.from_rows(ring, [[1, 2], [3, 4]])
+        x = SquareMatrix(ring, [[1, 2], [3, 4]])
         minors, _ = trailing_minors(x)
         assert minors == [ring.from_int(4)]
 
     def test_upper_triangular(self, ring):
-        x = SquareMatrix.from_rows(ring, [[2, 1, 1], [0, 3, 1], [0, 0, 4]])
+        x = SquareMatrix(ring, [[2, 1, 1], [0, 3, 1], [0, 0, 4]])
         minors, _ = trailing_minors(x)
         assert minors[0] == 12 and minors[1] == 4
 
 
 class TestDecompose:
     def test_one_by_one(self, ring):
-        x = SquareMatrix.from_rows(ring, [[7]])
+        x = SquareMatrix(ring, [[7]])
         word = decompose(x)
         assert word.length == 1
         assert reconstruct(word, ring) == x
 
     def test_two_by_two_schur_pivot(self, ring):
         # leading s-block entry is a - b d^{-1} c; 1 - 2*94*3 = 62 mod 125
-        x = SquareMatrix.from_rows(ring, [[1, 2], [3, 4]])
+        x = SquareMatrix(ring, [[1, 2], [3, 4]])
         word = decompose(x)
         s1 = word.s_factors()[0]
         assert s1.a == 62
@@ -67,12 +67,12 @@ class TestDecompose:
             assert lengths <= {expected_word_length(n)}
 
     def test_non_unit_minor_rejected(self, ring):
-        x = SquareMatrix.from_rows(ring, [[0, 1], [1, 0]])
+        x = SquareMatrix(ring, [[0, 1], [1, 0]])
         with pytest.raises(NonUnitMinorError):
             decompose(x)
 
     def test_non_unit_det_rejected(self, ring):
-        x = SquareMatrix.from_rows(ring, [[5, 1], [0, 1]])
+        x = SquareMatrix(ring, [[5, 1], [0, 1]])
         with pytest.raises(NonUnitError):
             decompose(x)
 
@@ -87,8 +87,8 @@ class TestDecompose:
         upper = [[1 if i == j else rng.randrange(125) if j > i else 0 for j in range(n - 1)]
                  for i in range(n - 1)]
         d = [5 if i in (3, 8) else 1 for i in range(n - 1)]
-        block = SquareMatrix.from_rows(ring, lower) * SquareMatrix.diagonal(
-            ring, [ring.from_int(c) for c in d]) * SquareMatrix.from_rows(ring, upper)
+        block = SquareMatrix(ring, lower) * SquareMatrix.diagonal(
+            ring, [ring.from_int(c) for c in d]) * SquareMatrix(ring, upper)
         rows = [[ring.random_element(rng) for _ in range(n)]]
         rows += [[ring.random_element(rng), *r] for r in block.rows]
         x = SquareMatrix(ring, rows)
@@ -143,7 +143,7 @@ class TestWordShape:
             reconstruct(w, ring)
 
     def test_json_roundtrip(self, ring):
-        x = SquareMatrix.from_rows(ring, [[1, 2], [3, 4]])
+        x = SquareMatrix(ring, [[1, 2], [3, 4]])
         word = decompose(x)
         back = DecompositionWord.from_json(ring, word.to_json())
         assert reconstruct(back, ring) == x
@@ -151,20 +151,20 @@ class TestWordShape:
 
 class TestPrecondition:
     def test_admissible_is_fixed(self, ring):
-        x = SquareMatrix.from_rows(ring, [[1, 2], [3, 4]])
+        x = SquareMatrix(ring, [[1, 2], [3, 4]])
         wl, wr, xp = precondition(x, seed=1)
         assert wl == SquareMatrix.identity(ring, 2)
         assert wr == SquareMatrix.identity(ring, 2)
         assert xp == x
 
     def test_antidiagonal(self, ring):
-        x = SquareMatrix.from_rows(ring, [[0, 1], [1, 0]])
+        x = SquareMatrix(ring, [[0, 1], [1, 0]])
         wl, wr, xp = precondition(x, seed=2)
         assert is_admissible(xp)
         assert wl * x * wr == xp
 
     def test_non_unit_det_rejected(self, ring):
-        x = SquareMatrix.from_rows(ring, [[5, 0], [0, 1]])
+        x = SquareMatrix(ring, [[5, 0], [0, 1]])
         with pytest.raises(NonUnitError):
             precondition(x, seed=3)
 

@@ -12,6 +12,7 @@ import itertools
 import random
 import re
 import weakref
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -19,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delta_forge import matrices
-from delta_forge.errors import NonUnitError, ShapeError
-from delta_forge.matrices import SquareMatrix, solve_linear
-from delta_forge.rings import SeriesRing, make_ring
+from delta_forge.errors import NonUnitError, PrecisionExhausted, ShapeError
+from delta_forge.matrices import SquareMatrix, random_gl, random_sl, solve_linear
+from delta_forge.rings import SeriesRing, Values, make_ring
 
 RINGS = {
     "witt-m1": make_ring(5, 4),
@@ -181,11 +182,57 @@ def test_mixed_rings_rejected():
             with pytest.raises(TypeError):
                 m.scale(other.from_int(7))
             with pytest.raises(TypeError):
+                m.add_scalar(other.from_int(7))
+            with pytest.raises(TypeError):
                 SquareMatrix(ring, [[ring.one, ring.zero], [other.zero, ring.one]])
         # a ring with equal parameters, or a series ring of another
         # truncation, mixes
         assert m.scale(twin.from_int(7)) == SquareMatrix.diagonal(ring, [ring.from_int(7)] * 2)
+        assert m.add_scalar(twin.from_int(7)) == SquareMatrix.diagonal(ring, [ring.from_int(8)] * 2)
         assert SquareMatrix(ring, [[twin.one]]) == SquareMatrix.identity(ring, 1)
+
+
+@pytest.mark.parametrize("ring", [make_ring(5, 3), SeriesRing(4)], ids=["witt", "series"])
+def test_scalars_are_what_element_arithmetic_takes(ring):
+    # numbers that are not ring elements used to end in AttributeError
+    # ('... has no attribute ring') in scale and in building a matrix
+    rows = sample_rows(ring, 2, "mixed", random.Random(f"scalars:{ring!r}"))
+    a = SquareMatrix(ring, rows)
+    low = ring.from_int(2, 1)  # an element below the matrix's precision
+    accepted = []
+    for c in (3, -1, True, Fraction(1, 2), Fraction(4), low, 1.5, None, "2"):
+        try:
+            e = ring.one * c
+        except TypeError:
+            for build in (
+                lambda: a.scale(c),
+                lambda: a.add_scalar(c),
+                lambda: SquareMatrix(ring, [[c]]),
+                lambda: SquareMatrix(ring, [[ring.one, c], [ring.zero, ring.one]]),
+            ):
+                with pytest.raises(TypeError):
+                    build()
+            continue
+        accepted.append(c)
+        prec = min(a.prec, e.prec)
+        assert_holds(a.scale(c), [[e * x for x in r] for r in rows], prec)
+        plus = [[x + e if i == j else x for j, x in enumerate(r)] for i, r in enumerate(rows)]
+        assert_holds(a.add_scalar(c), plus, prec)
+        assert_holds(SquareMatrix(ring, [[c, 0], [1, c]]), [[e, ring.zero], [ring.one, e]], e.prec)
+    fractions = [Fraction(1, 2), Fraction(4)] if ring.kind == "kolchin" else []
+    assert accepted == [3, -1, True, *fractions, low]
+    assert SquareMatrix(ring, [[1, 0], [0, 1]]) == SquareMatrix.identity(ring, 2)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_reduce_prec_at_or_above_the_matrix_precision_is_the_matrix(name):
+    ring = RINGS[name]
+    m = SquareMatrix(ring, sample_rows(ring, 3, "mixed", random.Random(f"reduce:{name}")))
+    for prec in (m.prec, m.prec + 1, full_prec(ring) + 3):
+        assert m.reduce_prec(prec) is m
+    for prec in (0, -1):
+        with pytest.raises(PrecisionExhausted):
+            m.reduce_prec(prec)
 
 
 def test_solve_linear_claims_only_supported_digits():
@@ -311,6 +358,107 @@ def test_memo_makes_no_reference_cycle(unit):
         assert inv is None or inv.det().is_unit()
     finally:
         gc.enable()
+
+
+# -- the determinant pass ----------------------------------------------------
+
+# the 4 x 4 Pascal matrix: every pivot is 1 and every multiplier that
+# Gauss-Jordan meets, above or below a pivot, is nonzero in each ring
+PASCAL = [[1, 1, 1, 1], [1, 2, 3, 4], [1, 3, 6, 10], [1, 4, 10, 20]]
+
+
+def reductions(n, width, above):
+    """``reduce`` calls of elimination over n rows of ``width`` columns with
+    n unit pivots and no zero multiplier: per column, the pivot row's
+    entries right of the pivot, as many per row cleared (the rows below,
+    and with ``above`` the rows above too), and a product into the
+    determinant from the second column on."""
+    return sum(
+        (width - col - 1) * (1 + (n - 1 if above else n - col - 1)) for col in range(n)
+    ) + n - 1
+
+
+@pytest.fixture
+def reduce_calls(monkeypatch):
+    """The number of ``reduce`` calls made from now on by the domains that
+    matrices build."""
+    calls = [0]
+
+    class Counting(Values):
+        def __init__(self, ring, prec):
+            super().__init__(ring, prec)
+            real = self.reduce
+
+            def counted(v):
+                calls[0] += 1
+                return real(v)
+
+            self.reduce = counted
+
+    monkeypatch.setattr(matrices, "Values", Counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_det_eliminates_downwards_only(name, reduce_calls):
+    ring = RINGS[name]
+    m = SquareMatrix(ring, PASCAL)
+    reduce_calls[0] = 0
+    assert m.det() == 1
+    assert reduce_calls[0] == reductions(4, 4, above=False) == 23
+    # the inverse and a solution still clear above each pivot
+    m = SquareMatrix(ring, PASCAL)
+    reduce_calls[0] = 0
+    inv = m.invert()
+    assert reduce_calls[0] == reductions(4, 8, above=True)
+    assert inv * m == SquareMatrix.identity(ring, 4)
+    rows = [[ring.from_int(c) for c in r] for r in PASCAL]
+    reduce_calls[0] = 0
+    x = solve_linear(ring, rows, [ring.from_int(c) for c in (1, 4, 10, 20)])
+    assert reduce_calls[0] == reductions(4, 5, above=True)
+    assert x == [0, 0, 0, 1]
+
+
+# -- sampling ----------------------------------------------------------------
+
+
+def ref_random_gl(ring, n, rng):
+    """``random_gl`` through elements: each entry drawn by
+    ``ring.random_element``, resampled until the cofactor determinant is
+    a unit."""
+    while True:
+        rows = [[ring.random_element(rng) for _ in range(n)] for _ in range(n)]
+        if ref_det(rows).is_unit():
+            return SquareMatrix(ring, rows)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_random_gl_draws_as_the_element_path(name, n):
+    ring = RINGS[name]
+    for seed in range(30):
+        rng, ref_rng = random.Random(f"gl:{seed}"), random.Random(f"gl:{seed}")
+        got, want = random_gl(ring, n, rng), ref_random_gl(ring, n, ref_rng)
+        assert (got.prec, got.vals) == (want.prec, want.vals)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_values_random_draws_as_random_element(name):
+    ring = RINGS[name]
+    for prec in range(1, full_prec(ring) + 1):
+        dom = Values(ring, prec)
+        rng, ref_rng = random.Random(f"values:{prec}"), random.Random(f"values:{prec}")
+        for _ in range(20):
+            assert same(dom.to_elem(dom.random(rng)), ring.random_element(ref_rng, prec))
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("sample", [random_gl, random_sl])
+def test_sampling_an_empty_matrix_is_a_shape_error(sample):
+    for n in (0, -1):
+        with pytest.raises(ShapeError):
+            sample(RINGS["witt-m1"], n, random.Random(0))
 
 
 # -- re-lift properties ------------------------------------------------------

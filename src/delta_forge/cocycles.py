@@ -5,23 +5,19 @@ omega(det g) 1_n + g v g^{-1} - v, and the logarithmic derivative
 (delta g) g^{-1} on the series backend.  Black-box maps are wrapped as
 DeltaMapHandle with a declared order; the handle truncates outputs to
 input precision minus the order, which keeps every downstream equality
-honest.  ``recover`` inverts the classification constructively by linear
-solving on SL_n samples, where the determinant part contributes nothing.
+honest.  ``recover`` inverts the classification constructively: on an
+elementary matrix 1 + e_kl, where the determinant part contributes
+nothing, f gives entries of v directly, and seeded SL_n samples verify
+the v read off.
 """
 
 from __future__ import annotations
 
 import random
 
-from .errors import DeltaForgeError, BackendError, InputError, PrecisionExhausted
+from .errors import BackendError, DeltaForgeError, InconsistentSystemError, InputError, PrecisionExhausted
 from .homs import GmHomParams, gm_hom
-from .matrices import (
-    SquareMatrix,
-    random_constant_gl,
-    random_gl,
-    random_sl,
-    solve_linear,
-)
+from .matrices import SquareMatrix, random_constant_gl, random_gl, random_sl
 from .rings import KOLCHIN, Record
 
 TORUS = "torus"
@@ -150,49 +146,34 @@ def cocycle_check(f: DeltaMapHandle, ring, n: int, samples: int = 1000,
 def recover(f: DeltaMapHandle, ring, n: int, seed: int = 0):
     """Recover (v, omega) from a claimed classified cocycle.
 
-    Samples f on elementary SL_n matrices 1 + e_kl (plus a few random
-    SL_n points), where omega(det) = omega(1) = 0, and solves the linear
-    system g v - v g = f(g) g for the n^2 entries of v.  The kernel of
-    the coboundary map is the scalar line; the normalization v[0][0] = 0
-    picks the canonical representative.  Returns (v, omega_eval) with
-    omega_eval(a) reading a diagonal entry of f(diag(a,1,...,1)) minus
-    the recovered coboundary.
+    On SL_n, where omega(det) = omega(1) = 0, f(g) g = g v - v g.  On the
+    elementary 1 + e_kl that is T_kl = f(1 + e_kl)(1 + e_kl) = e_kl v - v e_kl,
+    with entries T_kl[i][j] = [i = k] v[l][j] - [l = j] v[i][k].  So v,
+    unique up to scalars and normalized by v[0][0] = 0, reads off as
+    v[a][b] = T_ba[b][b] for a != b and v[a][a] = T_0a[0][a] for a >= 1.
+    Every elementary matrix and RECOVER_EXTRA_SAMPLES seeded SL_n points
+    then check f(g) g = g v - v g, else InconsistentSystemError.  v has
+    the least precision of f(g) g over all these points.  Returns
+    (v, omega_eval) with omega_eval(a) reading a diagonal entry of
+    f(diag(a,1,...,1)) minus the recovered coboundary.
     """
     if n < 2:
         raise InputError("recover needs n >= 2")
-    points = []
-    ident = SquareMatrix.identity(ring, n)
-    for k in range(n):
-        for l in range(n):
-            if k != l:
-                rows = [list(r) for r in ident.rows]
-                rows[k][l] = ring.one
-                points.append(SquareMatrix(ring, rows))
+    pairs = [(k, l) for k in range(n) for l in range(n) if k != l]
+    points = [SquareMatrix(ring, [[int(i == j or (i, j) == kl) for j in range(n)]
+                                  for i in range(n)]) for kl in pairs]
     rng = random.Random(f"{seed}:recover")
-    for _ in range(RECOVER_EXTRA_SAMPLES):
-        points.append(random_sl(ring, n, rng))
+    points += [random_sl(ring, n, rng) for _ in range(RECOVER_EXTRA_SAMPLES)]
+    targets = [f(g) * g for g in points]
 
-    rows, rhs = [], []
-    zero = ring.zero
-    for g in points:
-        fg = f(g)
-        target = fg * g
-        for i in range(n):
-            for l in range(n):
-                coeffs = [zero] * (n * n)
-                for k in range(n):
-                    coeffs[k * n + l] = coeffs[k * n + l] + g[i, k]
-                    coeffs[i * n + k] = coeffs[i * n + k] - g[k, l]
-                rows.append(coeffs)
-                rhs.append(target[i, l])
-    # normalization: the solution is unique only modulo scalars
-    norm = [zero] * (n * n)
-    norm[0] = ring.one
-    rows.append(norm)
-    rhs.append(zero)
-
-    sol = solve_linear(ring, rows, rhs)
-    v = SquareMatrix(ring, [[sol[i * n + j] for j in range(n)] for i in range(n)])
+    t = dict(zip(pairs, targets))
+    v = SquareMatrix(ring, [[t[b, a][b, b] if a != b else t[0, a][0, a] if a else ring.zero
+                             for b in range(n)] for a in range(n)])
+    v = v.reduce_prec(min(x.prec for x in targets))
+    for i, (g, target) in enumerate(zip(points, targets)):
+        if not target == g * v - v * g:
+            raise InconsistentSystemError(
+                f"f(g) g != g v - v g at sample point {i}: f is not a classified cocycle")
 
     def omega_eval(a):
         d = SquareMatrix.diagonal(ring, [a] + [ring.one] * (n - 1))

@@ -11,7 +11,10 @@ with a a unit.  The recursion peels the first row and column:
 diag(1, w) is conjugated to diag(w, 1) by the cyclic shift and expanded
 recursively; the lower-unipotent factor splits into single-entry columns,
 each conjugated to an upper s-block by a transposition.  The factor
-sequence, and hence the word length, depends only on n.
+sequence, and hence the word length, depends only on n.  Each level
+inverts w once, which also checks that trailing minor.  ``reconstruct``
+applies the factors one by one, as column re-indexing and column
+operations, without multiplying dense factor matrices.
 """
 
 from __future__ import annotations
@@ -38,9 +41,6 @@ class PermFactor(Record):
     def __init__(self, sigma: tuple):
         super().__init__(sigma)
 
-    def matrix(self, ring):
-        return SquareMatrix.permutation(ring, self.sigma)
-
     def to_json(self):
         return {"kind": "perm", "sigma": list(self.sigma)}
 
@@ -50,9 +50,6 @@ class SFactor(Record):
 
     def __init__(self, a, b: tuple):
         super().__init__(a, b)
-
-    def matrix(self, ring):
-        return SquareMatrix.h_block(ring, self.a, self.b)
 
     def to_json(self):
         return {
@@ -134,25 +131,26 @@ def _compose(sig1, sig2):
     return tuple(sig2[sig1[i]] for i in range(len(sig1)))
 
 
-def _raw_factors(x: SquareMatrix):
-    """Unnormalized factor stream (permutations and s-blocks, any order)."""
-    ring, n = x.ring, x.n
+def _raw_factors(x: SquareMatrix, level=1):
+    """Unnormalized factor stream (permutations and s-blocks, any order)
+    of x, whose trailing block w is trailing minor ``level``."""
+    ring, n, to_elem = x.ring, x.n, x.dom.to_elem
     if n == 1:
         return [SFactor(x[0, 0], ())]
-    u = x[0, 0]
-    y = [x[0, j] for j in range(1, n)]
-    z = [x[i, 0] for i in range(1, n)]
     w = x.block(1, n, 1, n)
-    winv = w.invert()
-    yw = [dot(y, col) for col in zip(*winv.rows)]
-    a = u - dot(yw, z)
-    factors = [SFactor(a, tuple(yw))]
+    try:
+        winv = w.invert()
+    except NonUnitError as exc:
+        raise NonUnitMinorError(level, exc.element) from None
+    (u, *y), z = x.vals[0], [r[0] for r in x.vals[1:]]
+    yw = [x.dom.reduce(dot(y, col)) for col in zip(*winv.vals)]
+    factors = [SFactor(to_elem(u - dot(yw, z)), tuple(map(to_elem, yw)))]
 
     # diag(1, w) = C^{-1} diag(w, 1) C for the cyclic shift C
     shift = tuple(list(range(1, n)) + [0])
     shift_inv = tuple([n - 1] + list(range(n - 1)))
     factors.append(PermFactor(shift_inv))
-    for f in _raw_factors(w):
+    for f in _raw_factors(w, level + 1):
         if isinstance(f, PermFactor):
             factors.append(PermFactor(f.sigma + (n - 1,)))
         else:
@@ -160,12 +158,11 @@ def _raw_factors(x: SquareMatrix):
     factors.append(PermFactor(shift))
 
     # lower-unipotent column, one transposed elementary block per entry
-    c = [dot(row, z) for row in winv.rows]
-    for j in range(1, n):
+    for j, row in enumerate(winv.vals, 1):
         tau = list(range(n))
         tau[0], tau[j] = tau[j], tau[0]
         b = [ring.zero] * (n - 1)
-        b[j - 1] = c[j - 1]
+        b[j - 1] = to_elem(dot(row, z))
         factors.append(PermFactor(tuple(tau)))
         factors.append(SFactor(ring.one, tuple(b)))
         factors.append(PermFactor(tuple(tau)))
@@ -176,18 +173,15 @@ def decompose(x: SquareMatrix) -> DecompositionWord:
     """Factor x into the canonical alternating word.
 
     Requires det(x) and every trailing minor to be units; use
-    ``precondition`` first otherwise.
+    ``precondition`` first otherwise.  The first non-unit minor by index
+    is reported before a non-unit determinant.
     """
-    minors, _ = trailing_minors(x)
-    for i, d in enumerate(minors, 1):
-        if not d.is_unit():
-            raise NonUnitMinorError(i, d)
+    raw = _raw_factors(x)
     d = x.det()
     if not d.is_unit():
         raise NonUnitError(d, "determinant is not a unit")
 
     n = x.n
-    raw = _raw_factors(x)
     factors = []
     pending = _identity_perm(n)
     for f in raw:
@@ -202,14 +196,24 @@ def decompose(x: SquareMatrix) -> DecompositionWord:
 
 
 def reconstruct(word: DecompositionWord, ring) -> SquareMatrix:
-    """Left-to-right product of the word's factors."""
+    """Left-to-right product of the word's factors, each applied to the
+    product so far: a permutation re-indexes its columns, and an s-block
+    is a column operation."""
     for f in word.s_factors():
         if not f.a.is_unit():
             raise ShapeError(f"s factor has non-unit leading entry {f.a!r}")
-    acc = None
+    n = word.n
+    acc = SquareMatrix.identity(ring, n)
     for f in word.factors:
-        m = f.matrix(ring)
-        acc = m if acc is None else acc * m
+        if isinstance(f, PermFactor):
+            acc = acc.permuted(range(n), f.sigma)
+            continue
+        # times [[a, b], [0, 1]]: column 0 times a, plus column 0 times b_j onto column j
+        s = SquareMatrix.h_block(ring, f.a, f.b)
+        dom = acc._dom(s)
+        red, (a, *b) = dom.reduce, s.vals[0]
+        acc = SquareMatrix._of(dom, [[red(r[0] * a), *(red(r[0] * bj + rj) for bj, rj in zip(b, r[1:]))]
+                                     for r in acc.vals])
     return acc
 
 
@@ -243,11 +247,9 @@ def precondition(x: SquareMatrix, seed: int = 0):
         ((sample(), sample()) for _ in range(cap - factorial(n))),
     )
     for sl, sr in tried:
-        wl = SquareMatrix.permutation(ring, sl)
-        wr = SquareMatrix.permutation(ring, sr)
-        xp = wl * x * wr
+        xp = x.permuted(sl, sr)
         if is_admissible(xp):
-            return wl, wr, xp
+            return SquareMatrix.permutation(ring, sl), SquareMatrix.permutation(ring, sr), xp
     raise ExhaustedSearchError(
         f"no admissible permutation pair found in {cap} attempts"
     )

@@ -91,11 +91,10 @@ class SquareMatrix:
     def permutation(cls, ring, sigma):
         """Permutation matrix M with M[i][sigma[i]] = 1."""
         n = len(sigma)
-        if sorted(sigma) != list(range(n)):
-            raise ShapeError(f"not a permutation: {sigma}")
         dom = Values(ring, ring.one.prec)
         one, zero = dom.from_elem(ring.one), dom.from_elem(ring.zero)
-        return cls._of(dom, [[one if j == s else zero for j in range(n)] for s in sigma])
+        ident = cls._of(dom, [[one if j == i else zero for j in range(n)] for i in range(n)])
+        return ident.permuted(sigma, range(n))
 
     @classmethod
     def h_block(cls, ring, a, b):
@@ -203,6 +202,15 @@ class SquareMatrix:
         if memo[1] is None:
             raise NonUnitError(dom.to_elem(memo[0]), "matrix determinant is not a unit")
         return memo[1]
+
+    def permuted(self, rows, cols):
+        """permutation(rows) * self * permutation(cols), by re-indexing:
+        entry (i, j) is self[rows[i], k] for the k with cols[k] = j."""
+        for sigma in (rows, cols):
+            if sorted(sigma) != list(range(self.n)):
+                raise ShapeError(f"not a permutation: {sigma}")
+        inv = sorted(range(self.n), key=cols.__getitem__)
+        return SquareMatrix._of(self.dom, [[self.vals[i][k] for k in inv] for i in rows])
 
     def block(self, r0, r1, c0, c1):
         return SquareMatrix._of(self.dom, [r[c0:c1] for r in self.vals[r0:r1]])
@@ -335,12 +343,12 @@ def random_gl(ring, n, rng):
 
 
 def random_sl(ring, n, rng):
-    """GL sample with the first row scaled by det^{-1}."""
+    """GL sample with the first row scaled by det^{-1} in its values; the
+    determinant is the one ``random_gl`` accepted the sample on."""
     g = random_gl(ring, n, rng)
-    dinv = g.det().invert()
-    rows = [list(r) for r in g.rows]
-    rows[0] = [dinv * e for e in rows[0]]
-    return SquareMatrix(ring, rows)
+    dom = g.dom
+    dinv = dom.invert(g._elim[0])
+    return SquareMatrix._of(dom, [[dom.reduce(dinv * v) for v in g.vals[0]], *g.vals[1:]])
 
 
 def random_constant_gl(ring, n, rng):

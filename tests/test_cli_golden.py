@@ -17,6 +17,14 @@ The five cases after them (a ``jet-prolong`` fed the document that
 backend with and without ``--u``, and a ``coboundary`` map given as
 ``{"v": ...}``) were recorded before ``psi`` moved to Horner's rule and
 the ring layer to one valuation, one power and one operator wiring.
+The nine cases at the end (``cocycle-recover``, ``decompose
+--precondition`` at n = 5 and 6, and ``reconstruct``, with words that
+hold a bad permutation or a non-unit s-entry) were recorded before
+``recover`` read v off the elementary matrices and ``reconstruct`` applied
+its factors one by one; all but one kept their bytes.  The exception is
+``cocycle-recover --map logderiv``, which still exits 2 with
+InconsistentSystemError, but whose message now names the failing sample
+point instead of an eliminated row of the old linear system.
 ``selftest`` is left out because its report holds wall-clock seconds.
 To re-record after an intended output change, print
 ``hashlib.sha256(out.encode()).hexdigest()`` for each case.
@@ -34,6 +42,10 @@ C3 = '{"omega":{"lambda":[[67],[97]]},"v":{"n":3,"rows":[[[23],[89],[4]],[[60],[
 
 # a classified cocycle on GL_2 over W(Z/5^3)
 C2 = '{"omega":{"lambda":[[67],[97]]},"v":{"n":2,"rows":[[[23],[89]],[[60],[85]]]}}'
+# a classified cocycle on GL_3 over W(F_25)/5^4, as `cocycle-make --p 5 --prec 4 --m 2 --n 3 --seed 7` prints it
+C3M2 = '{"omega":{"lambda":[[536,184]]},"v":{"n":3,"rows":[[[486,129],[2,623],[464,477]],[[136,173],[313,344],[480,75]],[[53,448],[401,364],[171,555]]]}}'
+# the word that `decompose` prints for an admissible 4x4 matrix over W(F_27)/3^3
+W4 = '{"factors":[{"kind":"perm","sigma":[0,1,2,3]},{"a":[25,2,23],"b":[[24,2,17],[2,21,16],[24,24,24]],"kind":"s"},{"kind":"perm","sigma":[3,0,1,2]},{"a":[2,23,25],"b":[[6,7,15],[2,23,23],[0,0,0]],"kind":"s"},{"kind":"perm","sigma":[2,0,1,3]},{"a":[2,0,22],"b":[[1,0,2],[0,0,0],[0,0,0]],"kind":"s"},{"kind":"perm","sigma":[1,0,2,3]},{"a":[1,0,0],"b":[[0,0,0],[0,0,0],[0,0,0]],"kind":"s"},{"kind":"perm","sigma":[0,1,2,3]},{"a":[1,0,0],"b":[[2,2,1],[0,0,0],[0,0,0]],"kind":"s"},{"kind":"perm","sigma":[2,0,1,3]},{"a":[1,0,0],"b":[[24,7,13],[0,0,0],[0,0,0]],"kind":"s"},{"kind":"perm","sigma":[1,2,0,3]},{"a":[1,0,0],"b":[[0,0,0],[13,8,4],[0,0,0]],"kind":"s"},{"kind":"perm","sigma":[3,2,0,1]},{"a":[1,0,0],"b":[[9,11,9],[0,0,0],[0,0,0]],"kind":"s"},{"kind":"perm","sigma":[1,2,0,3]},{"a":[1,0,0],"b":[[0,0,0],[22,7,14],[0,0,0]],"kind":"s"},{"kind":"perm","sigma":[2,1,3,0]},{"a":[1,0,0],"b":[[0,0,0],[0,0,0],[18,11,25]],"kind":"s"},{"kind":"perm","sigma":[3,1,2,0]}],"n":4}'
 # the document that `jet-prolong --p 3 --prec 4 --times 0 'x0*x1 + 2*x0^2'` prints
 T0 = json.dumps({"order": 0, "terms": [{"coefficient": [1], "exponents": [[0, 0, 1], [1, 0, 1]]},
                                        {"coefficient": [2], "exponents": [[0, 0, 2]]}],
@@ -176,6 +188,23 @@ CASES = [
      1, 'b1e840942e9736f109a186bbe466637fc9e4e758ffa7b66d5bf700fb0c1c9867'),
     (('cocycle-check', '--p', '5', '--prec', '3', '--n', '3', '--samples', '5', '--seed', '7', '--map', 'coboundary', '--cocycle', '{"v":{"n":3,"rows":[[1,2,0],[0,1,3],[4,0,1]]}}'),
      0, '17136e01610ee3b459d721ec60a77fafa00bc4961b8eefb6321de0650eb689d1'),
+    (('cocycle-recover', '--p', '5', '--prec', '4', '--m', '2', '--n', '3', '--seed', '7', '--cocycle', C3M2),
+     0, 'b61e6d249c797e2e59633cd6b3acd3bf236a9cb3d5f3a9006fc6a32287deeceb'),
+    (('cocycle-recover', '--backend', 'kolchin', '--trunc', '6', '--map', 'logderiv', '--n', '3'),
+     2, 'a89943a1ca5dcd398a2e90d96bbc80300ba60fbc87e50fdfc145612a183e7737'),
+    (('decompose', '--p', '3', '--prec', '3', '--m', '2', '--precondition', '--seed', '7', '{"n":5,"rows":[[[25,0],[15,0],[12,0],[0,0],[19,0]],[[14,25],[3,0],[0,0],[0,6],[0,0]],[[24,15],[11,7],[0,0],[0,17],[0,20]],[[0,0],[10,0],[0,13],[21,9],[15,0]],[[18,0],[23,0],[5,22],[0,0],[0,0]]]}'),
+     0, 'ec3db6addf28f4ce3a3ffc5f059b1c44eacbbc75b2eeb78f8bdc844ee32c9df7'),
+    (('decompose', '--p', '3', '--prec', '3', '--m', '3', '--precondition', '--seed', '7', '{"n":6,"rows":[[[0,0,2],[5,0,9],[6,18,13],[25,0,0],[0,14,1],[0,10,0]],[[16,5,0],[5,16,16],[5,0,13],[0,0,0],[0,14,24],[23,16,8]],[[0,26,0],[14,0,18],[0,14,7],[0,0,0],[0,24,0],[25,0,16]],[[19,9,0],[11,0,2],[0,0,0],[23,18,8],[21,0,16],[8,6,0]],[[22,0,11],[21,3,0],[23,0,4],[0,5,0],[1,0,1],[19,23,10]],[[9,24,1],[0,0,0],[0,7,21],[3,25,0],[18,0,10],[0,0,0]]]}'),
+     0, 'a011d3dab67c513fa49d882bfd0e13bdc4bf8d0f8e5735ae8d64a73decf012e8'),
+    (('reconstruct', '--p', '3', '--prec', '3', '--m', '3', W4),
+     0, 'e9bcf8015dba783920927add937b332d7a0d774282d78d703e913a046d35c0f8'),
+    (('reconstruct', '--p', '5', '--prec', '3', '{"n":2,"factors":[{"kind":"perm","sigma":[0,0]},{"kind":"s","a":[1],"b":[[3]]},{"kind":"perm","sigma":[0,1]}]}'),
+     2, 'fc5455f2a06ec1ac4260f1f10151441e773dbc57255a1ad1bbd8c81957831039'),
+    (('reconstruct', '--p', '5', '--prec', '3', '{"n":2,"factors":[{"kind":"perm","sigma":[1,0]},{"kind":"s","a":[2],"b":[[3]]},{"kind":"perm","sigma":[0,7]}]}'),
+     2, '5bfc4a67179b2961080075864af1f3d60bebc80e0ac10c5b047b1c6268636a4b'),
+    # a bad permutation before a non-unit s-entry: the s-entries are checked first
+    (('reconstruct', '--p', '5', '--prec', '3', '{"n":2,"factors":[{"kind":"perm","sigma":[0,0]},{"kind":"s","a":[5],"b":[[3]]},{"kind":"perm","sigma":[0,1]}]}'),
+     2, 'd9345accc46e358343646046112b59c23240f8c7c57b9802cfd0304d47996194'),
 ]
 
 

@@ -22,7 +22,14 @@ from delta_forge import (
     random_sl,
     recover,
 )
-from delta_forge.errors import BackendError, InputError, NonUnitError, PrecisionExhausted
+from delta_forge.cocycles import RECOVER_EXTRA_SAMPLES
+from delta_forge.errors import (
+    BackendError,
+    InconsistentSystemError,
+    InputError,
+    NonUnitError,
+    PrecisionExhausted,
+)
 from delta_forge.matrices import solve_linear
 from delta_forge.rings import SeriesRing, make_ring
 
@@ -224,6 +231,118 @@ class TestRecover:
     def test_n1_rejected(self, ring):
         with pytest.raises(InputError):
             recover(coboundary_handle(SquareMatrix.zero(ring, 1)), ring, 1)
+
+
+def ref_recover_v(f, ring, n, seed=0):
+    """v as ``recover`` found it by linear solving: g v - v g = f(g) g on
+    the elementary matrices 1 + e_kl and the seeded SL_n points, one
+    equation per entry, and v[0][0] = 0."""
+    ident = SquareMatrix.identity(ring, n)
+    points = []
+    for k in range(n):
+        for l in range(n):
+            if k != l:
+                rows = [list(r) for r in ident.rows]
+                rows[k][l] = ring.one
+                points.append(SquareMatrix(ring, rows))
+    rng = random.Random(f"{seed}:recover")
+    points += [random_sl(ring, n, rng) for _ in range(RECOVER_EXTRA_SAMPLES)]
+    rows, rhs, zero = [], [], ring.zero
+    for g in points:
+        target = f(g) * g
+        for i in range(n):
+            for l in range(n):
+                coeffs = [zero] * (n * n)
+                for k in range(n):
+                    coeffs[k * n + l] = coeffs[k * n + l] + g[i, k]
+                    coeffs[i * n + k] = coeffs[i * n + k] - g[k, l]
+                rows.append(coeffs)
+                rhs.append(target[i, l])
+    rows.append([ring.one] + [zero] * (n * n - 1))
+    rhs.append(zero)
+    sol = solve_linear(ring, rows, rhs)
+    return SquareMatrix(ring, [[sol[i * n + j] for j in range(n)] for i in range(n)])
+
+
+RECOVER_RINGS = {"witt-m1": make_ring(5, 4), "witt-m2": make_ring(3, 3, 2), "series": SeriesRing(6)}
+
+
+def random_v(ring, n, rng):
+    return SquareMatrix(ring, [[ring.random_element(rng) for _ in range(n)] for _ in range(n)])
+
+
+def recover_handles(ring, n, rng):
+    """A classified, a coboundary and (on Q[[t]]) the log-derivative handle."""
+    omega = GmHomParams((ring.random_element(rng), ring.random_element(rng)))
+    handles = {
+        "classified": classified_handle(ClassifiedCocycle(omega, random_v(ring, n, rng))),
+        "coboundary": coboundary_handle(random_v(ring, n, rng)),
+    }
+    if ring.kind == "kolchin":
+        handles["logderiv"] = log_derivative_handle()
+    return handles
+
+
+def assert_same_v(got, want):
+    assert (got.prec, got.vals) == (want.prec, want.vals)
+
+
+class TestRecoverAgainstSolve:
+    @pytest.mark.parametrize("name", sorted(RECOVER_RINGS))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_read_off_is_the_solution(self, name, n):
+        ring = RECOVER_RINGS[name]
+        rng = random.Random(f"recover:{name}:{n}")
+        for kind, h in recover_handles(ring, n, rng).items():
+            seed = rng.randrange(100)
+            if kind == "logderiv":
+                # delta g g^-1 vanishes on the constant elementary matrices only
+                for fn in (recover, ref_recover_v):
+                    with pytest.raises(InconsistentSystemError):
+                        fn(h, ring, n, seed=seed)
+                continue
+            v, _ = recover(h, ring, n, seed=seed)
+            assert_same_v(v, ref_recover_v(h, ring, n, seed=seed))
+            assert v[0, 0].is_zero()
+
+    @pytest.mark.parametrize("name", sorted(RECOVER_RINGS))
+    def test_maps_the_solve_rejects_are_rejected(self, name):
+        ring = RECOVER_RINGS[name]
+        n = 3
+        rng = random.Random(f"reject:{name}")
+        c = ClassifiedCocycle(GmHomParams((ring.random_element(rng),)), random_v(ring, n, rng))
+        bump = SquareMatrix(ring, [[1 if (i, j) == (0, 1) else 0 for j in range(n)] for i in range(n)])
+        ident = SquareMatrix.identity(ring, n)
+        maps = {
+            "constant": lambda g: ident,
+            # zero on every elementary matrix: only the SL_n points catch it
+            "g00 - 1": lambda g: ident.scale(g[0, 0] - ring.one),
+            "perturbed": lambda g: classified_eval(c, g) + bump,
+        }
+        for label, fn in maps.items():
+            h = DeltaMapHandle(fn, c.order if label == "perturbed" else 0)
+            for rec in (recover, ref_recover_v):
+                with pytest.raises(InconsistentSystemError):
+                    rec(h, ring, n, seed=5)
+
+    @pytest.mark.parametrize("name", sorted(RECOVER_RINGS))
+    def test_v_has_the_least_precision_of_every_point(self, name):
+        ring = RECOVER_RINGS[name]
+        n = 3
+        rng = random.Random(f"low:{name}")
+        c = ClassifiedCocycle(GmHomParams((ring.random_element(rng),)), random_v(ring, n, rng))
+        elementary = [SquareMatrix(ring, [[int(i == j or (i, j) == (k, l)) for j in range(n)]
+                                          for i in range(n)])
+                      for k in range(n) for l in range(n) if k != l]
+
+        def lower_off_elementary(g):
+            out = classified_eval(c, g)
+            return out if any(g == e for e in elementary) else out.reduce_prec(2)
+
+        h = DeltaMapHandle(lower_off_elementary, c.order)
+        v, _ = recover(h, ring, n, seed=3)
+        assert v.prec == 2
+        assert_same_v(v, ref_recover_v(h, ring, n, seed=3))
 
 
 class TestBlocks:

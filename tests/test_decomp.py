@@ -13,9 +13,21 @@ from delta_forge import (
     reconstruct,
     trailing_minors,
 )
+from delta_forge import matrices
 from delta_forge.decomp import expected_word_length, is_admissible
 from delta_forge.errors import NonUnitError, NonUnitMinorError, ShapeError
-from delta_forge.rings import make_ring
+from delta_forge.rings import SeriesRing, make_ring
+
+RINGS = {"witt-m1": make_ring(5, 3), "witt-m2": make_ring(3, 3, 2), "series": SeriesRing(4)}
+
+
+def uniformizer(ring):
+    return ring.t if ring.kind == "kolchin" else ring.from_int(ring.p)
+
+
+def same(a, b):
+    """Equal value and equal claimed precision."""
+    return a.prec == b.prec and a == b
 
 
 @pytest.fixture
@@ -108,6 +120,147 @@ class TestDecompose:
                 continue
             assert reconstruct(decompose(x), ring) == x
             done += 1
+
+
+def ref_outcome(x):
+    """What ``decompose`` must raise for x, read off ``trailing_minors``
+    and ``det``: the first non-unit minor by index, else a non-unit
+    determinant, else None."""
+    minors, _ = trailing_minors(x)
+    for i, d in enumerate(minors, 1):
+        if not d.is_unit():
+            return NonUnitMinorError, i, d
+    d = x.det()
+    return (NonUnitError, None, d) if not d.is_unit() else None
+
+
+def outcome(x):
+    try:
+        decompose(x)
+    except NonUnitMinorError as e:
+        return NonUnitMinorError, e.index, e.value
+    except NonUnitError as e:
+        return NonUnitError, None, e.element
+    return None
+
+
+def assert_outcome(rows, ring):
+    """decompose and the reference agree on fresh matrices of rows:
+    the error type, the minor's index, and the value with its precision."""
+    got, want = outcome(SquareMatrix(ring, rows)), ref_outcome(SquareMatrix(ring, rows))
+    assert (got is None) == (want is None), (got, want)
+    if want is not None:
+        assert got[:2] == want[:2] and same(got[2], want[2]), (got, want)
+    return want
+
+
+class TestErrorPrecedence:
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_first_non_unit_minor_then_det(self, name):
+        ring = RINGS[name]
+        pi, u = uniformizer(ring), ring.from_int(2)
+        # minor 1 a unit, minor 2 = 2 pi at precision 2: index 2
+        low = (u * pi).at_prec(2)
+        got = assert_outcome([[1, 0, 0], [0, 0, 1], [0, 1, low]], ring)
+        assert got[:2] == (NonUnitMinorError, 2) and got[2].prec == 2
+        # minor 1 = pi and det = pi^2 both non-units: index 1
+        got = assert_outcome([[pi, 0, 0], [0, pi, 0], [0, 0, 1]], ring)
+        assert got[:2] == (NonUnitMinorError, 1)
+        # every minor a unit, det = 2 pi: the determinant's value
+        got = assert_outcome([[u * pi, 0, 0], [0, 1, 0], [0, 0, 1]], ring)
+        assert got[0] is NonUnitError and got[2] == u * pi
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_random_matrices_raise_what_the_reference_raises(self, name):
+        ring = RINGS[name]
+        pi, top = uniformizer(ring), ring.one.prec
+        rng = random.Random(f"precedence:{name}")
+        seen = set()
+        for _ in range(60):
+            n = rng.choice((1, 2, 3, 4))
+            rows = [[ring.random_element(rng, rng.choice((top, top, top - 1)))
+                     * pi ** rng.choice((0, 0, 0, 1)) for _ in range(n)] for _ in range(n)]
+            want = assert_outcome(rows, ring)
+            seen.add(want and want[:2])
+        assert {None, (NonUnitMinorError, 1), (NonUnitError, None)} <= seen
+
+    def test_each_trailing_block_is_eliminated_once(self, ring, monkeypatch):
+        calls = []
+        real = matrices._eliminate
+
+        def counted(dom, aug, ncols):
+            calls.append(ncols)
+            return real(dom, aug, ncols)
+
+        monkeypatch.setattr(matrices, "_eliminate", counted)
+        rng = random.Random(34)
+        for n in range(1, 6):
+            while True:
+                rows = random_gl(ring, n, rng).rows
+                if is_admissible(SquareMatrix(ring, rows)):
+                    break
+            calls.clear()
+            decompose(SquareMatrix(ring, rows))
+            # the inverse of each trailing block, outermost first, then det
+            assert calls == [*range(n - 1, 0, -1), n]
+
+
+def dense_product(word, ring):
+    """The word's factors as matrices, multiplied left to right."""
+    acc = None
+    for f in word.factors:
+        if isinstance(f, PermFactor):
+            m = SquareMatrix.permutation(ring, f.sigma)
+        else:
+            m = SquareMatrix.h_block(ring, f.a, f.b)
+        acc = m if acc is None else acc * m
+    return acc
+
+
+def random_word(ring, n, rng):
+    """A word of 1..4 s-factors whose entries are drawn at precisions
+    down to 1."""
+    top = ring.one.prec
+    elem = lambda: ring.random_element(rng, rng.choice((top, top, rng.randint(1, top))))  # noqa: E731
+    factors = [PermFactor(tuple(rng.sample(range(n), n)))]
+    for _ in range(rng.randint(1, 4)):
+        a = elem()
+        while not a.is_unit():
+            a = elem()
+        factors += [SFactor(a, tuple(elem() for _ in range(n - 1))),
+                    PermFactor(tuple(rng.sample(range(n), n)))]
+    return DecompositionWord(n, tuple(factors))
+
+
+class TestReconstruct:
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_applying_the_factors_is_the_dense_product(self, name):
+        ring = RINGS[name]
+        rng = random.Random(f"apply:{name}")
+        for n in range(1, 5):
+            for _ in range(10):
+                word = random_word(ring, n, rng)
+                got, want = reconstruct(word, ring), dense_product(word, ring)
+                assert (got.prec, got.vals) == (want.prec, want.vals)
+
+    def test_an_s_entry_of_lower_precision_lowers_the_product(self, ring):
+        b = (ring.from_int(7), ring.from_int(3).at_prec(1))
+        word = DecompositionWord(3, (PermFactor((2, 0, 1)), SFactor(ring.from_int(2), b),
+                                     PermFactor((0, 1, 2))))
+        got, want = reconstruct(word, ring), dense_product(word, ring)
+        assert got.prec == 1 and (got.prec, got.vals) == (want.prec, want.vals)
+
+    def test_int_entries_are_taken(self, ring):
+        word = DecompositionWord(2, (PermFactor((1, 0)), SFactor(ring.from_int(2), (3,)),
+                                     PermFactor((0, 1))))
+        assert reconstruct(word, ring) == SquareMatrix(ring, [[0, 1], [2, 3]])
+
+    def test_an_element_of_another_ring_is_a_type_error(self, ring):
+        other = make_ring(7, 3)
+        for a, b in ((ring.from_int(2), (other.one,)), (other.one, (ring.one,))):
+            word = DecompositionWord(2, (PermFactor((0, 1)), SFactor(a, b), PermFactor((0, 1))))
+            with pytest.raises(TypeError):
+                reconstruct(word, ring)
 
 
 class TestWordShape:

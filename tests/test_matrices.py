@@ -454,6 +454,30 @@ def test_values_random_draws_as_random_element(name):
         assert rng.getstate() == ref_rng.getstate()
 
 
+def ref_random_sl(ring, n, rng):
+    """``random_sl`` through elements: a ``random_gl`` sample whose first
+    row is multiplied by det^-1 as elements."""
+    g = random_gl(ring, n, rng)
+    dinv = g.det().invert()
+    rows = [list(r) for r in g.rows]
+    rows[0] = [dinv * e for e in rows[0]]
+    return SquareMatrix(ring, rows)
+
+
+SL_RINGS = {"witt-m1": RINGS["witt-m1"], "witt-m2": RINGS["witt-m2"], "series-t8": SeriesRing(8)}
+
+
+@pytest.mark.parametrize("name", sorted(SL_RINGS))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_random_sl_draws_as_the_element_path(name, n):
+    ring = SL_RINGS[name]
+    for seed in range(30):
+        rng, ref_rng = random.Random(f"sl:{seed}"), random.Random(f"sl:{seed}")
+        got, want = random_sl(ring, n, rng), ref_random_sl(ring, n, ref_rng)
+        assert (got.prec, got.vals) == (want.prec, want.vals)
+        assert rng.getstate() == ref_rng.getstate()
+
+
 @pytest.mark.parametrize("sample", [random_gl, random_sl])
 def test_sampling_an_empty_matrix_is_a_shape_error(sample):
     for n in (0, -1):
@@ -555,6 +579,41 @@ def test_non_permutation_matrices_are_rejected(name):
         rows = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
         rows[0][1] = stray
         assert not SquareMatrix(ring, rows).is_permutation_matrix()
+
+
+def permutation_pairs(n, rng):
+    """Every pair of permutations of range(n) for n <= 3, else 20 seeded
+    random pairs."""
+    if n <= 3:
+        return itertools.product(itertools.permutations(range(n)), repeat=2)
+    return [(tuple(rng.sample(range(n), n)), tuple(rng.sample(range(n), n))) for _ in range(20)]
+
+
+@pytest.mark.parametrize("name", ["witt-m1", "witt-m2", "series"])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_permuted_is_the_permutation_product(name, n):
+    ring = RINGS[name]
+    rng = random.Random(f"permuted:{name}:{n}")
+    x = SquareMatrix(ring, sample_rows(ring, n, "mixed", rng))
+    for sl, sr in permutation_pairs(n, rng):
+        want = SquareMatrix.permutation(ring, sl) * x * SquareMatrix.permutation(ring, sr)
+        got = x.permuted(sl, sr)
+        assert (got.prec, got.vals) == (want.prec, want.vals), (sl, sr)
+
+
+def test_permuted_rejects_what_permutation_rejects():
+    ring = RINGS["witt-m1"]
+    x = SquareMatrix(ring, [[1, 2], [3, 4]])
+    for bad in ((0, 0), (0, 7), (1, 2), [1, 1]):
+        with pytest.raises(ShapeError) as want:
+            SquareMatrix.permutation(ring, bad)
+        for args in ((bad, (0, 1)), ((1, 0), bad)):
+            with pytest.raises(ShapeError) as got:
+                x.permuted(*args)
+            assert str(got.value) == str(want.value)
+    for short in ((0,), (0, 1, 2)):
+        with pytest.raises(ShapeError, match=re.escape(f"not a permutation: {short}")):
+            x.permuted(short, (0, 1))
 
 
 # -- entrywise references ----------------------------------------------------

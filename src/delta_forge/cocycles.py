@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 
 from .errors import BackendError, DeltaForgeError, InconsistentSystemError, InputError, PrecisionExhausted
-from .homs import GmHomParams, gm_hom
+from .homs import GmHomParams, Report, first_counterexample, gm_hom
 from .matrices import SquareMatrix, random_constant_gl, random_gl, random_sl
 from .rings import KOLCHIN, Record
 
@@ -62,22 +62,12 @@ class DeltaMapHandle(Record):
         return self.evaluator(g).reduce_prec(out_prec)
 
 
-class CocycleReport(Record):
+class CocycleReport(Report):
     __slots__ = ("passed", "samples", "precision", "counterexample")
 
     def __init__(self, passed: bool, samples: int, precision: int,
                  counterexample: dict | None = None):
         super().__init__(passed, samples, precision, counterexample)
-
-    def to_dict(self):
-        out = {
-            "pass": self.passed,
-            "samples": self.samples,
-            "precision": self.precision,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
 
 
 def coboundary(v: SquareMatrix, g: SquareMatrix) -> SquareMatrix:
@@ -117,30 +107,21 @@ def log_derivative_handle() -> DeltaMapHandle:
 
 def cocycle_check(f: DeltaMapHandle, ring, n: int, samples: int = 1000,
                   seed: int = 0) -> CocycleReport:
-    """Check f(g1 g2) = f(g1) + g1 f(g2) g1^{-1} on seeded GL_n pairs."""
-    precision = None
-    for idx in range(samples):
-        rng = random.Random(f"{seed}:{idx}")
+    """Check f(g1 g2) = f(g1) + g1 f(g2) g1^{-1} on GL_n pairs drawn by
+    ``first_counterexample``.  The report's precision is the lesser of the
+    two sides' at the last sample run."""
+
+    def trial(rng):
         g1 = random_gl(ring, n, rng)
         g2 = random_gl(ring, n, rng)
         lhs = f(g1 * g2)
         rhs = f(g1) + g1 * f(g2) * g1.invert()
-        precision = min(lhs.prec, rhs.prec)
-        if not lhs == rhs:
-            return CocycleReport(
-                passed=False,
-                samples=idx + 1,
-                precision=precision,
-                counterexample={
-                    "g1": g1.to_json(),
-                    "g2": g2.to_json(),
-                    "lhs": lhs.to_json(),
-                    "rhs": rhs.to_json(),
-                },
-            )
-    if precision is None:
-        precision = 0
-    return CocycleReport(passed=True, samples=samples, precision=precision)
+        bad = None if lhs == rhs else {"g1": g1.to_json(), "g2": g2.to_json(),
+                                       "lhs": lhs.to_json(), "rhs": rhs.to_json()}
+        return min(lhs.prec, rhs.prec), bad
+
+    count, precision, bad = first_counterexample(samples, seed, trial)
+    return CocycleReport(bad is None, count, precision, bad)
 
 
 def recover(f: DeltaMapHandle, ring, n: int, seed: int = 0):
@@ -260,47 +241,33 @@ def coherence_check(f: DeltaMapHandle, ring, n: int, subgroup: str,
                     u: SquareMatrix | None = None) -> CocycleReport:
     """Check f maps the named constant-defined subgroup into its Lie
     algebra: diagonal (torus), trace zero (sl_n), upper triangular
-    (borel), or u^{-1} (diagonal) u for a conjugated torus."""
+    (borel), or u^{-1} (diagonal) u for a conjugated torus, on points
+    drawn by ``first_counterexample``.  The subgroup and u are checked
+    before any point is drawn.  The report's precision is that of f at
+    the last point."""
     if subgroup == CONJUGATED_TORUS:
         if u is None:
             raise InputError("conjugated-torus needs the conjugating matrix u")
-        for r in u.rows:
-            for e in r:
-                if not e.is_constant():
-                    raise InputError("conjugating matrix must have constant entries")
+        if not all(e.is_constant() for r in u.rows for e in r):
+            raise InputError("conjugating matrix must have constant entries")
         uinv = u.invert()
-    precision = None
-    for idx in range(samples):
-        rng = random.Random(f"{seed}:{idx}")
-        if subgroup == TORUS:
-            g = _random_torus_point(ring, n, rng)
-            val = f(g)
-            ok = _is_diagonal(val)
-        elif subgroup == SL:
-            g = random_sl(ring, n, rng)
-            val = f(g)
-            ok = val.trace().is_zero()
-        elif subgroup == BOREL:
-            g = _random_borel_point(ring, n, rng)
-            val = f(g)
-            ok = _is_upper(val)
-        elif subgroup == CONJUGATED_TORUS:
-            d = _random_torus_point(ring, n, rng)
-            g = uinv * d * u
-            val = f(g)
-            ok = _is_diagonal(u * val * uinv)
-        else:
-            raise InputError(f"unknown subgroup {subgroup!r}")
-        precision = val.prec
-        if not ok:
-            return CocycleReport(
-                passed=False,
-                samples=idx + 1,
-                precision=precision,
-                counterexample={
-                    "subgroup": subgroup,
-                    "g": g.to_json(),
-                    "value": val.to_json(),
-                },
-            )
-    return CocycleReport(passed=True, samples=samples, precision=precision or 0)
+        draw = lambda ring, n, rng: uinv * _random_torus_point(ring, n, rng) * u  # noqa: E731
+        holds = lambda val: _is_diagonal(u * val * uinv)  # noqa: E731
+    elif subgroup in (TORUS, SL, BOREL):
+        # built per call: the samplers are looked up in this module's globals
+        # when the check runs, where a tracer may have replaced them
+        draw, holds = {TORUS: (_random_torus_point, _is_diagonal),
+                       SL: (random_sl, lambda val: val.trace().is_zero()),
+                       BOREL: (_random_borel_point, _is_upper)}[subgroup]
+    else:
+        raise InputError(f"unknown subgroup {subgroup!r}")
+
+    def trial(rng):
+        g = draw(ring, n, rng)
+        val = f(g)
+        bad = None if holds(val) else {"subgroup": subgroup, "g": g.to_json(),
+                                       "value": val.to_json()}
+        return val.prec, bad
+
+    count, precision, bad = first_counterexample(samples, seed, trial)
+    return CocycleReport(bad is None, count, precision, bad)

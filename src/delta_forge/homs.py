@@ -3,8 +3,9 @@
 Covers the additive families sum lambda_i phi^i(a) (resp. lambda_i
 delta^i(a) on the series backend), the log-like series map ``psi`` from
 units to the additive group, the induced multiplicative-to-additive
-families, the twisted cocycles mu(1 - a^s), and a seeded black-box
-homomorphism checker.
+families, the twisted cocycles mu(1 - a^s), a seeded black-box
+homomorphism checker, and ``first_counterexample``, the seeded search
+that it shares with the cocycle checks.
 """
 
 from __future__ import annotations
@@ -161,58 +162,71 @@ def twisted_cocycle(params: TwistedCocycleParams, a):
     return params.mu * (one - a**params.s)
 
 
-class HomReport(Record):
+class Report(Record):
+    """Outcome of a sampled law check.  A subclass names four slots:
+    passed, samples, one of its own (``law`` or ``precision``) and
+    counterexample."""
+
+    __slots__ = ()
+
+    def to_dict(self):
+        passed, samples, own, counterexample = self._values()
+        out = {"pass": passed, "samples": samples, self.__slots__[2]: own}
+        if counterexample is not None:
+            out["counterexample"] = counterexample
+        return out
+
+
+class HomReport(Report):
     __slots__ = ("passed", "samples", "law", "counterexample")
 
     def __init__(self, passed: bool, samples: int, law: str, counterexample: dict | None = None):
         super().__init__(passed, samples, law, counterexample)
 
-    def to_dict(self):
-        out = {"pass": self.passed, "samples": self.samples, "law": self.law}
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
+
+def first_counterexample(samples: int, seed, trial):
+    """The seeded search that every sampled law check runs.
+
+    Calls ``trial(random.Random(f"{seed}:{idx}"))`` for idx = 0, 1, ...,
+    at most ``samples`` times, and stops at the first counterexample.  A
+    trial returns (info, counterexample or None).  Each sample draws from
+    its own stream, derived from (seed, idx) alone, so a run is
+    deterministic and no sample depends on another.  Returns (samples
+    run, info of the last trial, counterexample or None).
+    """
+    if samples < 1:
+        raise InputError(f"samples must be at least 1, got {samples}")
+    for idx in range(samples):
+        info, bad = trial(random.Random(f"{seed}:{idx}"))
+        if bad is not None:
+            break
+    return idx + 1, info, bad
 
 
 def check_hom(f, law: str, ring, samples: int = 1000, seed: int = 0,
               s: int | None = None) -> HomReport:
-    """Sampled check of a homomorphism law for a black-box evaluator.
-
-    Per-sample RNG streams are derived from (seed, index), so the run is
-    deterministic and order-independent.  Equality is tested at the
-    minimum precision of the two sides.  The first counterexample stops
-    the search.
+    """Sampled check of a homomorphism law for a black-box evaluator:
+    f(a1 + a2) = f(a1) + f(a2) (additive), f(a1 a2) = f(a1) + f(a2)
+    (multiplicative-to-additive) or f(a1 a2) = f(a1) + a1^s f(a2)
+    (twisted), on pairs of elements (units for the last two) drawn by
+    ``first_counterexample``.  Equality is tested at the minimum
+    precision of the two sides.
     """
     if law == TWISTED and s is None:
         raise InputError("twisted law requires the exponent s")
     if law not in (ADDITIVE, MULTIPLICATIVE, TWISTED):
         raise InputError(f"unknown law {law!r}")
-    for idx in range(samples):
-        rng = random.Random(f"{seed}:{idx}")
-        if law == ADDITIVE:
-            a1 = ring.random_element(rng)
-            a2 = ring.random_element(rng)
-            combined = a1 + a2
-        else:
-            a1 = ring.random_unit(rng)
-            a2 = ring.random_unit(rng)
-            combined = a1 * a2
-        lhs = f(combined)
+    draw = ring.random_element if law == ADDITIVE else ring.random_unit
+
+    def trial(rng):
+        a1 = draw(rng)
+        a2 = draw(rng)
+        lhs = f(a1 + a2 if law == ADDITIVE else a1 * a2)
         f1, f2 = f(a1), f(a2)
-        if law == TWISTED:
-            rhs = f1 + a1**s * f2
-        else:
-            rhs = f1 + f2
-        if lhs != rhs:
-            return HomReport(
-                passed=False,
-                samples=idx + 1,
-                law=law,
-                counterexample={
-                    "a1": elem_to_json(a1),
-                    "a2": elem_to_json(a2),
-                    "lhs": elem_to_json(lhs),
-                    "rhs": elem_to_json(rhs),
-                },
-            )
-    return HomReport(passed=True, samples=samples, law=law)
+        rhs = f1 + (a1**s * f2 if law == TWISTED else f2)
+        bad = None if lhs == rhs else {"a1": elem_to_json(a1), "a2": elem_to_json(a2),
+                                       "lhs": elem_to_json(lhs), "rhs": elem_to_json(rhs)}
+        return None, bad
+
+    count, _, bad = first_counterexample(samples, seed, trial)
+    return HomReport(bad is None, count, law, bad)

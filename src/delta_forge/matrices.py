@@ -91,6 +91,8 @@ class SquareMatrix:
     def permutation(cls, ring, sigma):
         """Permutation matrix M with M[i][sigma[i]] = 1."""
         n = len(sigma)
+        if not n:
+            raise ShapeError("matrix rows must all have length n >= 1")
         dom = Values(ring, ring.one.prec)
         one, zero = dom.from_elem(ring.one), dom.from_elem(ring.zero)
         ident = cls._of(dom, [[one if j == i else zero for j in range(n)] for i in range(n)])

@@ -25,6 +25,13 @@ its factors one by one; all but one kept their bytes.  The exception is
 ``cocycle-recover --map logderiv``, which still exits 2 with
 InconsistentSystemError, but whose message now names the failing sample
 point instead of an eliminated row of the old linear system.
+The three checker cases after them (a failing ``borel`` and a passing
+``sl_n`` coherence check of ``C3``, and a ``hom-check`` on the series
+backend) were recorded before the three sampled checks moved onto one
+counterexample search.  The last case, a ``reconstruct`` of a word with
+n = 0, printed a 0x0 matrix with exit 0 until then; it was recorded after
+an empty permutation began to raise the ShapeError that ``decompose``
+raises for that matrix.
 ``selftest`` is left out because its report holds wall-clock seconds.
 To re-record after an intended output change, print
 ``hashlib.sha256(out.encode()).hexdigest()`` for each case.
@@ -205,6 +212,14 @@ CASES = [
     # a bad permutation before a non-unit s-entry: the s-entries are checked first
     (('reconstruct', '--p', '5', '--prec', '3', '{"n":2,"factors":[{"kind":"perm","sigma":[0,0]},{"kind":"s","a":[5],"b":[[3]]},{"kind":"perm","sigma":[0,1]}]}'),
      2, 'd9345accc46e358343646046112b59c23240f8c7c57b9802cfd0304d47996194'),
+    (('coherence-check', '--p', '5', '--prec', '4', '--n', '3', '--samples', '5', '--seed', '7', '--subgroup', 'borel', '--cocycle', C3),
+     1, '9048c4812bb1a2ed7748a545d6d700d96b78163d953bb2961921933f16205f57'),
+    (('coherence-check', '--p', '5', '--prec', '4', '--n', '3', '--samples', '5', '--seed', '7', '--subgroup', 'sl_n', '--cocycle', C3),
+     0, '6cd037136ab9ea68c6e03c5c4bc392c809c2e093c13be9e2d39e0a8024976dd3'),
+    (('hom-check', '--backend', 'kolchin', '--trunc', '6', '--law', 'multiplicative', '--samples', '5', '--seed', '3'),
+     0, '044d5303c307212083e3433e9395dee5ef1f0d9340225a68a1168cf5af78cbd0'),
+    (('reconstruct', '--p', '5', '--prec', '3', '{"n":0,"factors":[{"kind":"perm","sigma":[]}]}'),
+     2, '7bbd1e403f2ac6aaf42572ab0ae7cb9e744f38b081c0d28862d0ac50f90d34a6'),
 ]
 
 

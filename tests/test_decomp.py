@@ -295,6 +295,10 @@ class TestWordShape:
         with pytest.raises(ShapeError):
             reconstruct(w, ring)
 
+    def test_empty_word_is_rejected_as_decompose_rejects_its_matrix(self, ring):
+        with pytest.raises(ShapeError, match="n >= 1"):
+            reconstruct(DecompositionWord(0, (PermFactor(()),)), ring)
+
     def test_json_roundtrip(self, ring):
         x = SquareMatrix(ring, [[1, 2], [3, 4]])
         word = decompose(x)

@@ -153,6 +153,16 @@ def test_empty_matrix_is_a_shape_error():
         SquareMatrix(RINGS["witt-m1"], [])
 
 
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_empty_identity_and_permutation_are_shape_errors(name):
+    # they build without __init__, so its size check does not cover them
+    ring = RINGS[name]
+    for build in (lambda: SquareMatrix.identity(ring, 0),
+                  lambda: SquareMatrix.permutation(ring, [])):
+        with pytest.raises(ShapeError, match="n >= 1"):
+            build()
+
+
 @pytest.mark.parametrize("op", ["__add__", "__sub__", "__mul__"])
 def test_sizes_must_agree(op):
     # rows of unequal length used to be zipped into a ragged matrix

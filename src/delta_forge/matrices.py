@@ -12,6 +12,14 @@ clears the rows above a unit pivot only for the inverse and for solving,
 whose rows carry columns beyond the matrix; the determinant alone needs
 only the rows below.
 
+A product runs one kernel over the operands ``Values.product_operands``
+hands back: entry (i, j) is finish(sum(map(mul, rows[i], cols[j]))).  On
+W those are the values themselves, and finish is ``reduce``.  On Q[[t]]/t^K
+each entry is Kronecker-packed once per product into one int, in signed
+slots wide enough for a sum of n products (bits of the largest numerator
+of each operand, plus bits(n K), plus a sign bit), so each of the n^3
+entry products is one big-int multiply.
+
 A matrix is eliminated at most once per job and keeps what it found:
 the determinant (which also answers the unit test) and the inverse each
 come from at most one elimination, an inversion gives the determinant
@@ -22,7 +30,7 @@ never be mutated.
 from __future__ import annotations
 
 from functools import reduce
-from operator import add, sub
+from operator import add, mul, sub
 
 from .errors import (
     InconsistentSystemError,
@@ -31,7 +39,7 @@ from .errors import (
     ShapeError,
     SingularPivotError,
 )
-from .rings import ARITHMETIC, Values, dot, same_ring
+from .rings import ARITHMETIC, Values, same_ring
 from .serialize import elem_from_json, elem_to_json
 
 
@@ -156,8 +164,8 @@ class SquareMatrix:
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         dom = self._dom(other)
-        red, cols = dom.reduce, list(zip(*other.vals))
-        return SquareMatrix._of(dom, [[red(dot(r, c)) for c in cols] for r in self.vals])
+        rows, cols, finish = dom.product_operands(self.vals, other.vals)
+        return SquareMatrix._of(dom, [[finish(sum(map(mul, r, c))) for c in cols] for r in rows])
 
     def _scalar(self, c):
         """The domain of self combined with the scalar c, at the lesser of

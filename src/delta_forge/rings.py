@@ -25,7 +25,7 @@ import random
 from functools import reduce
 from itertools import product, zip_longest
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, lshift, mul
 
 from .errors import BackendError, InputError, NonUnitError, PrecisionExhausted
 
@@ -110,7 +110,10 @@ class Values:
     ``reduce`` gives their normal form, which is falsy exactly when the
     value vanishes.  ``random`` draws one normal form exactly as
     ``ring.random_element(rng, prec)`` draws an element, with the same
-    calls on the generator.
+    calls on the generator.  ``product_operands`` gives the operands of
+    the one matrix product kernel: values on W, and on Q[[t]] one int per
+    entry, its numerators Kronecker-packed in signed slots as wide as a
+    sum of n products needs (the slot-width rule is given there).
 
     ``valuation`` is p-adic on W and t-adic on Q[[t]], and ``prec`` for a
     value that vanishes.  Two facts let products skip work exactly:
@@ -171,6 +174,52 @@ class Values:
         if r:
             raise InputError(f"coefficient not divisible by p: {v}")
         return q
+
+    def product_operands(self, a, b):
+        """(rows, cols, finish) for the product of the n x n matrices of
+        values a and b, each at precision at least prec: entry (i, j) of
+        the product's normal form is finish(sum(map(mul, rows[i], cols[j]))).
+
+        On W these are a's rows, b's columns and ``reduce``.  On Q[[t]]/t^K
+        (K = prec) every entry becomes one int: its numerators over the
+        common denominator of its matrix, cut to K, packed once per product
+        as sum c_i 2^(w i) in signed w-bit slots.  A slot of a sum of n
+        products adds at most n K products of two coefficients, so
+        w = bits(max |c| in a) + bits(max |c| in b) + bits(n K) + 1 keeps it
+        below 2^(w-1) in size, and the low K slots read back exactly."""
+        if self.ring.kind == ARITHMETIC:
+            return a, list(zip(*b)), self.reduce
+        k, ring = self.prec, self.ring
+        da, na, bits_a = _over_one_den(a)
+        db, nb, bits_b = _over_one_den(b)
+        w = bits_a + bits_b + (len(a) * k).bit_length() + 1
+        shifts = range(0, k * w, w)
+        half, mask, low = 1 << (w - 1), (1 << w) - 1, (1 << (k * w)) - 1
+        # half in every slot: the low K slots of x + bias hold c_i + half
+        bias = sum(half << s for s in shifts)
+        den = da * db
+
+        def pack(num):
+            return sum(map(lshift, num, shifts))
+
+        def finish(x):
+            x = (x + bias) & low
+            return SeriesElement(ring, tuple([(x >> s & mask) - half for s in shifts]), den, k)
+
+        rows = [list(map(pack, r)) for r in na]
+        cols = list(zip(*(map(pack, r) for r in nb)))
+        return rows, cols, finish
+
+
+def _over_one_den(vals):
+    """(den, nums, bits) for a matrix of series values: den the lcm of
+    their denominators, nums their numerators over den, by rows, and bits
+    the bit length of the largest |numerator|."""
+    den = lcm(*(v.den for r in vals for v in r))
+    nums = [[v.num if v.den == den else tuple(map((den // v.den).__mul__, v.num)) for v in r]
+            for r in vals]
+    flat = [num for r in nums for num in r]
+    return den, nums, max(max(map(max, flat)), -min(map(min, flat))).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -817,10 +866,16 @@ class SeriesRing:
 
     from_int = from_rational
 
-    def element(self, coeffs, trunc=None) -> SeriesElement:
+    def _check_trunc(self, trunc):
+        """trunc, or the ring's truncation for None; PrecisionExhausted
+        outside [1, self.trunc]."""
         trunc = self.trunc if trunc is None else trunc
         if trunc < 1 or trunc > self.trunc:
             raise PrecisionExhausted(f"truncation {trunc} outside [1, {self.trunc}]")
+        return trunc
+
+    def element(self, coeffs, trunc=None) -> SeriesElement:
+        trunc = self._check_trunc(trunc)
         from fractions import Fraction
 
         coeffs = [Fraction(c) for c in coeffs][:trunc]
@@ -843,8 +898,9 @@ class SeriesRing:
         return self.from_rational(0, trunc=k - 1)
 
     def random_element(self, rng: random.Random, trunc=None) -> SeriesElement:
-        trunc = self.trunc if trunc is None else trunc
-        return self.element([rng.randint(-3, 3) for _ in range(trunc)], trunc)
+        # integer draws: the element over denominator 1, which is its normal form
+        trunc = self._check_trunc(trunc)
+        return SeriesElement(self, tuple([rng.randint(-3, 3) for _ in range(trunc)]), 1, trunc)
 
     def random_unit(self, rng: random.Random, trunc=None) -> SeriesElement:
         while True:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from delta_forge import matrices
 from delta_forge.errors import NonUnitError, PrecisionExhausted, ShapeError
 from delta_forge.matrices import SquareMatrix, random_gl, random_sl, solve_linear
-from delta_forge.rings import SeriesRing, Values, make_ring
+from delta_forge.rings import SeriesElement, SeriesRing, Values, dot, make_ring
 
 RINGS = {
     "witt-m1": make_ring(5, 4),
@@ -697,3 +697,100 @@ def test_operations_match_entrywise_references(case):
         agree = all(x.at_prec(p) == y.at_prec(p) for r, s in zip(a, other) for x, y in zip(r, s))
         assert (ma == SquareMatrix(ring, other)) == agree
     assert ma == SquareMatrix(ring, near)
+
+
+# -- the product kernel against the sum of element products -----------------
+
+
+def ref_product_vals(a, b):
+    """The normal forms of a * b as the sum of element products, entry by
+    entry: the product before ``Values.product_operands``."""
+    dom = a._dom(b)
+    cols = list(zip(*b.vals))
+    return [[dom.reduce(dot(r, c)) for c in cols] for r in a.vals]
+
+
+def value_key(v):
+    """Everything a value stores: num, den and trunc; coeffs and prec."""
+    if isinstance(v, SeriesElement):
+        return v.num, v.den, v.trunc
+    return (v.coeffs, v.prec) if hasattr(v, "coeffs") else v
+
+
+def assert_product_as_reference(a, b):
+    got = a * b
+    assert got.prec == min(a.prec, b.prec)
+    want = ref_product_vals(a, b)
+    assert [list(map(value_key, r)) for r in got.vals] == [list(map(value_key, r)) for r in want]
+
+
+@st.composite
+def big_series_entries(draw, ring):
+    """Series values with numerators up to 2^300 and denominators up to
+    2^200 in size, zero in a quarter of the draws."""
+    if draw(st.integers(0, 3)) == 0:
+        return ring.zero
+    num = draw(st.lists(st.integers(-(2**300), 2**300), min_size=ring.trunc, max_size=ring.trunc))
+    return SeriesElement(ring, tuple(num), draw(st.integers(1, 2**200)), ring.trunc)
+
+
+@st.composite
+def series_products(draw):
+    """Two n x n matrices over Q[[t]]/t^M, each lowered by ``reduce_prec`` to
+    its own precision, down to 1; either may be the zero matrix."""
+    ring = SeriesRing(draw(st.sampled_from([2, 6, 10])))
+    n = draw(st.integers(1, 5))
+
+    def operand():
+        if draw(st.integers(0, 7)) == 0:
+            m = SquareMatrix.zero(ring, n)
+        else:
+            elems = big_series_entries(ring)
+            m = SquareMatrix(ring, [[draw(elems) for _ in range(n)] for _ in range(n)])
+        return m.reduce_prec(draw(st.integers(1, ring.trunc)))
+
+    return operand(), operand()
+
+
+@settings(max_examples=200)
+@given(series_products())
+def test_series_product_matches_the_element_sum(case):
+    a, b = case
+    assert_product_as_reference(a, b)
+    assert_product_as_reference(b, a)
+
+
+@pytest.mark.parametrize("bits", [1, 64, 300])
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_series_product_at_the_slot_width_bound(bits, sign):
+    # every coefficient +-(2^b - 1): slot K-1 of an entry of the product sums
+    # n K products of the largest size, which only the bits(n K) term of the
+    # slot width leaves room for
+    ring = SeriesRing(10)
+    top = 2**bits - 1
+    for n in range(1, 6):
+        big = SquareMatrix(ring, [[SeriesElement(ring, (sign * top,) * 10, 1, 10)] * n] * n)
+        assert_product_as_reference(big, big)
+        assert (big * big)[n - 1, 0].num[9] == n * 10 * top * top
+        other = SquareMatrix(ring, [[SeriesElement(ring, (top,) * 10, 1, 10)] * n] * n)
+        assert_product_as_reference(big, other)
+        assert_product_as_reference(other, big.reduce_prec(6))
+
+
+WITT_PRODUCT_RINGS = {
+    "W(Z/5^4)": make_ring(5, 4),
+    "W(F_25)/5^4": make_ring(5, 4, 2),
+    "W(F_27)/3^5": make_ring(3, 5, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITT_PRODUCT_RINGS))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_witt_product_matches_the_element_sum(name, n):
+    ring = WITT_PRODUCT_RINGS[name]
+    rng = random.Random(n)
+    for style in STYLES:
+        a = SquareMatrix(ring, sample_rows(ring, n, style, rng))
+        b = SquareMatrix(ring, sample_rows(ring, n, style, rng)).reduce_prec(rng.randint(1, ring.prec))
+        assert_product_as_reference(a, b)
+        assert_product_as_reference(b, a)

@@ -634,3 +634,35 @@ def test_values_valuation(ring):
     else:
         of = lambda v: dom.from_elem(ring.element([0] * v + [Fraction(1, 2), 3]))
     assert [dom.valuation(of(v)) for v in range(5)] == [0, 1, 2, 3, 4]
+
+
+def element_path_draw(ring, rng, trunc):
+    """A series draw through ``element``: one Fraction per coefficient."""
+    return ring.element([rng.randint(-3, 3) for _ in range(trunc)], trunc)
+
+
+def element_path_unit(ring, rng, trunc):
+    while True:
+        x = element_path_draw(ring, rng, trunc)
+        if x.is_unit():
+            return x
+
+
+@pytest.mark.parametrize("draw, ref", [("random_element", element_path_draw),
+                                       ("random_unit", element_path_unit)])
+def test_series_draws_as_the_element_path(draw, ref):
+    ring = SeriesRing(6)
+    for seed in range(10):
+        for trunc in range(1, ring.trunc + 1):
+            got_rng, ref_rng = random.Random(seed), random.Random(seed)
+            got = getattr(ring, draw)(got_rng, trunc)
+            want = ref(ring, ref_rng, trunc)
+            assert (got.num, got.den, got.trunc) == (want.num, want.den, want.trunc)
+            assert got_rng.getstate() == ref_rng.getstate()
+        assert getattr(ring, draw)(random.Random(seed)).trunc == ring.trunc
+
+
+@pytest.mark.parametrize("trunc", [0, 7])
+def test_series_draws_check_the_truncation(trunc):
+    with pytest.raises(PrecisionExhausted):
+        SeriesRing(6).random_element(random.Random(0), trunc)

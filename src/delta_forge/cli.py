@@ -301,7 +301,7 @@ def cmd_decompose(args):
     x = SquareMatrix.from_json(ring, _load_json(args.matrix))
     out = {}
     if args.precondition:
-        wl, wr, xp = precondition(x, seed=_seed(args))
+        wl, wr, xp = precondition(x)
         out["w_left"] = wl.to_json()
         out["w_right"] = wr.to_json()
         x = xp
@@ -422,7 +422,7 @@ def build_parser():
 
     sp = sub.add_parser("decompose")
     _add_ring_opts(sp)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=None, help="accepted; has no effect on decompose")
     sp.add_argument("--precondition", action="store_true")
     sp.add_argument("matrix")
     sp.set_defaults(fn=cmd_decompose)

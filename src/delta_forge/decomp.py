@@ -15,21 +15,16 @@ sequence, and hence the word length, depends only on n.  Each level
 inverts w once, which also checks that trailing minor.  ``reconstruct``
 applies the factors one by one, as column re-indexing and column
 operations, without multiplying dense factor matrices.
+
+``precondition`` makes every trailing minor a unit by a row permutation
+alone: a unit determinant has, in its first column, a unit entry with a
+unit complementary minor, so the rows can be fixed one column at a time,
+each by one inversion of the block still to be ordered.
 """
 
 from __future__ import annotations
 
-import random
-from itertools import chain, permutations
-from math import factorial
-
-from .errors import (
-    ExhaustedSearchError,
-    InputError,
-    NonUnitError,
-    NonUnitMinorError,
-    ShapeError,
-)
+from .errors import InputError, NonUnitError, NonUnitMinorError, ShapeError
 from .matrices import SquareMatrix
 from .rings import Record, dot
 from .serialize import all_ints, elem_from_json, elem_to_json
@@ -227,29 +222,29 @@ def is_admissible(x: SquareMatrix) -> bool:
     return x.is_unit() and all(x.block(i, n, i, n).is_unit() for i in range(1, n))
 
 
-def precondition(x: SquareMatrix, seed: int = 0):
-    """Find permutations making every trailing minor a unit.
+def precondition(x: SquareMatrix):
+    """Row order making every trailing minor a unit, built one column at a
+    time.  Returns (w_left, w_right, x') with x' = w_left * x * w_right
+    admissible, w_right the identity and w_left the lexicographically first
+    admissible row order.
 
-    Tries the identity, then row permutations in lexicographic order,
-    then seeded random pairs, capped at n!*4 attempts.  Returns
-    (w_left, w_right, x') with x' = w_left * x * w_right admissible.
+    With rows sigma[:i] fixed, the remaining rows in ascending order,
+    restricted to columns i.., form an invertible block B.  Deleting row k
+    and column 0 of B leaves an invertible block exactly when entry (0, k)
+    of B^{-1} is a unit (the cofactor formula, det B being a unit), and
+    such a k always extends to an admissible order: expanding a unit
+    determinant along column 0 over the residue field finds a row whose
+    entry and complementary minor are both units.  So sigma[i] is the first
+    such k, and a unit det(x) is all that admissibility needs.
     """
     ring, n = x.ring, x.n
     d = x.det()
     if not d.is_unit():
         raise NonUnitError(d, "determinant is not a unit")
-    ident, cap = tuple(range(n)), factorial(n) * 4
-    rng = random.Random(f"{seed}:precondition")
-    sample = lambda: tuple(rng.sample(range(n), n))  # noqa: E731
-    # drawn lazily: the n! row permutations, then seeded random pairs up to the cap
-    tried = chain(
-        ((sigma, ident) for sigma in permutations(range(n))),
-        ((sample(), sample()) for _ in range(cap - factorial(n))),
-    )
-    for sl, sr in tried:
-        xp = x.permuted(sl, sr)
-        if is_admissible(xp):
-            return SquareMatrix.permutation(ring, sl), SquareMatrix.permutation(ring, sr), xp
-    raise ExhaustedSearchError(
-        f"no admissible permutation pair found in {cap} attempts"
-    )
+    sigma, rest = [], list(range(n))
+    for i in range(n - 1):
+        row0 = SquareMatrix._of(x.dom, [x.vals[r][i:] for r in rest]).invert().vals[0]
+        sigma.append(rest.pop(next(k for k, v in enumerate(row0) if x.dom.is_unit(v))))
+    sigma += rest
+    w_left = SquareMatrix.permutation(ring, sigma)
+    return w_left, SquareMatrix.identity(ring, n), x.permuted(sigma, range(n))

@@ -59,7 +59,7 @@ class ArityError(InputError):
 
 
 class ExhaustedSearchError(DeltaForgeError):
-    """Preconditioning ran out of permutation attempts."""
+    """Preconditioning found no admissible permutation (no library call raises it now)."""
 
 
 class TermBudgetError(DeltaForgeError):

@@ -301,7 +301,7 @@ def criterion_10_decomposition(seed, scale):
         for _ in range(trials // 3 + 1):
             x = random_gl(ring, n, rng)
             try:
-                precondition(x, seed=f"{seed}:c10q")
+                precondition(x)
                 ok += 1
             except ExhaustedSearchError:
                 pass

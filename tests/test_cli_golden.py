@@ -32,6 +32,11 @@ counterexample search.  The last case, a ``reconstruct`` of a word with
 n = 0, printed a 0x0 matrix with exit 0 until then; it was recorded after
 an empty permutation began to raise the ShapeError that ``decompose``
 raises for that matrix.
+The two ``decompose --precondition`` cases at the end (the 8x8
+anti-diagonal, and a sparse 6x6 matrix over W(F_9)/3^3 whose row order is
+neither the identity nor the reversal) were recorded before
+``precondition`` built its row order one column at a time instead of
+searching the row permutations for it.
 ``selftest`` is left out because its report holds wall-clock seconds.
 To re-record after an intended output change, print
 ``hashlib.sha256(out.encode()).hexdigest()`` for each case.
@@ -57,6 +62,8 @@ W4 = '{"factors":[{"kind":"perm","sigma":[0,1,2,3]},{"a":[25,2,23],"b":[[24,2,17
 T0 = json.dumps({"order": 0, "terms": [{"coefficient": [1], "exponents": [[0, 0, 1], [1, 0, 1]]},
                                        {"coefficient": [2], "exponents": [[0, 0, 2]]}],
                  "text": "x0*x1 + 2*x0^2"}, indent=2, sort_keys=True) + "\n"
+# the 8x8 anti-diagonal over the integers
+ANTI8 = json.dumps({"n": 8, "rows": [[int(i + j == 7) for j in range(8)] for i in range(8)]}, separators=(",", ":"))
 
 CASES = [
     (('ring-info', '--p', '5', '--prec', '3'),
@@ -220,6 +227,12 @@ CASES = [
      0, '044d5303c307212083e3433e9395dee5ef1f0d9340225a68a1168cf5af78cbd0'),
     (('reconstruct', '--p', '5', '--prec', '3', '{"n":0,"factors":[{"kind":"perm","sigma":[]}]}'),
      2, '7bbd1e403f2ac6aaf42572ab0ae7cb9e744f38b081c0d28862d0ac50f90d34a6'),
+    # the 8x8 anti-diagonal, whose row order is the reversal
+    (('decompose', '--p', '5', '--prec', '3', '--precondition', '--seed', '7', ANTI8),
+     0, 'b07c3e705c21c898dbc31883c021ff597e11a15216395c53eab8f50273364a77'),
+    # a sparse 6x6 matrix over W(F_9)/3^3 whose row order is (2, 0, 1, 4, 3, 5)
+    (('decompose', '--p', '3', '--prec', '3', '--m', '2', '--precondition', '--seed', '7', '{"n":6,"rows":[[0,0,[2,24],0,0,0],[0,0,0,0,[13,10],[5,13]],[[26,2],0,0,0,0,0],[0,[7,20],[26,4],0,[11,4],0],[[23,0],[21,6],0,[16,25],0,0],[0,[5,19],[24,22],[3,20],[24,12],[7,11]]]}'),
+     0, '044a960e287017730ce60e074ff9ea13139deefa3974a57363984f36f57911cb'),
 ]
 
 

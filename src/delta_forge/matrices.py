@@ -12,24 +12,40 @@ clears the rows above a unit pivot only for the inverse and for solving,
 whose rows carry columns beyond the matrix; the determinant alone needs
 only the rows below.
 
+The elimination clears the rows under (and for Gauss-Jordan, over) each
+pivot through one hook, ``Values.clear``.  On W it is the element loop.
+On Q[[t]]/t^K it Kronecker-packs each pivot-row entry right of the pivot
+once per column and each multiplier once per row it clears, in signed
+slots wide enough for K products (bits of the largest multiplier
+numerator, plus bits of the largest entry numerator, plus bits(K), plus
+a sign bit), so each entry update is one big-int product, one unpack and
+one normal form.
+
 A product runs one kernel over the operands ``Values.product_operands``
-hands back: entry (i, j) is finish(sum(map(mul, rows[i], cols[j]))).  On
-W those are the values themselves, and finish is ``reduce``.  On Q[[t]]/t^K
-each entry is Kronecker-packed once per product into one int, in signed
-slots wide enough for a sum of n products (bits of the largest numerator
-of each operand, plus bits(n K), plus a sign bit), so each of the n^3
-entry products is one big-int multiply.
+hands back: entry (i, j) is finish(total(map(mul, rows[i], cols[j]))).
+On W those are the values themselves, a sum, and ``reduce``.  On
+Q[[t]]/t^K each entry is Kronecker-packed once per product into one int,
+in signed slots wide enough for a sum of n products (bits of the largest
+numerator of each operand, plus bits(n K), plus a sign bit), so each of
+the n^3 entry products is one big-int multiply.
 
 A matrix is eliminated at most once per job and keeps what it found:
 the determinant (which also answers the unit test) and the inverse each
 come from at most one elimination, an inversion gives the determinant
 too, and a second request costs nothing.  So a matrix's ``vals`` must
-never be mutated.
+never be mutated.  A product a * b of two matrices that both know their
+determinants keeps them until its own memo is set: its determinant is
+det a * det b, and its inverse b^-1 * a^-1, each factor inverted at most
+once and into its own memo.  That pays when the factors' inverses are
+used too, as in the cocycle law f(ab) = f(a) + a f(b) a^-1, where every
+library handle inverts its argument.  A row or column permutation keeps
+a known determinant, up to sign.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import combinations
 from operator import add, mul, sub
 
 from .errors import (
@@ -52,9 +68,12 @@ class SquareMatrix:
     (det, inverse) with the determinant's normal form and the inverse,
     None until an augmented pass has produced it (or for ever, on a
     matrix whose determinant is not a unit).  The inverse holds no
-    reference back, so the memo makes no reference cycle."""
+    reference back, so the memo makes no reference cycle.  A product of
+    two matrices that both know their determinants keeps them in
+    ``_factors`` until its own memo is set; so a chain of products holds
+    no chain of factors."""
 
-    __slots__ = ("ring", "n", "prec", "dom", "vals", "_elim")
+    __slots__ = ("ring", "n", "prec", "dom", "vals", "_elim", "_factors")
 
     def __init__(self, ring, rows):
         """The matrix of ``rows``, whose entries are what ``_element`` takes."""
@@ -64,14 +83,15 @@ class SquareMatrix:
         dom = Values(ring, min(e.prec for r in rows for e in r))
         self.ring, self.n, self.prec, self.dom = ring, len(rows), dom.prec, dom
         self.vals = [[dom.from_elem(e) for e in r] for r in rows]
-        self._elim = None
+        self._elim = self._factors = None
 
     @classmethod
-    def _of(cls, dom, vals):
-        """The matrix of the normal forms ``vals`` in ``dom``."""
+    def _of(cls, dom, vals, factors=None):
+        """The matrix of the normal forms ``vals`` in ``dom``; ``factors``
+        is the pair (a, b) of a product a * b."""
         m = cls.__new__(cls)
         m.ring, m.n, m.prec, m.dom, m.vals = dom.ring, len(vals), dom.prec, dom, vals
-        m._elim = None
+        m._elim, m._factors = None, factors
         return m
 
     @property
@@ -164,8 +184,9 @@ class SquareMatrix:
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         dom = self._dom(other)
-        rows, cols, finish = dom.product_operands(self.vals, other.vals)
-        return SquareMatrix._of(dom, [[finish(sum(map(mul, r, c))) for c in cols] for r in rows])
+        rows, cols, total, finish = dom.product_operands(self.vals, other.vals)
+        vals = [[finish(total(map(mul, r, c))) for c in cols] for r in rows]
+        return SquareMatrix._of(dom, vals, (self, other) if self._elim and other._elim else None)
 
     def _scalar(self, c):
         """The domain of self combined with the scalar c, at the lesser of
@@ -194,33 +215,54 @@ class SquareMatrix:
 
     def det(self):
         if self._elim is None:
-            self._elim = (_eliminate(self.dom, [list(r) for r in self.vals], self.n)[1], None)
+            self._memo(False)
         return self.dom.to_elem(self._elim[0])
 
     def is_unit(self):
         return self.det().is_unit()
 
     def invert(self):
-        n, dom = self.n, self.dom
-        memo = self._elim
+        dom, memo = self.dom, self._elim
         if memo is None or (memo[1] is None and dom.is_unit(memo[0])):
-            one, zero = dom.from_elem(self.ring.one), dom.from_elem(self.ring.zero)
-            aug = [r + [zero] * i + [one] + [zero] * (n - 1 - i) for i, r in enumerate(self.vals)]
-            d = _eliminate(dom, aug, n)[1]
-            inv = SquareMatrix._of(dom, [r[n:] for r in aug]) if dom.is_unit(d) else None
-            memo = self._elim = (d, inv)
+            memo = self._memo(True)
         if memo[1] is None:
             raise NonUnitError(dom.to_elem(memo[0]), "matrix determinant is not a unit")
         return memo[1]
 
+    def _memo(self, augmented):
+        """Set ``_elim`` to (det, inverse), the inverse only if ``augmented``
+        and det is a unit, and drop the factors.  A product that kept its
+        factors a and b takes det a * det b, and b^-1 * a^-1 with each
+        inverse in its factor's memo; anything else is eliminated, over
+        [A | 1] when ``augmented``."""
+        n, dom, pair = self.n, self.dom, self._factors
+        if pair:
+            a, b = pair
+            d = dom.reduce(a._elim[0] * b._elim[0])
+            inv = b.invert() * a.invert() if augmented and dom.is_unit(d) else None
+        elif augmented:
+            one, zero = dom.from_elem(self.ring.one), dom.from_elem(self.ring.zero)
+            aug = [r + [zero] * i + [one] + [zero] * (n - 1 - i) for i, r in enumerate(self.vals)]
+            d = _eliminate(dom, aug, n)[1]
+            inv = SquareMatrix._of(dom, [r[n:] for r in aug]) if dom.is_unit(d) else None
+        else:
+            d, inv = _eliminate(dom, [list(r) for r in self.vals], n)[1], None
+        self._elim, self._factors = (d, inv), None
+        return self._elim
+
     def permuted(self, rows, cols):
         """permutation(rows) * self * permutation(cols), by re-indexing:
-        entry (i, j) is self[rows[i], k] for the k with cols[k] = j."""
+        entry (i, j) is self[rows[i], k] for the k with cols[k] = j.  A
+        known determinant carries over, times sgn(rows) * sgn(cols)."""
         for sigma in (rows, cols):
             if sorted(sigma) != list(range(self.n)):
                 raise ShapeError(f"not a permutation: {sigma}")
         inv = sorted(range(self.n), key=cols.__getitem__)
-        return SquareMatrix._of(self.dom, [[self.vals[i][k] for k in inv] for i in rows])
+        out = SquareMatrix._of(self.dom, [[self.vals[i][k] for k in inv] for i in rows])
+        if self._elim is not None:
+            d = self._elim[0]
+            out._elim = (d if _is_even(rows) == _is_even(cols) else self.dom.reduce(-d), None)
+        return out
 
     def block(self, r0, r1, c0, c1):
         return SquareMatrix._of(self.dom, [r[c0:c1] for r in self.vals[r0:r1]])
@@ -246,6 +288,11 @@ class SquareMatrix:
         return cls(ring, rows)
 
 
+def _is_even(sigma):
+    """Whether the permutation sigma has an even number of inversions."""
+    return not sum(a > b for a, b in combinations(sigma, 2)) % 2
+
+
 def _element(ring, x):
     """x as an element of ``ring``, taking what element arithmetic takes:
     an element of ``ring`` or of a ring that mixes with it, an int, or on
@@ -262,17 +309,19 @@ def _eliminate(dom, aug, ncols):
     first entry of least valuation at or below the pivot row, found
     without any valuation when it is a unit.  The pivot row is scaled so
     that its pivot pi^v * w, w a unit, reads pi^v; then each entry pi^v * c
-    below it is cleared with the exact multiplier c.  A unit pivot clears
-    the rows above as well, but only when the rows have columns beyond
-    ``ncols`` (an inverse or a right-hand side to finish): the
-    determinant never reads those rows again.  Returns (pivots, det,
+    below it is cleared with the exact multiplier c, by ``dom.clear``,
+    which skips the rows whose entry in the column is zero.  A unit
+    pivot clears the rows above as well, but only when the rows have
+    columns beyond ``ncols`` (an inverse or a right-hand side to finish):
+    the determinant never reads those rows again.  Returns (pivots, det,
     stop): the row of each column's pivot (None for a column that
     vanishes at and below the pivot row, which is skipped and makes det
     zero, or for one never reached), the signed pivot product, which on a
     square ``aug`` is the determinant, and the first column whose pivot
     is not a unit, if any."""
     m, width = len(aug), len(aug[0])
-    red, is_unit, valuation, div_pi = dom.reduce, dom.is_unit, dom.valuation, dom.div_pi
+    red, is_unit, valuation, div_pi, clear = (
+        dom.reduce, dom.is_unit, dom.valuation, dom.div_pi, dom.clear)
     pivots = [None] * ncols
     det, swaps, prow, stop = None, 0, 0, None
     for col in range(ncols):
@@ -292,19 +341,12 @@ def _eliminate(dom, aug, ncols):
         row = aug[prow]
         det = row[col] if det is None else red(det * row[col])
         # entries left of col are final, and col itself is never read again;
-        # with nothing right of it (the last column of det) no scaling is due
+        # with nothing right of it (the last column of det) nothing is due
         if col + 1 < width:
             inv = dom.invert(div_pi(row[col], v) if v else row[col])
             for j in range(col + 1, width):
                 row[j] = red(inv * row[j])
-        for other in aug if not v and width > ncols else aug[prow + 1:]:
-            if other is row:
-                continue
-            c = other[col]
-            if c:
-                c = div_pi(c, v) if v else c
-                for j in range(col + 1, width):
-                    other[j] = red(other[j] - c * row[j])
+            clear(row, aug if not v and width > ncols else aug[prow + 1:], col, v)
         pivots[col] = prow
         prow += 1
     return pivots, (red(-det) if swaps % 2 else det), stop

@@ -22,8 +22,8 @@ precision, held as int residues on W(Z/p^N) and as elements elsewhere.
 from __future__ import annotations
 
 import random
-from functools import reduce
-from itertools import product, zip_longest
+from functools import lru_cache, partial, reduce
+from itertools import chain, product, zip_longest
 from math import gcd, lcm
 from operator import add, lshift, mul
 
@@ -114,6 +114,8 @@ class Values:
     the one matrix product kernel: values on W, and on Q[[t]] one int per
     entry, its numerators Kronecker-packed in signed slots as wide as a
     sum of n products needs (the slot-width rule is given there).
+    ``clear`` is the row update of matrix elimination: the element loop
+    on W, and on Q[[t]] packed the same way (``_clear_series``).
 
     ``valuation`` is p-adic on W and t-adic on Q[[t]], and ``prec`` for a
     value that vanishes.  Two facts let products skip work exactly:
@@ -135,6 +137,8 @@ class Values:
         else:
             self.reduce = lambda v: v.at_prec(prec)
             self.valuation = lambda v: min(v.valuation(), prec)
+            if ring.kind == KOLCHIN:
+                self.clear = self._clear_series
 
     def from_elem(self, x):
         """The normal form of an element of precision at least prec."""
@@ -176,11 +180,15 @@ class Values:
         return q
 
     def product_operands(self, a, b):
-        """(rows, cols, finish) for the product of the n x n matrices of
-        values a and b, each at precision at least prec: entry (i, j) of
-        the product's normal form is finish(sum(map(mul, rows[i], cols[j]))).
+        """(rows, cols, total, finish) for the product of the n x n
+        matrices of values a and b, each at precision at least prec: entry
+        (i, j) of the product's normal form is
+        finish(total(map(mul, rows[i], cols[j]))).
 
-        On W these are a's rows, b's columns and ``reduce``.  On Q[[t]]/t^K
+        On W these are a's rows, b's columns, a sum and ``reduce``; the sum
+        is ``sum`` on m = 1, and on m >= 2, where values are elements, it
+        starts from the first product rather than from the int 0, which
+        would cost one more element addition.  On Q[[t]]/t^K
         (K = prec) every entry becomes one int: its numerators over the
         common denominator of its matrix, cut to K, packed once per product
         as sum c_i 2^(w i) in signed w-bit slots.  A slot of a sum of n
@@ -188,15 +196,11 @@ class Values:
         w = bits(max |c| in a) + bits(max |c| in b) + bits(n K) + 1 keeps it
         below 2^(w-1) in size, and the low K slots read back exactly."""
         if self.ring.kind == ARITHMETIC:
-            return a, list(zip(*b)), self.reduce
+            return a, list(zip(*b)), sum if self.native else _sum_from_first, self.reduce
         k, ring = self.prec, self.ring
         da, na, bits_a = _over_one_den(a)
         db, nb, bits_b = _over_one_den(b)
-        w = bits_a + bits_b + (len(a) * k).bit_length() + 1
-        shifts = range(0, k * w, w)
-        half, mask, low = 1 << (w - 1), (1 << w) - 1, (1 << (k * w)) - 1
-        # half in every slot: the low K slots of x + bias hold c_i + half
-        bias = sum(half << s for s in shifts)
+        shifts, half, mask, low, bias = _slots(k, bits_a + bits_b + (len(a) * k).bit_length() + 1)
         den = da * db
 
         def pack(num):
@@ -208,7 +212,67 @@ class Values:
 
         rows = [list(map(pack, r)) for r in na]
         cols = list(zip(*(map(pack, r) for r in nb)))
-        return rows, cols, finish
+        return rows, cols, sum, finish
+
+    def clear(self, row, rows, col, v):
+        """The row update of matrix elimination: for each ``other`` in rows
+        but row itself whose entry at col is nonzero, and each j right of
+        col, other[j] -= c * row[j] in place, with c the exact quotient
+        other[col] / pi^v.  This is the element loop, on W; a domain on
+        Q[[t]] replaces it by ``_clear_series``."""
+        red, start, width = self.reduce, col + 1, len(row)
+        for other in rows:
+            c = other[col]
+            if c and other is not row:
+                if v:
+                    c = self.div_pi(c, v)
+                for j in range(start, width):
+                    other[j] = red(other[j] - c * row[j])
+
+    def _clear_series(self, row, rows, col, v):
+        """``clear`` on Q[[t]]/t^K.  Write c = C/e, row[j] = R/d and
+        other[j] = O/od, as numerators over denominators (C is other[col]'s
+        numerators shifted down by v).  Each R right of col, and each C, is
+        packed once into one int in signed w-bit slots; the low K slots of
+        their one product are P = C R cut to K, and the new entry is the
+        normal form of (O e d - P od) / (od e d).  A slot of C R adds at
+        most K products of two numerators, so
+        w = bits(max |C|) + bits(max |R|) + bits(K) + 1 keeps every slot
+        below 2^(w-1) in size.  A zero row[j] leaves column j as it is."""
+        others = [other for other in rows if other[col] and other is not row]
+        ents = [(j, e) for j in range(col + 1, len(row)) if (e := row[j])]
+        if not (others and ents):
+            return
+        k, ring = self.prec, self.ring
+        cnums = [other[col].num[v:] for other in others]
+        w = (max(map(int.bit_length, chain.from_iterable(cnums)))
+             + max(map(int.bit_length, chain.from_iterable(e.num for _, e in ents)))
+             + k.bit_length() + 1)
+        shifts, half, mask, low, bias = _slots(k, w)
+        packed = [(j, sum(map(lshift, e.num, shifts)), e.den) for j, e in ents]
+        for other, cnum in zip(others, cnums):
+            pc, e = sum(map(lshift, cnum, shifts)), other[col].den
+            for j, pr, d in packed:
+                o = other[j]
+                x = (pc * pr + bias) & low
+                f, od = e * d, o.den
+                other[j] = SeriesElement(
+                    ring,
+                    tuple([a * f - ((x >> s & mask) - half) * od for a, s in zip(o.num, shifts)]),
+                    od * f, k)
+
+
+_sum_from_first = partial(reduce, add)
+
+
+@lru_cache(maxsize=256)
+def _slots(k, w):
+    """(shifts, half, mask, low, bias) for K = k signed slots of w bits:
+    slot i of x is ((x + bias) & low) >> shifts[i] & mask, minus half, as
+    bias puts half in every slot of the low K."""
+    shifts = range(0, k * w, w)
+    half, low = 1 << (w - 1), (1 << (k * w)) - 1
+    return shifts, half, (1 << w) - 1, low, low // ((1 << w) - 1) * half
 
 
 def _over_one_den(vals):

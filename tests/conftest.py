@@ -33,3 +33,21 @@ def deadline():
             signal.signal(signal.SIGALRM, previous)
 
     return within
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """(ncols, augmented) of each ``matrices._eliminate`` call made from now
+    on: the columns it pivots on, and whether its rows carry columns beyond
+    them (an inverse or a right-hand side)."""
+    from delta_forge import matrices
+
+    calls = []
+    real = matrices._eliminate
+
+    def counted(dom, aug, ncols):
+        calls.append((ncols, len(aug[0]) > ncols))
+        return real(dom, aug, ncols)
+
+    monkeypatch.setattr(matrices, "_eliminate", counted)
+    return calls

@@ -195,6 +195,28 @@ class TestLogDerivative:
             assert lhs == rhs.reduce_prec(lhs.prec)
 
 
+HANDLES = {
+    "log-derivative": (SeriesRing(10), lambda ring, n: log_derivative_handle()),
+    "classified": (make_ring(5, 6), lambda ring, n: classified_handle(ClassifiedCocycle(
+        GmHomParams((ring.from_int(2),)), random_gl(ring, n, random.Random(n))))),
+    "coboundary": (make_ring(3, 4, 2), lambda ring, n: coboundary_handle(
+        random_gl(ring, n, random.Random(n)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HANDLES))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_cocycle_sample_makes_two_augmented_passes(name, n, eliminations):
+    # every library handle inverts its argument, so f(g1 g2) inverts g1 and
+    # g2 through its factors, and f(g1), f(g2) and g1^-1 reuse their memos
+    ring, make = HANDLES[name]
+    f = make(ring, n)
+    for seed in range(3):
+        eliminations.clear()
+        assert cocycle_check(f, ring, n, samples=1, seed=seed).passed
+        assert [ncols for ncols, augmented in eliminations if augmented] == [n, n]
+
+
 class TestRecover:
     def test_pure_coboundary(self, ring):
         rng = random.Random(10)

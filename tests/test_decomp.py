@@ -14,7 +14,6 @@ from delta_forge import (
     reconstruct,
     trailing_minors,
 )
-from delta_forge import matrices
 from delta_forge.decomp import expected_word_length, is_admissible
 from delta_forge.errors import NonUnitError, NonUnitMinorError, ShapeError
 from delta_forge.rings import SeriesRing, make_ring
@@ -185,25 +184,17 @@ class TestErrorPrecedence:
             seen.add(want and want[:2])
         assert {None, (NonUnitMinorError, 1), (NonUnitError, None)} <= seen
 
-    def test_each_trailing_block_is_eliminated_once(self, ring, monkeypatch):
-        calls = []
-        real = matrices._eliminate
-
-        def counted(dom, aug, ncols):
-            calls.append(ncols)
-            return real(dom, aug, ncols)
-
-        monkeypatch.setattr(matrices, "_eliminate", counted)
+    def test_each_trailing_block_is_eliminated_once(self, ring, eliminations):
         rng = random.Random(34)
         for n in range(1, 6):
             while True:
                 rows = random_gl(ring, n, rng).rows
                 if is_admissible(SquareMatrix(ring, rows)):
                     break
-            calls.clear()
+            eliminations.clear()
             decompose(SquareMatrix(ring, rows))
             # the inverse of each trailing block, outermost first, then det
-            assert calls == [*range(n - 1, 0, -1), n]
+            assert eliminations == [*((k, True) for k in range(n - 1, 0, -1)), (n, False)]
 
 
 def dense_product(word, ring):
@@ -359,21 +350,17 @@ class TestPrecondition:
         assert wl == SquareMatrix.permutation(ring, range(n - 1, -1, -1))
         assert wr == SquareMatrix.identity(ring, n) and xp == SquareMatrix.identity(ring, n)
 
-    def test_one_det_then_one_inversion_per_column_but_the_last(self, ring, monkeypatch):
-        calls = []
-        real = matrices._eliminate
-
-        def counted(dom, aug, ncols):
-            calls.append(ncols)
-            return real(dom, aug, ncols)
-
-        monkeypatch.setattr(matrices, "_eliminate", counted)
+    def test_one_det_then_one_inversion_per_column_but_the_last(self, ring, eliminations):
         rng = random.Random(35)
         for n in range(1, 6):
             rows = random_gl(ring, n, rng).rows
-            calls.clear()
-            precondition(SquareMatrix(ring, rows))
-            assert calls == [n, *range(n, 1, -1)]
+            eliminations.clear()
+            xp = precondition(SquareMatrix(ring, rows))[2]
+            assert eliminations == [(n, False), *((k, True) for k in range(n, 1, -1))]
+            # x' keeps the determinant: decompose only inverts its trailing blocks
+            eliminations.clear()
+            decompose(xp)
+            assert eliminations == [(k, True) for k in range(n - 1, 0, -1)]
 
     def test_admissible_is_fixed(self, ring):
         x = SquareMatrix(ring, [[1, 2], [3, 4]])

@@ -14,13 +14,20 @@ import re
 import weakref
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delta_forge import matrices
-from delta_forge.errors import NonUnitError, PrecisionExhausted, ShapeError
+from delta_forge.errors import (
+    InconsistentSystemError,
+    NonUnitError,
+    PrecisionExhausted,
+    ShapeError,
+    SingularPivotError,
+)
 from delta_forge.matrices import SquareMatrix, random_gl, random_sl, solve_linear
 from delta_forge.rings import SeriesElement, SeriesRing, Values, dot, make_ring
 
@@ -260,20 +267,6 @@ def test_solve_linear_claims_only_supported_digits():
 # -- the elimination memo ----------------------------------------------------
 
 
-@pytest.fixture
-def eliminations(monkeypatch):
-    """The column counts of the ``_eliminate`` calls made from now on."""
-    calls = []
-    real = matrices._eliminate
-
-    def counted(dom, aug, ncols):
-        calls.append(ncols)
-        return real(dom, aug, ncols)
-
-    monkeypatch.setattr(matrices, "_eliminate", counted)
-    return calls
-
-
 def outcome(m, op):
     """What m.op() gives: a value with its precision, or the error text."""
     try:
@@ -325,24 +318,24 @@ def test_each_matrix_is_eliminated_at_most_once_per_job(name, eliminations):
     rows = memo_rows(ring, True, rng)
     m = SquareMatrix(ring, rows)
     m.det()
-    assert eliminations == [3]
+    assert eliminations == [(3, False)]
     m.det(), m.is_unit(), m.det()
-    assert eliminations == [3]
+    assert eliminations == [(3, False)]
 
     m = SquareMatrix(ring, rows)
     eliminations.clear()
     inv = m.invert()
-    assert eliminations == [3]
+    assert eliminations == [(3, True)]
     assert m.invert() is inv
     m.det(), m.is_unit()
-    assert eliminations == [3]
+    assert eliminations == [(3, True)]
 
     m = SquareMatrix(ring, memo_rows(ring, False, rng))
     eliminations.clear()
     for _ in range(2):
         with pytest.raises(NonUnitError):
             m.invert()
-    assert eliminations == [3]
+    assert eliminations == [(3, True)]
 
 
 class Tracked(SquareMatrix):
@@ -366,6 +359,100 @@ def test_memo_makes_no_reference_cycle(unit):
         del m
         assert ref() is None
         assert inv is None or inv.det().is_unit()
+    finally:
+        gc.enable()
+
+
+# -- a product inverts through its factors -----------------------------------
+
+
+def factor_pairs(ring, unit, rng):
+    """(a, b) pairs of 3 x 3 matrices of mixed precisions, b lowered to a
+    random precision, a with a unit determinant or not; each pair also
+    reversed."""
+    for _ in range(4):
+        a = SquareMatrix(ring, memo_rows(ring, unit, rng))
+        b = SquareMatrix(ring, memo_rows(ring, True, rng)).reduce_prec(rng.randint(1, full_prec(ring)))
+        yield a, b
+        yield b, a
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "non-unit"])
+def test_product_of_known_determinants_inverts_through_its_factors(name, unit, eliminations):
+    ring = RINGS[name]
+    for a, b in factor_pairs(ring, unit, random.Random(f"factors:{name}:{unit}")):
+        a, b = SquareMatrix._of(a.dom, a.vals), SquareMatrix._of(b.dom, b.vals)
+        a.det(), b.det()
+        p = a * b
+        fresh = SquareMatrix._of(p.dom, [list(r) for r in p.vals])
+        eliminations.clear()
+        got = {op: outcome(p, op) for op in ("invert", "det", "is_unit")}
+        # each factor at most once, over [A | 1], and the product never
+        assert eliminations == ([(3, True)] * 2 if unit else [])
+        assert got["is_unit"] == unit
+        assert got == {op: outcome(fresh, op) for op in MEMO_OPS}
+        if unit:
+            # the factors' own inverses are known now
+            eliminations.clear()
+            a.invert(), b.invert()
+            assert eliminations == []
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_product_determinant_from_its_factors_drops_them(name, eliminations):
+    ring = RINGS[name]
+    for a, b in factor_pairs(ring, True, random.Random(f"det:{name}")):
+        a, b = SquareMatrix._of(a.dom, a.vals), SquareMatrix._of(b.dom, b.vals)
+        a.det(), b.det()
+        p = a * b
+        fresh = SquareMatrix._of(p.dom, [list(r) for r in p.vals])
+        eliminations.clear()
+        det = outcome(p, "det")
+        assert eliminations == [] and p._factors is None
+        assert det == outcome(fresh, "det")
+        # with its memo set, the product's inverse is its own augmented pass
+        eliminations.clear()
+        inv = outcome(p, "invert")
+        assert eliminations == [(3, True)]
+        assert inv == outcome(fresh, "invert")
+        assert a._elim[1] is None and b._elim[1] is None
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_product_of_unknown_determinants_is_eliminated_itself(name, eliminations):
+    ring = RINGS[name]
+    for a, b in factor_pairs(ring, True, random.Random(f"own:{name}")):
+        a, b = SquareMatrix._of(a.dom, a.vals), SquareMatrix._of(b.dom, b.vals)
+        p = a * b
+        fresh = SquareMatrix._of(p.dom, [list(r) for r in p.vals])
+        eliminations.clear()
+        assert outcome(p, "invert") == outcome(fresh, "invert")
+        assert eliminations == [(3, True)] * 2  # the product's, then the fresh copy's
+        assert a._elim is None and b._elim is None
+
+
+def test_product_holding_its_factors_is_freed_without_gc():
+    ring = RINGS["witt-m2"]
+    rng = random.Random("factors:free")
+    gc.disable()
+    try:
+        for case in ("kept", "inverted", "unknown determinants"):
+            a, b = (Tracked(ring, memo_rows(ring, True, rng)) for _ in range(2))
+            if case != "unknown determinants":
+                a.det(), b.det()
+            p = a * b
+            refs = weakref.ref(a), weakref.ref(b)
+            del a, b
+            if case == "kept":
+                assert None not in [r() for r in refs]
+            elif case == "inverted":
+                # the product's memo is set: it holds its factors no longer
+                inv = p.invert()
+                assert inv * p == SquareMatrix.identity(ring, 3)
+            assert [r() for r in refs] == [None, None] or case == "kept", case
+            del p
+            assert [r() for r in refs] == [None, None], case
     finally:
         gc.enable()
 
@@ -409,23 +496,57 @@ def reduce_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def cleared_rows(monkeypatch):
+    """(col, rows) of each call made from now on to the clearing hook
+    ``clear`` of the domains that matrices build: the pivot column and the
+    number of rows it is handed besides the pivot row."""
+    calls = []
+
+    class Clearing(matrices.Values):
+        def __init__(self, ring, prec):
+            super().__init__(ring, prec)
+            real = self.clear
+
+            def counted(row, rows, col, v):
+                calls.append((col, sum(r is not row for r in rows)))
+                return real(row, rows, col, v)
+
+            self.clear = counted
+
+    monkeypatch.setattr(matrices, "Values", Clearing)
+    return calls
+
+
 @pytest.mark.parametrize("name", sorted(RINGS))
-def test_det_eliminates_downwards_only(name, reduce_calls):
+def test_det_eliminates_downwards_only(name, reduce_calls, cleared_rows):
+    # on W every entry update is one reduce call; the packed series hook
+    # makes none, so there the rows it receives per column show the rule
     ring = RINGS[name]
+    counts_reductions = ring.kind != "kolchin"
     m = SquareMatrix(ring, PASCAL)
     reduce_calls[0] = 0
     assert m.det() == 1
-    assert reduce_calls[0] == reductions(4, 4, above=False) == 23
+    assert cleared_rows == [(0, 3), (1, 2), (2, 1)]
+    if counts_reductions:
+        assert reduce_calls[0] == reductions(4, 4, above=False) == 23
     # the inverse and a solution still clear above each pivot
+    every_row = [(col, 3) for col in range(4)]
     m = SquareMatrix(ring, PASCAL)
     reduce_calls[0] = 0
+    cleared_rows.clear()
     inv = m.invert()
-    assert reduce_calls[0] == reductions(4, 8, above=True)
+    assert cleared_rows == every_row
+    if counts_reductions:
+        assert reduce_calls[0] == reductions(4, 8, above=True)
     assert inv * m == SquareMatrix.identity(ring, 4)
     rows = [[ring.from_int(c) for c in r] for r in PASCAL]
     reduce_calls[0] = 0
+    cleared_rows.clear()
     x = solve_linear(ring, rows, [ring.from_int(c) for c in (1, 4, 10, 20)])
-    assert reduce_calls[0] == reductions(4, 5, above=True)
+    assert cleared_rows == every_row
+    if counts_reductions:
+        assert reduce_calls[0] == reductions(4, 5, above=True)
     assert x == [0, 0, 0, 1]
 
 
@@ -611,6 +732,24 @@ def test_permuted_is_the_permutation_product(name, n):
         assert (got.prec, got.vals) == (want.prec, want.vals), (sl, sr)
 
 
+@pytest.mark.parametrize("name", sorted(RINGS))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_permuted_keeps_the_determinant_up_to_sign(name, n, eliminations):
+    ring = RINGS[name]
+    rng = random.Random(f"permuted-det:{name}:{n}")
+    for style in ("mixed", "non-unit", "zero-column"):
+        x = SquareMatrix(ring, sample_rows(ring, n, style, rng))
+        x.det()
+        for sl, sr in permutation_pairs(n, rng):
+            got = x.permuted(sl, sr)
+            eliminations.clear()
+            det = outcome(got, "det")
+            assert eliminations == [], (sl, sr)
+            assert det == outcome(SquareMatrix._of(got.dom, got.vals), "det"), (style, sl, sr)
+    # a matrix with no determinant yet hands none on
+    assert SquareMatrix(ring, sample_rows(ring, n, "mixed", rng)).permuted(range(n), range(n))._elim is None
+
+
 def test_permuted_rejects_what_permutation_rejects():
     ring = RINGS["witt-m1"]
     x = SquareMatrix(ring, [[1, 2], [3, 4]])
@@ -794,3 +933,133 @@ def test_witt_product_matches_the_element_sum(name, n):
         b = SquareMatrix(ring, sample_rows(ring, n, style, rng)).reduce_prec(rng.randint(1, ring.prec))
         assert_product_as_reference(a, b)
         assert_product_as_reference(b, a)
+
+
+# -- series elimination against the element path ----------------------------
+
+
+def ref_eliminate(dom, aug, ncols):
+    """``matrices._eliminate`` with every row update an element product and
+    difference, reduced: the elimination before the packed clearing hook."""
+    m, width = len(aug), len(aug[0])
+    red, is_unit, valuation, div_pi = dom.reduce, dom.is_unit, dom.valuation, dom.div_pi
+    pivots = [None] * ncols
+    det, swaps, prow, stop = None, 0, 0, None
+    for col in range(ncols):
+        if prow == m:
+            break
+        sel, v = next((r for r in range(prow, m) if is_unit(aug[r][col])), None), 0
+        if sel is None:
+            v, sel = min((valuation(aug[r][col]), r) for r in range(prow, m))
+            if v == dom.prec:
+                det = aug[sel][col]
+                continue
+            if stop is None:
+                stop = col
+        if sel != prow:
+            aug[prow], aug[sel] = aug[sel], aug[prow]
+            swaps += 1
+        row = aug[prow]
+        det = row[col] if det is None else red(det * row[col])
+        if col + 1 < width:
+            inv = dom.invert(div_pi(row[col], v) if v else row[col])
+            for j in range(col + 1, width):
+                row[j] = red(inv * row[j])
+        for other in aug if not v and width > ncols else aug[prow + 1:]:
+            if other is row:
+                continue
+            c = other[col]
+            if c:
+                c = div_pi(c, v) if v else c
+                for j in range(col + 1, width):
+                    other[j] = red(other[j] - c * row[j])
+        pivots[col] = prow
+        prow += 1
+    return pivots, (red(-det) if swaps % 2 else det), stop
+
+
+def eliminated(eliminate, rows, rhs):
+    """What ``eliminate`` leaves on the square and on the augmented rows of
+    a system: pivots, determinant, stop column and every value."""
+    dom = Values(rows[0][0].ring, min(e.prec for r in (*rows, rhs) for e in r))
+    out = []
+    for aug in ([[dom.from_elem(e) for e in r] for r in rows],
+                [[dom.from_elem(e) for e in (*r, b)] for r, b in zip(rows, rhs)]):
+        pivots, det, stop = eliminate(dom, aug, len(rows))
+        out.append((pivots, value_key(det), stop, [list(map(value_key, r)) for r in aug]))
+    return out
+
+
+def attempt(f):
+    try:
+        return f()
+    except (NonUnitError, SingularPivotError, InconsistentSystemError) as e:
+        return type(e).__name__, str(e)
+
+
+def public_outcomes(rows, rhs):
+    """det, invert and solve_linear on a system: values with their
+    precisions, or the error's type and text."""
+    ring = rows[0][0].ring
+    return (
+        attempt(lambda: value_key(SquareMatrix(ring, rows).det())),
+        attempt(lambda: [list(map(value_key, r)) for r in SquareMatrix(ring, rows).invert().vals]),
+        attempt(lambda: [value_key(x) for x in solve_linear(ring, rows, rhs)]),
+    )
+
+
+def assert_elimination_as_reference(rows, rhs):
+    assert eliminated(matrices._eliminate, rows, rhs) == eliminated(ref_eliminate, rows, rhs)
+    got = public_outcomes(rows, rhs)
+    with mock.patch.object(matrices, "_eliminate", ref_eliminate):
+        assert got == public_outcomes(rows, rhs)
+
+
+@st.composite
+def series_systems(draw):
+    """Rows and right-hand side of an n x n system over Q[[t]]/t^K: entries
+    as ``big_series_entries`` draws them, times t^v for v up to 2 in a
+    quarter of the draws; in half of the systems one column set to zero
+    (it vanishes) or times t (its pivot is not a unit), and in a third one
+    entry lowered to a random precision."""
+    ring = SeriesRing(draw(st.sampled_from([2, 6, 10])))
+    n = draw(st.integers(1, 4))
+    elems = big_series_entries(ring)
+
+    def entry():
+        e = draw(elems)
+        return e * ring.t ** draw(st.integers(1, 2)) if draw(st.integers(0, 3)) == 0 else e
+
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    rhs = [entry() for _ in range(n)]
+    col, mode = draw(st.integers(0, n - 1)), draw(st.sampled_from(["", "", "zero", "times t"]))
+    for r in rows if mode else ():
+        r[col] = ring.zero if mode == "zero" else r[col] * ring.t
+    if draw(st.integers(0, 2)) == 0:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = rows[i][j].at_prec(draw(st.integers(1, ring.trunc)))
+    return rows, rhs
+
+
+@settings(max_examples=150)
+@given(series_systems())
+def test_series_elimination_matches_the_element_path(system):
+    assert_elimination_as_reference(*system)
+
+
+@pytest.mark.parametrize("bits", [1, 64, 300])
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+def test_series_elimination_at_the_slot_width_bound(bits, sign):
+    # a unit pivot 1 leaves its row as it is, and every other coefficient is
+    # +-(2^b - 1): slot K-1 of c * row[j] sums K products of the largest
+    # size, which only the bits(K) term of the slot width leaves room for
+    ring = SeriesRing(10)
+    top = 2**bits - 1
+    big = SeriesElement(ring, (top,) * 10, 1, 10)
+    for n in range(2, 5):
+        rows = [[ring.one] + [big * sign] * (n - 1)] + [[big] * n for _ in range(n - 1)]
+        rhs = [big] * n
+        assert_elimination_as_reference(rows, rhs)
+        (_, _, _, square), _ = eliminated(matrices._eliminate, rows, rhs)
+        num, den, _ = square[1][1]
+        assert den == 1 and num[9] == top - sign * 10 * top * top

@@ -20,8 +20,7 @@ _EXPORTS = {
             "log_derivative_handle", "recover",
         ),
         "decomp": (
-            "DecompositionWord", "PermFactor", "SFactor", "decompose", "precondition",
-            "reconstruct", "trailing_minors",
+            "DecompositionWord", "PermFactor", "SFactor", "decompose", "precondition", "reconstruct",
         ),
         "errors": (
             "ArityError", "BackendError", "DeltaForgeError", "ExhaustedSearchError",

@@ -105,18 +105,6 @@ class DecompositionWord(Record):
         return cls(obj["n"], tuple(factors))
 
 
-def trailing_minors(x: SquareMatrix):
-    """Determinants after deleting the first i rows and columns, and
-    their product: one O(n^3) elimination per minor, which gives the exact
-    value of a minor that is not a unit as well."""
-    n = x.n
-    minors = [x.block(i, n, i, n).det() for i in range(1, n)]
-    prod = x.ring.one
-    for d in minors:
-        prod = prod * d
-    return minors, prod
-
-
 def _identity_perm(n):
     return PermFactor(tuple(range(n)))
 

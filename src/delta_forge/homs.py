@@ -14,7 +14,7 @@ import functools
 import random
 
 from .errors import BackendError, InputError, NonUnitError
-from .rings import ARITHMETIC, Record, Values, _vp, dot
+from .rings import ARITHMETIC, Record, _vp, dot
 from .serialize import elem_to_json
 
 ADDITIVE = "additive"
@@ -23,8 +23,10 @@ TWISTED = "twisted"
 
 
 def _trim(lam):
+    """lam without its trailing zeros at the ring's full precision.  A zero
+    known only mod p^k (t^k) is an unknown multiple of p^k, and stays."""
     lam = list(lam)
-    while lam and lam[-1].is_zero():
+    while lam and lam[-1].is_zero() and lam[-1].prec >= lam[-1].ring.one.prec:
         lam.pop()
     return tuple(lam)
 
@@ -100,7 +102,7 @@ def psi(a):
 
     evaluated in u = delta a / a^p by Horner's rule over the signed
     coefficients, a table cached per (p, precision), in the coefficient
-    domain ``Values`` (int residues on W(Z/p^N)).  Term n has valuation
+    domain ``ring.values`` (int residues on W(Z/p^N)).  Term n has valuation
     at least n - 1 - log_p(n) + n*val(u), which never decreases in n, so
     the polynomial stops before the first n where that bound reaches the
     working precision: no later term adds anything.  The result carries
@@ -115,7 +117,7 @@ def psi(a):
     u = a.delta() * (a**p).invert()
     target = u.prec
     vu = u.valuation()
-    dom = Values(ring, target)
+    dom = ring.values(target)
     x, red = dom.from_elem(u), dom.reduce
     acc = dom.from_elem(ring.zero)
     for n, _, c in reversed(_psi_coefficients(p, target)):

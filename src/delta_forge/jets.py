@@ -13,7 +13,9 @@ field width ``bits``) puts the exponent of the n-th variable in bits
 [n*bits, (n+1)*bits) of an int key, so multiplying monomials adds keys.
 ``top`` bounds every exponent; a result uses a layout only if its
 exponents fit, so no field carries into the next.  ``terms`` maps keys to
-nonzero normal forms in ``rings.Values``, the domain matrices share.  One
+nonzero normal forms in ``ring.values(prec)``, the ring's coefficient
+domain at the polynomial's precision, which matrices share: int residues
+on W(Z/p^N), elements elsewhere (one domain class per backend).  One
 ``prec`` covers the whole polynomial, the zero polynomial included.  Tuple
 monomials ((j, i), e) are built only by ``sorted_terms``, for printing and
 serialization.
@@ -37,7 +39,7 @@ from math import comb
 from operator import mul, or_
 
 from .errors import ArityError, InputError, PrecisionExhausted, TermBudgetError
-from .rings import ARITHMETIC, Record, Values, _power, same_ring
+from .rings import ARITHMETIC, Record, _power, same_ring
 from .serialize import elem_from_json, elem_to_json
 
 # most terms any polynomial may have; a larger result raises TermBudgetError
@@ -83,7 +85,7 @@ class JetPolynomial:
             prec = min(prec, c.prec)
             mono = tuple(sorted((v, e) for v, e in mono if e))
             merged[mono] = merged[mono] + c if mono in merged else c
-        dom = Values(ring, prec)
+        dom = ring.values(prec)
         merged = {m: r for m, c in merged.items() if (r := dom.from_elem(c))}
         vars_ = tuple(sorted({v for mono in merged for v, _ in mono}))
         top = max((e for mono in merged for _, e in mono), default=0)
@@ -108,7 +110,7 @@ class JetPolynomial:
 
     def _new(self, vars_, bits, top, acc, prec):
         """The polynomial of raw values ``acc``, normalised at ``prec``."""
-        red = Values(self.ring, prec).reduce
+        red = self.ring.values(prec).reduce
         terms = {k: r for k, c in acc.items() if (r := red(c))}
         _check_cap(len(terms))
         return JetPolynomial(self.ring, vars_, bits, top, terms, prec)
@@ -159,7 +161,7 @@ class JetPolynomial:
 
     def sorted_terms(self):
         """(monomial, element) pairs in monomial order."""
-        dom = Values(self.ring, self.prec)
+        dom = self.ring.values(self.prec)
         return sorted(
             ((tuple((v, e) for v, e in zip(self.vars, self._exponents(k)) if e), dom.to_elem(c))
              for k, c in self.terms.items()),
@@ -207,7 +209,7 @@ class JetPolynomial:
         # a layer of a of valuation v meets only the terms of b of valuation
         # below prec - v, a prefix of b sorted by valuation: the other pairs
         # vanish at prec
-        val = Values(self.ring, prec).valuation
+        val = self.ring.values(prec).valuation
         layers = {}
         for k, c in a.items():
             layers.setdefault(val(c), []).append((k, c))
@@ -231,7 +233,7 @@ class JetPolynomial:
         # one layout wide enough for the last product serves every step
         bits = max(self.bits, (e * self.top).bit_length())
         base = self._new(self.vars, bits, self.top, self._relayout(self.vars, bits), self.prec)
-        one = {0: Values(self.ring, self.prec).from_elem(self.ring.one)}
+        one = {0: self.ring.values(self.prec).from_elem(self.ring.one)}
         return _power(mul, self._new(self.vars, bits, 0, one, self.prec), base, e)
 
     # -- prolongation ---------------------------------------------------
@@ -252,7 +254,7 @@ class JetPolynomial:
 
     def _prolong_arithmetic(self):
         ring, p, prec = self.ring, self.ring.p, self.prec
-        dom = Values(ring, prec)
+        dom = ring.values(prec)
         terms = [(self._exponents(k), dom.to_elem(c)) for k, c in self.terms.items()]
         # p * (total degree) bounds every exponent of f^phi and of f^p
         deg = max((sum(exps) for exps, _ in terms), default=0)
@@ -312,7 +314,7 @@ class JetPolynomial:
 
     def evaluate(self, point):
         factors = [(n * self.bits, point.component(j, i), {}) for n, (j, i) in self._used()]
-        dom = Values(self.ring, min([self.prec] + [x.prec for _, x, _ in factors]))
+        dom = self.ring.values(min([self.prec] + [x.prec for _, x, _ in factors]))
         mask = (1 << self.bits) - 1
         acc = dom.from_elem(self.ring.zero)
         for k, c in self.terms.items():

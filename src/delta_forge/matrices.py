@@ -1,8 +1,10 @@
 """Square matrices over the ring backends, with exact linear solving.
 
-A matrix has one precision, the least among the elements it is built
-from, and holds its entries in the coefficient domain ``rings.Values``
-that jet polynomials use.  Both backends are local rings with uniformizer
+A matrix has one precision, the least among the elements it is built from,
+and holds its entries in ``ring.values(prec)``, the ring's one coefficient
+domain at that precision, which jet polynomials use too: int residues on
+W(Z/p^N) (``_Residues``), elements on W(F_q) with m >= 2 (``Values``) and
+on Q[[t]] (``_Series``).  Both backends are local rings with uniformizer
 pi (p on W, t on Q[[t]]), so every nonzero value is pi^v times a unit, and
 an entry divisible by a pivot's power of pi is cleared by it exactly.  One
 elimination kernel, pivoting on an entry of least valuation, gives the
@@ -13,21 +15,22 @@ whose rows carry columns beyond the matrix; the determinant alone needs
 only the rows below.
 
 The elimination clears the rows under (and for Gauss-Jordan, over) each
-pivot through one hook, ``Values.clear``.  On W it is the element loop.
-On Q[[t]]/t^K it Kronecker-packs each pivot-row entry right of the pivot
-once per column and each multiplier once per row it clears, in signed
-slots wide enough for K products (bits of the largest multiplier
-numerator, plus bits of the largest entry numerator, plus bits(K), plus
-a sign bit), so each entry update is one big-int product, one unpack and
-one normal form.
+pivot through one hook, the domain's ``clear``.  On W it is the element
+loop.  On Q[[t]]/t^K it Kronecker-packs each pivot-row entry right of the
+pivot once per column and each multiplier once per row it clears, in
+signed slots wide enough for K products (bits of the largest multiplier
+numerator, plus bits of the largest entry numerator, plus bits(K), plus a
+sign bit), so each entry update is one big-int product, one unpack and one
+normal form.
 
-A product runs one kernel over the operands ``Values.product_operands``
-hands back: entry (i, j) is finish(total(map(mul, rows[i], cols[j]))).
-On W those are the values themselves, a sum, and ``reduce``.  On
-Q[[t]]/t^K each entry is Kronecker-packed once per product into one int,
-in signed slots wide enough for a sum of n products (bits of the largest
-numerator of each operand, plus bits(n K), plus a sign bit), so each of
-the n^3 entry products is one big-int multiply.
+A product runs one kernel over the operands the domain's
+``product_operands`` hands back: entry (i, j) is
+finish(total(map(mul, rows[i], cols[j]))).  On W those are the values
+themselves, a sum, and ``reduce``.  On Q[[t]]/t^K each entry is
+Kronecker-packed once per product into one int, in signed slots wide
+enough for a sum of n products (bits of the largest numerator of each
+operand, plus bits(n K), plus a sign bit), so each of the n^3 entry
+products is one big-int multiply.
 
 A matrix is eliminated at most once per job and keeps what it found:
 the determinant (which also answers the unit test) and the inverse each
@@ -55,13 +58,13 @@ from .errors import (
     ShapeError,
     SingularPivotError,
 )
-from .rings import ARITHMETIC, Values, same_ring
+from .rings import ARITHMETIC, same_ring
 from .serialize import elem_from_json, elem_to_json
 
 
 class SquareMatrix:
     """Immutable n x n matrix at one precision ``prec``: ``vals`` holds the
-    normal forms of its entries in ``dom = Values(ring, prec)``, and
+    normal forms of its entries in ``dom = ring.values(prec)``, and
     ``[i, j]`` and ``rows`` give them back as elements.
 
     ``_elim`` keeps what elimination found: None before any, else
@@ -80,7 +83,7 @@ class SquareMatrix:
         rows = [[_element(ring, e) for e in r] for r in rows]
         if not rows or any(len(r) != len(rows) for r in rows):
             raise ShapeError("matrix rows must all have length n >= 1")
-        dom = Values(ring, min(e.prec for r in rows for e in r))
+        dom = ring.values(min(e.prec for r in rows for e in r))
         self.ring, self.n, self.prec, self.dom = ring, len(rows), dom.prec, dom
         self.vals = [[dom.from_elem(e) for e in r] for r in rows]
         self._elim = self._factors = None
@@ -121,7 +124,7 @@ class SquareMatrix:
         n = len(sigma)
         if not n:
             raise ShapeError("matrix rows must all have length n >= 1")
-        dom = Values(ring, ring.one.prec)
+        dom = ring.values()
         one, zero = dom.from_elem(ring.one), dom.from_elem(ring.zero)
         ident = cls._of(dom, [[one if j == i else zero for j in range(n)] for i in range(n)])
         return ident.permuted(sigma, range(n))
@@ -153,7 +156,7 @@ class SquareMatrix:
         own precision that is the matrix itself, which is never mutated."""
         if prec >= self.prec:
             return self
-        dom = Values(self.ring, prec)
+        dom = self.ring.values(prec)
         return SquareMatrix._of(dom, [list(map(dom.reduce, r)) for r in self.vals])
 
     def _dom(self, other):
@@ -192,7 +195,7 @@ class SquareMatrix:
         """The domain of self combined with the scalar c, at the lesser of
         their precisions, and c's value in it."""
         c = _element(self.ring, c)
-        dom = self.dom if c.prec >= self.prec else Values(self.ring, c.prec)
+        dom = self.dom if c.prec >= self.prec else self.ring.values(c.prec)
         return dom, dom.from_elem(c)
 
     def scale(self, c):
@@ -363,7 +366,7 @@ def solve_linear(ring, rows, rhs):
     if not rows:
         return []
     m, k = len(rows), len(rows[0])
-    dom = Values(ring, min(e.prec for r in (*rows, rhs) for e in r))
+    dom = ring.values(min(e.prec for r in (*rows, rhs) for e in r))
     aug = [[dom.from_elem(e) for e in (*r, b)] for r, b in zip(rows, rhs)]
     pivots, _, stop = _eliminate(dom, aug, k)
     if stop is not None:
@@ -387,7 +390,7 @@ def random_gl(ring, n, rng):
     draws on ``rng`` as ``ring.random_element``."""
     if n < 1:
         raise ShapeError("matrix rows must all have length n >= 1")
-    dom = Values(ring, ring.one.prec)
+    dom = ring.values()
     while True:
         m = SquareMatrix._of(dom, [[dom.random(rng) for _ in range(n)] for _ in range(n)])
         if m.is_unit():

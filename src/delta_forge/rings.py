@@ -14,9 +14,10 @@ Two backends:
 Every element tracks its own effective precision (p-adic digits for the
 arithmetic backend, series order for the series backend); mixed-precision
 arithmetic truncates to the minimum, and ``delta`` consumes one digit.
-Elements are immutable values, falsy exactly when zero.  ``Values`` is the
-one coefficient domain of jet polynomials and matrices: values at one
-precision, held as int residues on W(Z/p^N) and as elements elsewhere.
+Elements are immutable values, falsy exactly when zero.  ``ring.values(prec)``
+is the ring's one coefficient domain at prec, of jet polynomials and
+matrices: int residues (``_Residues``) on W(Z/p^N), elements (``Values``) on
+W(F_q) with m >= 2, and elements with packed products (``_Series``) on Q[[t]].
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import random
 from functools import lru_cache, partial, reduce
 from itertools import chain, product, zip_longest
 from math import gcd, lcm
-from operator import add, lshift, mul
+from operator import add, lshift, methodcaller, mul
 
 from .errors import BackendError, InputError, NonUnitError, PrecisionExhausted
 
@@ -103,100 +104,112 @@ def dot(u, v):
     return reduce(add, map(mul, u, v))
 
 
+_sum_from_first = partial(reduce, add)
+
+
 class Values:
-    """Ring values at one precision, the coefficient domain of jet
-    polynomials and of matrices: int residues mod p^prec on W(Z/p^N),
-    ring elements elsewhere.  Sums and products of values are raw values;
-    ``reduce`` gives their normal form, which is falsy exactly when the
-    value vanishes.  ``random`` draws one normal form exactly as
-    ``ring.random_element(rng, prec)`` draws an element, with the same
-    calls on the generator.  ``product_operands`` gives the operands of
-    the one matrix product kernel: values on W, and on Q[[t]] one int per
-    entry, its numerators Kronecker-packed in signed slots as wide as a
-    sum of n products needs (the slot-width rule is given there).
-    ``clear`` is the row update of matrix elimination: the element loop
-    on W, and on Q[[t]] packed the same way (``_clear_series``).
-
-    ``valuation`` is p-adic on W and t-adic on Q[[t]], and ``prec`` for a
-    value that vanishes.  Two facts let products skip work exactly:
-
-    * layer rule: a product of values of valuations v and w has valuation
-      at least v + w, so it vanishes at prec when v + w >= prec;
-    * lemma: a = b mod p^j gives a^p = b^p mod p^(j+1), so a p-th power at
-      prec needs its base only mod p^(prec-1)."""
+    """Ring values at one precision, as elements: the domain of W(F_q), m >= 2,
+    and the base of the other two.  Sums and products of values are raw
+    values, and ``reduce`` gives their normal form, falsy exactly for zero.
+    ``random`` draws one with the calls ``ring.random_element`` makes.
+    ``valuation`` is p-adic on W, t-adic on Q[[t]], and prec for zero; a
+    product of valuations v and w has valuation at least v + w."""
 
     def __init__(self, ring, prec):
         if prec < 1:
             raise PrecisionExhausted("precision dropped below 1")
         self.ring, self.prec = ring, prec
-        self.native = ring.kind == ARITHMETIC and ring.m == 1
-        if self.native:
-            self.pk = ring.p**prec
-            self.reduce = self.pk.__rmod__
-            self.valuation = lambda v: _vp(v, ring.p, prec)
-        else:
-            self.reduce = lambda v: v.at_prec(prec)
-            self.valuation = lambda v: min(v.valuation(), prec)
-            if ring.kind == KOLCHIN:
-                self.clear = self._clear_series
+        self.reduce = methodcaller("at_prec", prec)
+        self.valuation = lambda v: min(v.valuation(), prec)
 
     def from_elem(self, x):
         """The normal form of an element of precision at least prec."""
-        return x.coeffs[0] % self.pk if self.native else x.at_prec(self.prec)
+        return x.at_prec(self.prec)
 
-    def to_elem(self, v):
-        """The element of a raw value."""
-        if self.native:
-            return WittElement(self.ring, (v % self.pk,), self.prec)
-        return v.at_prec(self.prec)
+    to_elem = from_elem  # the element of a raw value
+    is_unit = staticmethod(methodcaller("is_unit"))
+    invert = staticmethod(methodcaller("invert"))
+    div_p = staticmethod(methodcaller("_div_p_exact"))
 
     def random(self, rng):
-        if self.native:
-            return rng.randrange(self.pk)
         return self.ring.random_element(rng, self.prec)
-
-    def is_unit(self, v):
-        return v % self.ring.p != 0 if self.native else v.is_unit()
-
-    def invert(self, v):
-        return pow(v, -1, self.pk) if self.native else v.invert()
 
     def div_pi(self, v, k):
         """v / pi^k (pi = p on W, t on Q[[t]]) for v divisible by pi^k:
         known mod pi^(prec-k), and lifted to prec with zero top digits."""
-        if self.native:
-            return v // self.ring.p**k
-        if self.ring.kind == ARITHMETIC:
-            pk = self.ring.p**k
-            return WittElement(self.ring, tuple(c // pk for c in v.coeffs), self.prec)
-        return SeriesElement(self.ring, v.num[k:] + (0,) * k, v.den, self.prec)
+        pk = self.ring.p**k
+        return WittElement(self.ring, tuple(c // pk for c in v.coeffs), self.prec)
+
+    _total = _sum_from_first  # a sum of elements from the int 0 adds once more
+
+    def product_operands(self, a, b):
+        """(rows, cols, total, finish) for the product of the n x n
+        matrices of values a and b, each at precision at least prec: entry
+        (i, j) of its normal form is finish(total(map(mul, rows[i], cols[j]))).
+        Here a's rows, b's columns, ``_total`` and ``reduce``."""
+        return a, list(zip(*b)), self._total, self.reduce
+
+    def clear(self, row, rows, col, v):
+        """The row update of matrix elimination: for each ``other`` in rows
+        but row itself whose entry at col is nonzero, and each j right of
+        col, other[j] -= c * row[j] in place, with c = other[col] / pi^v."""
+        red, start, width = self.reduce, col + 1, len(row)
+        for other in rows:
+            c = other[col]
+            if c and other is not row:
+                if v:
+                    c = self.div_pi(c, v)
+                for j in range(start, width):
+                    other[j] = red(other[j] - c * row[j])
+
+
+class _Residues(Values):
+    """``Values`` on W(Z/p^N): int residues mod p^prec."""
+
+    def __init__(self, ring, prec):
+        super().__init__(ring, prec)
+        self.pk = pk = ring.p**prec
+        self.reduce = pk.__rmod__
+        self.valuation = lambda v: _vp(v, ring.p, prec)
+
+    def from_elem(self, x):
+        return x.coeffs[0] % self.pk
+
+    def to_elem(self, v):
+        return WittElement(self.ring, (v % self.pk,), self.prec)
+
+    def random(self, rng):
+        return rng.randrange(self.pk)
+
+    def is_unit(self, v):
+        return v % self.ring.p != 0
+
+    def invert(self, v):
+        return pow(v, -1, self.pk)
+
+    def div_pi(self, v, k):
+        return v // self.ring.p**k
 
     def div_p(self, v):
-        if not self.native:
-            return v._div_p_exact()
         q, r = divmod(v, self.ring.p)
         if r:
             raise InputError(f"coefficient not divisible by p: {v}")
         return q
 
-    def product_operands(self, a, b):
-        """(rows, cols, total, finish) for the product of the n x n
-        matrices of values a and b, each at precision at least prec: entry
-        (i, j) of the product's normal form is
-        finish(total(map(mul, rows[i], cols[j]))).
+    _total = sum
 
-        On W these are a's rows, b's columns, a sum and ``reduce``; the sum
-        is ``sum`` on m = 1, and on m >= 2, where values are elements, it
-        starts from the first product rather than from the int 0, which
-        would cost one more element addition.  On Q[[t]]/t^K
-        (K = prec) every entry becomes one int: its numerators over the
-        common denominator of its matrix, cut to K, packed once per product
-        as sum c_i 2^(w i) in signed w-bit slots.  A slot of a sum of n
-        products adds at most n K products of two coefficients, so
-        w = bits(max |c| in a) + bits(max |c| in b) + bits(n K) + 1 keeps it
-        below 2^(w-1) in size, and the low K slots read back exactly."""
-        if self.ring.kind == ARITHMETIC:
-            return a, list(zip(*b)), sum if self.native else _sum_from_first, self.reduce
+
+class _Series(Values):
+    """``Values`` on Q[[t]]/t^K, K = prec, Kronecker-packing numerators."""
+
+    def div_pi(self, v, k):
+        return SeriesElement(self.ring, v.num[k:] + (0,) * k, v.den, self.prec)
+
+    def product_operands(self, a, b):
+        """Each entry is one int: its numerators over its matrix's common
+        denominator, cut to K, packed once per product.  A slot sums at most
+        n K products of two numerators, so w = bits(max |c| in a) +
+        bits(max |c| in b) + bits(n K) + 1 keeps it below 2^(w-1) in size."""
         k, ring = self.prec, self.ring
         da, na, bits_a = _over_one_den(a)
         db, nb, bits_b = _over_one_den(b)
@@ -215,30 +228,11 @@ class Values:
         return rows, cols, sum, finish
 
     def clear(self, row, rows, col, v):
-        """The row update of matrix elimination: for each ``other`` in rows
-        but row itself whose entry at col is nonzero, and each j right of
-        col, other[j] -= c * row[j] in place, with c the exact quotient
-        other[col] / pi^v.  This is the element loop, on W; a domain on
-        Q[[t]] replaces it by ``_clear_series``."""
-        red, start, width = self.reduce, col + 1, len(row)
-        for other in rows:
-            c = other[col]
-            if c and other is not row:
-                if v:
-                    c = self.div_pi(c, v)
-                for j in range(start, width):
-                    other[j] = red(other[j] - c * row[j])
-
-    def _clear_series(self, row, rows, col, v):
-        """``clear`` on Q[[t]]/t^K.  Write c = C/e, row[j] = R/d and
-        other[j] = O/od, as numerators over denominators (C is other[col]'s
-        numerators shifted down by v).  Each R right of col, and each C, is
-        packed once into one int in signed w-bit slots; the low K slots of
-        their one product are P = C R cut to K, and the new entry is the
-        normal form of (O e d - P od) / (od e d).  A slot of C R adds at
-        most K products of two numerators, so
-        w = bits(max |C|) + bits(max |R|) + bits(K) + 1 keeps every slot
-        below 2^(w-1) in size.  A zero row[j] leaves column j as it is."""
+        """With c = C/e, row[j] = R/d and other[j] = O/od (C: other[col]'s
+        numerators shifted down by v), each R right of col and each C is
+        packed once; P = C R cut to K is the low K slots of their product,
+        and other[j] becomes (O e d - P od) / (od e d).  A slot sums at most
+        K products: w = bits(max |C|) + bits(max |R|) + bits(K) + 1."""
         others = [other for other in rows if other[col] and other is not row]
         ents = [(j, e) for j in range(col + 1, len(row)) if (e := row[j])]
         if not (others and ents):
@@ -260,9 +254,6 @@ class Values:
                     ring,
                     tuple([a * f - ((x >> s & mask) - half) * od for a, s in zip(o.num, shifts)]),
                     od * f, k)
-
-
-_sum_from_first = partial(reduce, add)
 
 
 @lru_cache(maxsize=256)
@@ -640,18 +631,38 @@ class WittElement(_Element):
         return self.delta().is_zero()
 
 
-class WittRing:
+class _Ring:
+    """Both backends: one coefficient domain per precision, of the class
+    ``_Domain`` chosen when the ring is built, made on first use and kept
+    (a copy or a pickle starts with none), and the unit draw."""
+
+    def values(self, prec=None):
+        """The domain at prec, or at the ring's own precision for None."""
+        dom = self._domains.get(prec)
+        if dom is None:
+            dom = self._domains[prec] = (
+                self.values(self.one.prec) if prec is None else self._Domain(self, prec))
+        return dom
+
+    def __getstate__(self):
+        return {**self.__dict__, "_domains": {}}
+
+    def random_unit(self, rng: random.Random, prec=None):
+        while True:
+            x = self.random_element(rng, prec)
+            if x.is_unit():
+                return x
+
+
+class WittRing(_Ring):
     """Truncated Witt ring W(F_{p^m}) mod p^prec with Frobenius lift."""
 
     kind = ARITHMETIC
 
     def __init__(self, params: RingParams):
-        self.params = params
-        self.p = params.p
-        self.prec = params.prec
-        self.m = params.m
+        self.params, self.p, self.prec, self.m = params, params.p, params.prec, params.m
         self.q = params.q
-        self.pN = params.p**params.prec
+        self._Domain, self._domains = _Residues if self.m == 1 else Values, {}
         # monic integer lift of the modulus with coefficients in [0, p)
         self.mlift = [c % params.p for c in params.modulus]
         self.zero = WittElement(self, (0,) * self.m, self.prec)
@@ -755,12 +766,6 @@ class WittRing:
         return WittElement(
             self, tuple(rng.randrange(pk) for _ in range(self.m)), prec
         )
-
-    def random_unit(self, rng: random.Random, prec=None) -> WittElement:
-        while True:
-            x = self.random_element(rng, prec)
-            if x.is_unit():
-                return x
 
 
 # ---------------------------------------------------------------------------
@@ -910,7 +915,7 @@ class SeriesElement(_Element):
         raise BackendError("frobenius is not defined on the series backend")
 
 
-class SeriesRing:
+class SeriesRing(_Ring):
     """Q[[t]]/t^trunc with derivation d/dt."""
 
     kind = KOLCHIN
@@ -919,6 +924,7 @@ class SeriesRing:
         if trunc < 2:
             raise InputError(f"trunc must be >= 2, got {trunc}")
         self.trunc = trunc
+        self._Domain, self._domains = _Series, {}
         self.zero = self.from_rational(0)
         self.one = self.from_rational(1)
 
@@ -965,12 +971,6 @@ class SeriesRing:
         # integer draws: the element over denominator 1, which is its normal form
         trunc = self._check_trunc(trunc)
         return SeriesElement(self, tuple([rng.randint(-3, 3) for _ in range(trunc)]), 1, trunc)
-
-    def random_unit(self, rng: random.Random, trunc=None) -> SeriesElement:
-        while True:
-            x = self.random_element(rng, trunc)
-            if x.is_unit():
-                return x
 
 
 def find_irreducible(p: int, m: int):

@@ -12,7 +12,6 @@ from delta_forge import (
     precondition,
     random_gl,
     reconstruct,
-    trailing_minors,
 )
 from delta_forge.decomp import expected_word_length, is_admissible
 from delta_forge.errors import NonUnitError, NonUnitMinorError, ShapeError
@@ -28,6 +27,18 @@ def uniformizer(ring):
 def same(a, b):
     """Equal value and equal claimed precision."""
     return a.prec == b.prec and a == b
+
+
+def trailing_minors(x: SquareMatrix):
+    """Determinants after deleting the first i rows and columns, and
+    their product: one elimination per minor, which gives the exact value
+    of a minor that is not a unit as well.  The oracle of this file."""
+    n = x.n
+    minors = [x.block(i, n, i, n).det() for i in range(1, n)]
+    prod = x.ring.one
+    for d in minors:
+        prod = prod * d
+    return minors, prod
 
 
 @pytest.fixture

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delta_forge import (
+    ClassifiedCocycle,
     GaHomParams,
     GmHomParams,
+    SquareMatrix,
+    classified_eval,
     TwistedCocycleParams,
     check_hom,
     ga_hom,
@@ -233,6 +236,49 @@ class TestGmHom:
     def test_order_counts_inner_delta(self):
         ring = make_ring(3, 6)
         assert GmHomParams((ring.one, ring.one)).order == 2
+
+
+class TestTrailingZeros:
+    """A zero coefficient known only mod p^k stands for an unknown multiple
+    of p^k: it stays in the family and bounds the result's precision.  The
+    lift 9 of a zero mod 3^2 shows what trimming it would claim."""
+
+    ring = make_ring(3, 5)
+
+    def test_ga_hom_keeps_a_low_precision_zero(self):
+        ring, a = self.ring, self.ring.from_int(2)
+        params = GaHomParams((ring.from_int(0, 2),))
+        assert params.order == 0 and len(params.lam) == 1
+        got = ga_hom(params, a)
+        assert got.is_zero() and got.prec == 2
+        lifted = ga_hom(GaHomParams((ring.from_int(9),)), a)
+        assert lifted == 18 and lifted.at_prec(2) == got
+
+    def test_gm_hom_keeps_a_low_precision_zero(self):
+        ring, a = self.ring, self.ring.from_int(2)
+        params = GmHomParams((ring.one, ring.from_int(0, 2)))
+        assert params.order == 2
+        got = gm_hom(params, a)
+        lifted = gm_hom(GmHomParams((ring.one, ring.from_int(9))), a)
+        assert got.prec == 2 and lifted.prec == 4
+        assert lifted.at_prec(2) == got
+
+    def test_full_precision_zeros_are_trimmed(self):
+        ring = self.ring
+        assert GaHomParams((ring.one, ring.zero, ring.zero)).lam == (ring.one,)
+        assert GmHomParams((ring.one, ring.zero)).order == 1
+        assert GaHomParams((ring.zero,)).lam == ()
+
+    def test_classified_eval_keeps_a_low_precision_zero(self):
+        ring = make_ring(5, 4)
+        v = SquareMatrix(ring, [[1, 2], [3, 4]])
+        g = SquareMatrix(ring, [[2, 1], [7, 3]])
+        low = ClassifiedCocycle(GmHomParams((ring.one, ring.from_int(0, 2))), v)
+        lifted = ClassifiedCocycle(GmHomParams((ring.one, ring.from_int(25))), v)
+        assert low.order == 2
+        got, want = classified_eval(low, g), classified_eval(lifted, g)
+        assert got.prec == 2 and want.prec == 3
+        assert want.reduce_prec(2) == got
 
 
 class TestTwisted:

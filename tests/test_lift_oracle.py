@@ -1,0 +1,130 @@
+"""A seeded lift oracle for precision honesty in the ring and hom layers.
+
+Each operation runs on inputs of mixed precision in a ring of precision
+N, and again on random lifts of the same inputs in the ring with the same
+parameters at precision N + 3.  A lift keeps every digit (series term) an
+input claims and fills the rest at random: on W it adds p^k times a random
+residue to a value known mod p^k, on Q[[t]] it adds terms from t^k up.
+Every digit the first result claims must agree with the result on every
+lift.  Inputs on which the first run raises a typed error are skipped.
+"""
+
+import random
+
+import pytest
+
+from delta_forge import (
+    ClassifiedCocycle,
+    GaHomParams,
+    GmHomParams,
+    SquareMatrix,
+    classified_eval,
+    ga_hom,
+    gm_hom,
+    psi,
+)
+from delta_forge.errors import DeltaForgeError
+from delta_forge.rings import RingParams, SeriesElement, SeriesRing, WittRing, make_ring
+
+CASES = 60
+LIFTS = 4
+RINGS = {
+    "W(Z/3^5)": make_ring(3, 5),
+    "W(Z/5^4)": make_ring(5, 4),
+    "W(F_9)/3^4": make_ring(3, 4, 2),
+    "Q[[t]]/t^6": SeriesRing(6),
+}
+HIGH = {
+    name: SeriesRing(r.trunc + 3) if r.kind == "kolchin"
+    else WittRing(RingParams(r.p, r.prec + 3, r.m, r.params.modulus))
+    for name, r in RINGS.items()
+}
+
+
+def draw(ring, rng, unit=False, prec=None):
+    """An element at prec, or at a random precision: zero one time in four,
+    a unit if ``unit``."""
+    prec = prec or rng.randint(1, ring.one.prec)
+    if unit:
+        return ring.random_unit(rng, prec)
+    return ring.zero.at_prec(prec) if rng.random() < 0.25 else ring.random_element(rng, prec)
+
+
+def draw_lam(ring, rng):
+    return tuple(draw(ring, rng) for _ in range(rng.randint(1, 3)))
+
+
+def draw_matrix(ring, rng, n=2):
+    """A matrix at a random precision of at least 2 (a matrix has the
+    least precision of its entries), with zero entries."""
+    prec = rng.randint(2, ring.one.prec)
+    return SquareMatrix(ring, [[draw(ring, rng, prec=prec) for _ in range(n)] for _ in range(n)])
+
+
+def lift(x, high, rng):
+    """A random lift of x (an element, a matrix or a tuple of them) to high."""
+    if isinstance(x, tuple):
+        return tuple(lift(e, high, rng) for e in x)
+    if isinstance(x, SquareMatrix):
+        return SquareMatrix(high, [[lift(e, high, rng) for e in r] for r in x.rows])
+    k, top = x.prec, high.one.prec
+    if isinstance(x, SeriesElement):
+        return high.element(list(x.coeffs) + [rng.randint(-3, 3) for _ in range(top - k)])
+    pk = high.p**k
+    return high.element([c + pk * rng.randrange(high.p ** (top - k)) for c in x.coeffs])
+
+
+def entries(x):
+    return [e for r in x.rows for e in r] if isinstance(x, SquareMatrix) else [x]
+
+
+def digits(x, k):
+    """The first k digits (series terms) of the element x."""
+    if isinstance(x, SeriesElement):
+        return x.coeffs[:k]
+    return tuple(c % x.ring.p**k for c in x.coeffs)
+
+
+OPERATIONS = {
+    # name: (operation, draw of its arguments)
+    "delta": (lambda x: x.delta(), lambda r, rng: (draw(r, rng),)),
+    "invert": (lambda x: x.invert(), lambda r, rng: (draw(r, rng, unit=True),)),
+    "psi": (psi, lambda r, rng: (draw(r, rng, unit=True),)),
+    "ga_hom": (lambda lam, a: ga_hom(GaHomParams(lam), a),
+               lambda r, rng: (draw_lam(r, rng), draw(r, rng))),
+    "gm_hom": (lambda lam, a: gm_hom(GmHomParams(lam), a),
+               lambda r, rng: (draw_lam(r, rng), draw(r, rng, unit=True))),
+    "classified_eval": (
+        lambda lam, v, g: classified_eval(ClassifiedCocycle(GmHomParams(lam), v), g),
+        lambda r, rng: (draw_lam(r, rng), draw_matrix(r, rng), draw_matrix(r, rng))),
+}
+CASES_RUN = [(op, ring) for op in OPERATIONS for ring in RINGS
+             if not (op == "psi" and RINGS[ring].kind == "kolchin")]
+
+
+def disagreements(op, ring_name, seed):
+    """(checked cases, disagreeing lifts) for one operation on one ring."""
+    run, draw_args = OPERATIONS[op]
+    ring, high = RINGS[ring_name], HIGH[ring_name]
+    rng = random.Random(f"lift:{op}:{ring_name}:{seed}")
+    checked, bad = 0, []
+    for _ in range(CASES):
+        args = draw_args(ring, rng)
+        try:
+            low = run(*args)
+        except DeltaForgeError:
+            continue
+        checked += 1
+        for _ in range(LIFTS):
+            high_args = lift(args, high, rng)
+            for a, b in zip(entries(low), entries(run(*high_args))):
+                if b.prec < a.prec or digits(b, a.prec) != digits(a, a.prec):
+                    bad.append((args, high_args, a, b))
+    return checked, bad
+
+
+@pytest.mark.parametrize("op, ring", CASES_RUN, ids=[f"{o}-{r}" for o, r in CASES_RUN])
+def test_every_claimed_digit_survives_lifting(op, ring):
+    checked, bad = disagreements(op, ring, seed=0)
+    assert checked >= CASES // 4
+    assert not bad, bad[0]

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delta_forge import matrices
+from delta_forge import matrices, rings
 from delta_forge.errors import (
     InconsistentSystemError,
     NonUnitError,
@@ -29,7 +29,7 @@ from delta_forge.errors import (
     SingularPivotError,
 )
 from delta_forge.matrices import SquareMatrix, random_gl, random_sl, solve_linear
-from delta_forge.rings import SeriesElement, SeriesRing, Values, dot, make_ring
+from delta_forge.rings import SeriesElement, SeriesRing, dot, make_ring
 
 RINGS = {
     "witt-m1": make_ring(5, 4),
@@ -475,46 +475,54 @@ def reductions(n, width, above):
     ) + n - 1
 
 
+def instrument_domains(monkeypatch, attr, wrap):
+    """Replace ``attr`` of every domain ``ring.values`` hands out from now
+    on by wrap(its real value).  Domains are kept on their rings, so each
+    is patched once, through monkeypatch, which restores it."""
+    real_values, patched = rings._Ring.values, set()
+
+    def values(ring, prec=None):
+        dom = real_values(ring, prec)
+        if id(dom) not in patched:
+            patched.add(id(dom))
+            monkeypatch.setattr(dom, attr, wrap(getattr(dom, attr)))
+        return dom
+
+    monkeypatch.setattr(rings._Ring, "values", values)
+
+
 @pytest.fixture
 def reduce_calls(monkeypatch):
     """The number of ``reduce`` calls made from now on by the domains that
-    matrices build."""
+    matrices use."""
     calls = [0]
 
-    class Counting(Values):
-        def __init__(self, ring, prec):
-            super().__init__(ring, prec)
-            real = self.reduce
+    def wrap(real):
+        def counted(v):
+            calls[0] += 1
+            return real(v)
 
-            def counted(v):
-                calls[0] += 1
-                return real(v)
+        return counted
 
-            self.reduce = counted
-
-    monkeypatch.setattr(matrices, "Values", Counting)
+    instrument_domains(monkeypatch, "reduce", wrap)
     return calls
 
 
 @pytest.fixture
 def cleared_rows(monkeypatch):
     """(col, rows) of each call made from now on to the clearing hook
-    ``clear`` of the domains that matrices build: the pivot column and the
+    ``clear`` of the domains that matrices use: the pivot column and the
     number of rows it is handed besides the pivot row."""
     calls = []
 
-    class Clearing(matrices.Values):
-        def __init__(self, ring, prec):
-            super().__init__(ring, prec)
-            real = self.clear
+    def wrap(real):
+        def counted(row, rows, col, v):
+            calls.append((col, sum(r is not row for r in rows)))
+            return real(row, rows, col, v)
 
-            def counted(row, rows, col, v):
-                calls.append((col, sum(r is not row for r in rows)))
-                return real(row, rows, col, v)
+        return counted
 
-            self.clear = counted
-
-    monkeypatch.setattr(matrices, "Values", Clearing)
+    instrument_domains(monkeypatch, "clear", wrap)
     return calls
 
 
@@ -578,7 +586,7 @@ def test_random_gl_draws_as_the_element_path(name, n):
 def test_values_random_draws_as_random_element(name):
     ring = RINGS[name]
     for prec in range(1, full_prec(ring) + 1):
-        dom = Values(ring, prec)
+        dom = ring.values(prec)
         rng, ref_rng = random.Random(f"values:{prec}"), random.Random(f"values:{prec}")
         for _ in range(20):
             assert same(dom.to_elem(dom.random(rng)), ring.random_element(ref_rng, prec))
@@ -843,7 +851,7 @@ def test_operations_match_entrywise_references(case):
 
 def ref_product_vals(a, b):
     """The normal forms of a * b as the sum of element products, entry by
-    entry: the product before ``Values.product_operands``."""
+    entry: the product before the domain's ``product_operands``."""
     dom = a._dom(b)
     cols = list(zip(*b.vals))
     return [[dom.reduce(dot(r, c)) for c in cols] for r in a.vals]
@@ -981,7 +989,7 @@ def ref_eliminate(dom, aug, ncols):
 def eliminated(eliminate, rows, rhs):
     """What ``eliminate`` leaves on the square and on the augmented rows of
     a system: pivots, determinant, stop column and every value."""
-    dom = Values(rows[0][0].ring, min(e.prec for r in (*rows, rhs) for e in r))
+    dom = rows[0][0].ring.values(min(e.prec for r in (*rows, rhs) for e in r))
     out = []
     for aug in ([[dom.from_elem(e) for e in r] for r in rows],
                 [[dom.from_elem(e) for e in (*r, b)] for r, b in zip(rows, rhs)]):

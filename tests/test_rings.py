@@ -19,7 +19,6 @@ from delta_forge import (
 )
 from delta_forge.errors import InputError, NonUnitError, PrecisionExhausted
 from delta_forge.rings import (
-    Values,
     _fp_euclid,
     _fp_is_irreducible,
     _is_prime,
@@ -628,7 +627,7 @@ class TestSeriesStoredForm:
                          ids=["W(Z/3^4)", "W(F_9)/3^4", "Q[[t]]/t^4"])
 def test_values_valuation(ring):
     # p^v * u and t^v * u for a unit u, and prec for a value that vanishes
-    dom = Values(ring, 4)
+    dom = ring.values(4)
     if ring.kind == "arithmetic":
         of = lambda v: dom.from_elem(ring.element([2 * 3**v, 3**(v + 1)][:ring.m]))
     else:

@@ -25,9 +25,14 @@ Products skip what vanishes at their precision N, by two exact facts:
 * layer rule: terms of valuations v and w (p-adic on W, t-adic on Q[[t]])
   have a product of valuation at least v + w, so ``__mul__`` groups terms
   by valuation and never pairs layers with v + w >= N;
-* lemma: a = b mod p^j gives a^p = b^p mod p^(j+1), so the f^p of an
-  arithmetic prolongation at precision N drops the terms of f of
-  valuation N - 1 before powering.
+* binomial split: the f^p of an arithmetic prolongation at precision N
+  writes f = A + p B', A the unit terms, and sums
+  C(p, k) p^k A^(p-k) B'^k, each term k >= 1 formed only at the
+  precision N - v_p(C(p, k) p^k) it needs (N - k - 1 below k = p, N - p
+  at k = p) and skipped where that is none.  So the terms of f of
+  valuation N - 1 still never reach f^p, as the lemma a = b mod p^j =>
+  a^p = b^p mod p^(j+1) allows: they are terms of B' of valuation N - 2,
+  and B' enters only terms needed mod p^(N-2) or less.
 """
 
 from __future__ import annotations
@@ -286,13 +291,46 @@ class JetPolynomial:
                 _check_cap(len(partial))
             for k, c in partial:
                 fphi[k] = get(k, 0) + c
-        fphi = self._new(vars_, bits, p * deg, fphi, prec)
-        # f^p at prec needs f only mod p^(prec-1) (the lemma above)
-        f = {k: c for k, c in self._relayout(vars_, bits).items() if dom.valuation(c) < prec - 1}
-        f = self._new(vars_, bits, self.top, f, prec)
-        g = fphi - f**p
+        # top = deg keeps f^p in this layout, so its keys are fphi's
+        f = self._new(vars_, bits, deg, self._relayout(vars_, bits), prec)
+        for k, c in f._pth_power().terms.items():
+            fphi[k] = get(k, 0) - c
+        g = self._new(vars_, bits, p * deg, fphi, prec)
         terms = {k: dom.div_p(c) for k, c in g.terms.items()}
-        return JetPolynomial(ring, g.vars, g.bits, g.top, terms, prec - 1)
+        return JetPolynomial(ring, vars_, bits, p * deg, terms, prec - 1)
+
+    def _pth_power(self):
+        """f^p at the precision N of f, by the binomial split (module
+        docstring): f = A + p B', A the unit terms.  Only the powers a
+        term needs are formed, each released once its term is added."""
+        p, n, top = self.ring.p, self.prec, self.top
+        dom = self.ring.values(n)
+        bits = max(self.bits, (p * top).bit_length())
+        terms = self._relayout(self.vars, bits)
+
+        def poly(values, prec):
+            return self._new(self.vars, bits, top, values, prec)
+
+        a = poly({k: c for k, c in terms.items() if dom.is_unit(c)}, n)
+        b = {k: dom.div_p(c) for k, c in terms.items() if not dom.is_unit(c)}
+        # the precision of each term k >= 1 that has any
+        ks = {k: q for k in range(1, p + 1) if (q := n - k - (k < p)) > 0}
+        # A^j for j = 1..p-1, kept only where the term k = p - j needs it
+        kept, power = {}, a
+        for j in range(1, p):
+            if p - j in ks:
+                kept[j] = power
+            power = power * a
+        # the other terms are added into A^p's own fresh dict
+        acc, get, lift = power.terms, power.terms.get, dom.lift
+        bk = None
+        for k, q in ks.items():
+            bk = poly(b, q) if bk is None else poly(bk.terms, q) * poly(b, q)
+            t = bk if k == p else poly(kept.pop(p - k).terms, q) * bk
+            s = comb(p, k) * p**k
+            for key, c in t.terms.items():
+                acc[key] = get(key, 0) + lift(c) * s
+        return self._new(self.vars, bits, p * top, acc, n)
 
     def _prolong_kolchin(self):
         vars_, bits, slot = self._prolonged_layout(self.top + 1)

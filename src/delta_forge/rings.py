@@ -140,6 +140,11 @@ class Values:
         pk = self.ring.p**k
         return WittElement(self.ring, tuple(c // pk for c in v.coeffs), self.prec)
 
+    def lift(self, v):
+        """A value of W known mod p^k, k <= prec, at prec with zero top
+        digits (arithmetic prolongation's f^p)."""
+        return WittElement(self.ring, v.coeffs, self.prec)
+
     _total = _sum_from_first  # a sum of elements from the int 0 adds once more
 
     def product_operands(self, a, b):
@@ -189,6 +194,9 @@ class _Residues(Values):
 
     def div_pi(self, v, k):
         return v // self.ring.p**k
+
+    def lift(self, v):
+        return v
 
     def div_p(self, v):
         q, r = divmod(v, self.ring.p)

@@ -15,7 +15,7 @@ from delta_forge import (
     classified_handle,
     cocycle_check,
 )
-from delta_forge import rings
+from delta_forge import jets, rings
 from delta_forge.errors import PrecisionExhausted
 from delta_forge.rings import SeriesRing, make_ring
 
@@ -125,3 +125,11 @@ def test_domains_do_not_branch_on_the_backend():
     for cls in classes:
         read = {n.attr for n in ast.walk(cls) if isinstance(n, ast.Attribute)}
         assert not read & {"kind", "m", "native"}, cls.name
+
+
+def test_jets_do_not_branch_on_the_witt_degree():
+    # one prolongation path for every W(F_q): jets reads no degree or native
+    # flag, and takes what differs between the backends from the domains
+    with open(jets.__file__) as f:
+        read = {n.attr for n in ast.walk(ast.parse(f.read())) if isinstance(n, ast.Attribute)}
+    assert not read & {"m", "native"}

@@ -7,6 +7,8 @@ input claims and fills the rest at random: on W it adds p^k times a random
 residue to a value known mod p^k, on Q[[t]] it adds terms from t^k up.
 Every digit the first result claims must agree with the result on every
 lift.  Inputs on which the first run raises a typed error are skipped.
+A jet polynomial is lifted coefficient by coefficient, and results are
+compared monomial by monomial, a missing monomial standing for zero.
 """
 
 import random
@@ -17,6 +19,7 @@ from delta_forge import (
     ClassifiedCocycle,
     GaHomParams,
     GmHomParams,
+    JetPolynomial,
     SquareMatrix,
     classified_eval,
     ga_hom,
@@ -61,12 +64,26 @@ def draw_matrix(ring, rng, n=2):
     return SquareMatrix(ring, [[draw(ring, rng, prec=prec) for _ in range(n)] for _ in range(n)])
 
 
+def draw_jet(ring, rng):
+    """A jet polynomial of up to four terms in x0, x1, x0', x1' of degree
+    at most 2 each, at a random precision of at least 2."""
+    prec = rng.randint(2, ring.one.prec)
+    return JetPolynomial.from_terms(ring, [
+        (tuple({(rng.randint(0, 1), rng.randint(0, 1)): rng.randint(1, 2)
+                for _ in range(rng.randint(0, 2))}.items()), draw(ring, rng, prec=prec))
+        for _ in range(rng.randint(1, 4))
+    ])
+
+
 def lift(x, high, rng):
-    """A random lift of x (an element, a matrix or a tuple of them) to high."""
+    """A random lift of x (an element, a matrix, a jet polynomial or a tuple
+    of them) to high."""
     if isinstance(x, tuple):
         return tuple(lift(e, high, rng) for e in x)
     if isinstance(x, SquareMatrix):
         return SquareMatrix(high, [[lift(e, high, rng) for e in r] for r in x.rows])
+    if isinstance(x, JetPolynomial):
+        return JetPolynomial.from_terms(high, [(m, lift(c, high, rng)) for m, c in x.sorted_terms()])
     k, top = x.prec, high.one.prec
     if isinstance(x, SeriesElement):
         return high.element(list(x.coeffs) + [rng.randint(-3, 3) for _ in range(top - k)])
@@ -74,8 +91,15 @@ def lift(x, high, rng):
     return high.element([c + pk * rng.randrange(high.p ** (top - k)) for c in x.coeffs])
 
 
-def entries(x):
-    return [e for r in x.rows for e in r] if isinstance(x, SquareMatrix) else [x]
+def pairs(low, high):
+    """(low, high) entries or coefficients of two results of one operation."""
+    if isinstance(low, SquareMatrix):
+        return zip((e for r in low.rows for e in r), (e for r in high.rows for e in r))
+    if isinstance(low, JetPolynomial):
+        lo, hi = dict(low.sorted_terms()), dict(high.sorted_terms())
+        zero_lo, zero_hi = low.ring.zero.at_prec(low.prec), high.ring.zero.at_prec(high.prec)
+        return [(lo.get(m, zero_lo), hi.get(m, zero_hi)) for m in lo.keys() | hi.keys()]
+    return [(low, high)]
 
 
 def digits(x, k):
@@ -88,6 +112,8 @@ def digits(x, k):
 OPERATIONS = {
     # name: (operation, draw of its arguments)
     "delta": (lambda x: x.delta(), lambda r, rng: (draw(r, rng),)),
+    "frobenius": (lambda x: x.frobenius(), lambda r, rng: (draw(r, rng),)),
+    "mul": (lambda x, y: x * y, lambda r, rng: (draw(r, rng), draw(r, rng))),
     "invert": (lambda x: x.invert(), lambda r, rng: (draw(r, rng, unit=True),)),
     "psi": (psi, lambda r, rng: (draw(r, rng, unit=True),)),
     "ga_hom": (lambda lam, a: ga_hom(GaHomParams(lam), a),
@@ -97,9 +123,10 @@ OPERATIONS = {
     "classified_eval": (
         lambda lam, v, g: classified_eval(ClassifiedCocycle(GmHomParams(lam), v), g),
         lambda r, rng: (draw_lam(r, rng), draw_matrix(r, rng), draw_matrix(r, rng))),
+    "prolong": (lambda f: f.prolong(), lambda r, rng: (draw_jet(r, rng),)),
 }
 CASES_RUN = [(op, ring) for op in OPERATIONS for ring in RINGS
-             if not (op == "psi" and RINGS[ring].kind == "kolchin")]
+             if not (op in ("psi", "frobenius") and RINGS[ring].kind == "kolchin")]
 
 
 def disagreements(op, ring_name, seed):
@@ -117,7 +144,7 @@ def disagreements(op, ring_name, seed):
         checked += 1
         for _ in range(LIFTS):
             high_args = lift(args, high, rng)
-            for a, b in zip(entries(low), entries(run(*high_args))):
+            for a, b in pairs(low, run(*high_args)):
                 if b.prec < a.prec or digits(b, a.prec) != digits(a, a.prec):
                     bad.append((args, high_args, a, b))
     return checked, bad

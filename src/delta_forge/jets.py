@@ -32,7 +32,17 @@ Products skip what vanishes at their precision N, by two exact facts:
   at k = p) and skipped where that is none.  So the terms of f of
   valuation N - 1 still never reach f^p, as the lemma a = b mod p^j =>
   a^p = b^p mod p^(j+1) allows: they are terms of B' of valuation N - 2,
-  and B' enters only terms needed mod p^(N-2) or less.
+  and B' enters only terms needed mod p^(N-2) or less.  Where the term
+  k = p is needed mod p alone (N = p + 1), B'^p = sum c^p m^p mod p takes
+  no product: its terms are {p key: c^p}, which fit, as the layout has
+  room for p top.
+
+Evaluation splits each key at half its fields into a low and a high
+half-key, and keeps per half a table from half-key to the normal form of
+its monomial, filled on first use from one power table per variable.  A
+term then costs two lookups and two products, and the sum is reduced once.
+In a layout of 0 or 1 variable the low half is empty, and the high table
+is keyed by the whole key.
 """
 
 from __future__ import annotations
@@ -58,6 +68,19 @@ def _check_cap(n):
 
 def _naturals(values):
     return all(type(v) is int and v >= 0 for v in values)
+
+
+class _Table(dict):
+    """A dict that fills a missing key with ``fill(key)``."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 def var_name(j: int, i: int) -> str:
@@ -88,7 +111,10 @@ class JetPolynomial:
         prec = ring.one.prec
         for mono, c in items:
             prec = min(prec, c.prec)
-            mono = tuple(sorted((v, e) for v, e in mono if e))
+            exps = {}
+            for v, e in mono:
+                exps[v] = exps.get(v, 0) + e
+            mono = tuple(sorted((v, e) for v, e in exps.items() if e))
             merged[mono] = merged[mono] + c if mono in merged else c
         dom = ring.values(prec)
         merged = {m: r for m, c in merged.items() if (r := dom.from_elem(c))}
@@ -295,8 +321,9 @@ class JetPolynomial:
         f = self._new(vars_, bits, deg, self._relayout(vars_, bits), prec)
         for k, c in f._pth_power().terms.items():
             fphi[k] = get(k, 0) - c
-        g = self._new(vars_, bits, p * deg, fphi, prec)
-        terms = {k: dom.div_p(c) for k, c in g.terms.items()}
+        red, div_p = dom.reduce, dom.div_p
+        terms = {k: div_p(r) for k, c in fphi.items() if (r := red(c))}
+        _check_cap(len(terms))
         return JetPolynomial(ring, vars_, bits, p * deg, terms, prec - 1)
 
     def _pth_power(self):
@@ -325,8 +352,12 @@ class JetPolynomial:
         acc, get, lift = power.terms, power.terms.get, dom.lift
         bk = None
         for k, q in ks.items():
-            bk = poly(b, q) if bk is None else poly(bk.terms, q) * poly(b, q)
-            t = bk if k == p else poly(kept.pop(p - k).terms, q) * bk
+            if k == p and q == 1:
+                # mod p, (sum c m)^p = sum c^p m^p; p top fits in bits
+                t = poly({key * p: c**p for key, c in poly(b, 1).terms.items()}, 1)
+            else:
+                bk = poly(b, q) if bk is None else poly(bk.terms, q) * poly(b, q)
+                t = bk if k == p else poly(kept.pop(p - k).terms, q) * bk
             s = comb(p, k) * p**k
             for key, c in t.terms.items():
                 acc[key] = get(key, 0) + lift(c) * s
@@ -351,20 +382,32 @@ class JetPolynomial:
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, point):
-        factors = [(n * self.bits, point.component(j, i), {}) for n, (j, i) in self._used()]
-        dom = self.ring.values(min([self.prec] + [x.prec for _, x, _ in factors]))
-        mask = (1 << self.bits) - 1
-        acc = dom.from_elem(self.ring.zero)
-        for k, c in self.terms.items():
-            for s, x, powers in factors:
-                e = (k >> s) & mask
-                if e:
-                    xe = powers.get(e)
-                    if xe is None:
-                        xe = powers[e] = dom.from_elem(x**e)
-                    c = c * xe
-            acc = acc + c
-        return dom.to_elem(acc)
+        """f(point), at the least precision of f and of the components of
+        the variables its terms carry, through half-key tables (module
+        docstring)."""
+        xs = {n: point.component(j, i) for n, (j, i) in self._used()}
+        dom = self.ring.values(min([self.prec, *(x.prec for x in xs.values())]))
+        bits, mask, one = self.bits, (1 << self.bits) - 1, dom.from_elem(self.ring.one)
+        # {exponent: normal form of its power} per variable a term carries
+        powers = {n: _Table(lambda e, x=x: dom.from_elem(x**e)) for n, x in xs.items()}
+
+        def monomials(n):
+            """{half-key: its monomial's normal form}, fields from variable n on."""
+            def value(key):
+                v, m = one, n
+                while key:
+                    if e := key & mask:
+                        v = v * powers[m][e]
+                    key, m = key >> bits, m + 1
+                return dom.reduce(v)
+            return _Table(value)
+
+        half = len(self.vars) // 2
+        shift = half * bits
+        low, lo_t, hi_t = (1 << shift) - 1, monomials(0), monomials(half)
+        return dom.to_elem(sum(
+            (c * lo_t[k & low] * hi_t[k >> shift] for k, c in self.terms.items()),
+            dom.from_elem(self.ring.zero)))
 
     # -- serialization --------------------------------------------------
 

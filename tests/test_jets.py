@@ -187,6 +187,26 @@ class TestSerialization:
         assert JetPolynomial.from_records(ring, f.to_records()) == f
 
 
+class TestFromTerms:
+    """A monomial that lists one variable twice has the sum of its exponents,
+    as in ``parse_polynomial``."""
+
+    def test_repeated_variable(self):
+        ring = make_ring(5, 4)
+        x0 = (0, 0)
+        cases = {
+            # each exponent used to be shifted into one field sized for 2
+            (((x0, 2), (x0, 2)),): "x0^4",
+            (((x0, 1), (x0, 1)), ((x0, 2), ((1, 0), 2))): "x0^2 + x0^2*x1^2",
+            (((x0, 1), (x0, 1)),): "x0^2",
+            (((x0, 1), (x0, 1)), (((1, 0), 1),)): "x0^2 + x1",
+        }
+        for monos, text in cases.items():
+            f = JetPolynomial.from_terms(ring, [(m, ring.one) for m in monos])
+            assert str(f) == text
+            assert f == parse_polynomial(text, ring)
+
+
 # -- packed kernels against reference loops -----------------------------------
 
 
@@ -208,12 +228,12 @@ def _schoolbook_mul(f, g):
 
 
 def _generic_evaluate(f, point):
-    acc = None
+    acc = f.ring.zero.at_prec(f.prec)
     for mono, c in f.sorted_terms():
         val = c
         for (j, i), e in mono:
             val = val * point.component(j, i) ** e
-        acc = val if acc is None else acc + val
+        acc = acc + val
     return acc
 
 
@@ -248,6 +268,45 @@ def _layered_coefficients(ring, prec):
 # would look like a hang; the kernel properties run the same examples
 # without the shrink phase and fail at once.
 _NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
+# x_j^(i) for j < 6 and i < 2: the first n make a layout of n variables
+_EVAL_VARS = [(j, i) for j in range(6) for i in range(2)]
+# one ring per coefficient domain class: int residues, elements, series
+_EVAL_RINGS = {
+    "W(Z/5^4)": lambda: make_ring(5, 4),
+    "W(F_25)/5^3": lambda: make_ring(5, 3, 2),
+    "Q[[t]]/t^8": lambda: SeriesRing(8),
+}
+
+
+@settings(max_examples=10, phases=_NO_SHRINK)
+@given(data=st.data())
+def _evaluate_matches_generic(ring, nvars, data):
+    # f at prec, the point's components at any precision, lower ones too;
+    # nvars None is the zero polynomial
+    n = ring.one.prec
+    prec = data.draw(st.integers(1, n))
+    items = [((), ring.zero.at_prec(prec))]
+    if nvars is not None:
+        vars_ = _EVAL_VARS[:nvars]
+        mono = (st.dictionaries(st.sampled_from(vars_), st.integers(1, 3), max_size=4)
+                if vars_ else st.just({}))
+        items = data.draw(st.lists(
+            st.tuples(mono.map(lambda d: tuple(d.items())), _layered_coefficients(ring, prec)),
+            max_size=24,
+        ))
+        # a unit term on every variable, of an exponent no drawn term has,
+        # fixes the layout at nvars of them
+        items.append((tuple((v, 4) for v in vars_), ring.one.at_prec(prec)))
+    f = JetPolynomial.from_terms(ring, items)
+    assert len(f.vars) == (nvars or 0) and f.prec == prec
+    assert nvars is not None or f.is_zero()
+    elem = _layered_coefficients(ring, n).flatmap(
+        lambda x: st.integers(1, n).map(x.at_prec))
+    point = JetPoint(tuple(tuple(data.draw(elem) for _ in range(2)) for _ in range(6)), 1)
+    got, ref = f.evaluate(point), _generic_evaluate(f, point)
+    assert (got.coeffs, got.prec) == (ref.coeffs, ref.prec)
 
 
 @st.composite
@@ -288,19 +347,13 @@ class TestFastPaths:
         for make in _KERNEL_RINGS.values():
             _mul_matches_schoolbook(make())
 
-    @settings(max_examples=6, phases=_NO_SHRINK)
-    @given(st.data())
-    def test_packed_evaluate_matches_generic(self, data):
-        ring = make_ring(5, 4)
-        f = data.draw(_packed_polynomials(ring, data.draw(st.integers(1, 4))))
-        elem = st.builds(
-            lambda c, prec: ring.from_int(c, prec=prec),
-            st.integers(0, 5**4 - 1), st.integers(1, 4),
-        )
-        point = JetPoint(tuple(tuple(data.draw(elem) for _ in range(2)) for _ in range(3)), 1)
-        got = f.evaluate(point)
-        ref = _generic_evaluate(f, point)
-        assert (got.coeffs, got.prec) == (ref.coeffs, ref.prec)
+    def test_packed_evaluate_matches_generic(self):
+        # value and precision, on layouts with no, one, an odd number and
+        # twelve variables (an empty low half, or half-keys of unequal and
+        # equal widths) and on the zero polynomial
+        for make in _EVAL_RINGS.values():
+            for nvars in (0, 1, 5, 12, None):
+                _evaluate_matches_generic(make(), nvars)
 
     @settings(max_examples=200)
     @given(
@@ -443,6 +496,46 @@ class TestPthPowerMatchesPow:
     @pytest.mark.parametrize("m", [1, 2])
     def test_no_unit_part_and_only_units(self, text, m):
         _assert_split_matches_power(parse_polynomial(text, make_ring(3, 6, m)))
+
+    @staticmethod
+    def _frobenius_case(p, m):
+        """(f, B' mod p) at N = p + 1, where the term k = p is B'^p mod p.
+        On m = 2 the coefficients of B' lie outside F_p, so c^p differs
+        from c."""
+        ring = make_ring(p, p + 1, m)
+        x0, x1, x1d = (0, 0), (1, 0), (1, 1)
+
+        def c(k):
+            return ring.element([k] + [1] * (m - 1))
+
+        units = [(((x0, 2),), c(1)), (((x0, 1), (x1d, 1)), c(2))]
+        b = [(((x1, 1),), c(1)), (((x0, 1), (x1d, 2)), c(2)), (((x1, 2),), c(3)), ((), c(2))]
+        f = JetPolynomial.from_terms(ring, units + [(mono, x * ring.from_int(p)) for mono, x in b])
+        return f, JetPolynomial.from_terms(ring, [(mono, x.at_prec(1)) for mono, x in b])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_b_prime_to_the_p_mod_p(self, p, m):
+        _assert_split_matches_power(self._frobenius_case(p, m)[0])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_b_prime_to_the_p_takes_no_product(self, p, m, monkeypatch):
+        f, b1 = self._frobenius_case(p, m)
+        products, real = [], JetPolynomial.__mul__
+
+        def record(x, y):
+            products.append((x, y))
+            return real(x, y)
+
+        monkeypatch.setattr(JetPolynomial, "__mul__", record)
+        f._pth_power()
+        monkeypatch.undo()
+        at_1 = [(x, y) for x, y in products if min(x.prec, y.prec) == 1]
+        bp = b1 ** (p - 1)
+        # B'^(p-1) is formed, for the term k = p - 1, and never multiplied by B'
+        assert any(y == bp for _, y in at_1)
+        assert not any(x == bp and y == b1 for x, y in at_1)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_every_cross_term_below_one_digit(self, m):

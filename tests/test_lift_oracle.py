@@ -19,9 +19,11 @@ from delta_forge import (
     ClassifiedCocycle,
     GaHomParams,
     GmHomParams,
+    JetPoint,
     JetPolynomial,
     SquareMatrix,
     classified_eval,
+    eval_jet,
     ga_hom,
     gm_hom,
     psi,
@@ -75,6 +77,12 @@ def draw_jet(ring, rng):
     ])
 
 
+def draw_components(ring, rng):
+    """Values of x0, x0', x1 and x1' at mixed precision, as (j, i) nested
+    tuples, which ``lift`` takes apart."""
+    return tuple(tuple(draw(ring, rng) for _ in range(2)) for _ in range(2))
+
+
 def lift(x, high, rng):
     """A random lift of x (an element, a matrix, a jet polynomial or a tuple
     of them) to high."""
@@ -124,6 +132,8 @@ OPERATIONS = {
         lambda lam, v, g: classified_eval(ClassifiedCocycle(GmHomParams(lam), v), g),
         lambda r, rng: (draw_lam(r, rng), draw_matrix(r, rng), draw_matrix(r, rng))),
     "prolong": (lambda f: f.prolong(), lambda r, rng: (draw_jet(r, rng),)),
+    "eval_jet": (lambda f, comps: eval_jet(f, JetPoint(comps, 1)),
+                 lambda r, rng: (draw_jet(r, rng), draw_components(r, rng))),
 }
 CASES_RUN = [(op, ring) for op in OPERATIONS for ring in RINGS
              if not (op in ("psi", "frobenius") and RINGS[ring].kind == "kolchin")]

@@ -40,9 +40,9 @@ Products skip what vanishes at their precision N, by two exact facts:
 Evaluation splits each key at half its fields into a low and a high
 half-key, and keeps per half a table from half-key to the normal form of
 its monomial, filled on first use from one power table per variable.  A
-term then costs two lookups and two products, and the sum is reduced once.
-In a layout of 0 or 1 variable the low half is empty, and the high table
-is keyed by the whole key.
+term then costs a product per nonzero half-key (a half-key 0 is the
+monomial 1), and the sum is reduced once.  In a layout of 0 or 1 variable
+the low half is empty, and the high table is keyed by the whole key.
 """
 
 from __future__ import annotations
@@ -387,17 +387,18 @@ class JetPolynomial:
         docstring)."""
         xs = {n: point.component(j, i) for n, (j, i) in self._used()}
         dom = self.ring.values(min([self.prec, *(x.prec for x in xs.values())]))
-        bits, mask, one = self.bits, (1 << self.bits) - 1, dom.from_elem(self.ring.one)
+        bits, mask = self.bits, (1 << self.bits) - 1
         # {exponent: normal form of its power} per variable a term carries
         powers = {n: _Table(lambda e, x=x: dom.from_elem(x**e)) for n, x in xs.items()}
 
         def monomials(n):
-            """{half-key: its monomial's normal form}, fields from variable n on."""
+            """{nonzero half-key: its monomial's normal form}, fields from
+            variable n on."""
             def value(key):
-                v, m = one, n
+                v, m = None, n
                 while key:
                     if e := key & mask:
-                        v = v * powers[m][e]
+                        v = powers[m][e] if v is None else v * powers[m][e]
                     key, m = key >> bits, m + 1
                 return dom.reduce(v)
             return _Table(value)
@@ -405,9 +406,15 @@ class JetPolynomial:
         half = len(self.vars) // 2
         shift = half * bits
         low, lo_t, hi_t = (1 << shift) - 1, monomials(0), monomials(half)
-        return dom.to_elem(sum(
-            (c * lo_t[k & low] * hi_t[k >> shift] for k, c in self.terms.items()),
-            dom.from_elem(self.ring.zero)))
+        acc = dom.from_elem(self.ring.zero)
+        for k, c in self.terms.items():
+            # a half-key 0 is the monomial 1 and takes no product
+            if lo := k & low:
+                c = c * lo_t[lo]
+            if hi := k >> shift:
+                c = c * hi_t[hi]
+            acc = acc + c
+        return dom.to_elem(acc)
 
     # -- serialization --------------------------------------------------
 

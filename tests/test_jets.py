@@ -282,25 +282,27 @@ _EVAL_RINGS = {
 
 @settings(max_examples=10, phases=_NO_SHRINK)
 @given(data=st.data())
-def _evaluate_matches_generic(ring, nvars, data):
-    # f at prec, the point's components at any precision, lower ones too;
-    # nvars None is the zero polynomial
+def _evaluate_matches_generic(ring, nvars, top, sizes, data):
+    # f at prec from sizes[0]..sizes[1] drawn terms of exponents 1..top, the
+    # point's components at any precision, lower ones too; nvars None is
+    # the zero polynomial
     n = ring.one.prec
     prec = data.draw(st.integers(1, n))
     items = [((), ring.zero.at_prec(prec))]
     if nvars is not None:
         vars_ = _EVAL_VARS[:nvars]
-        mono = (st.dictionaries(st.sampled_from(vars_), st.integers(1, 3), max_size=4)
+        mono = (st.dictionaries(st.sampled_from(vars_), st.integers(1, top), max_size=4)
                 if vars_ else st.just({}))
         items = data.draw(st.lists(
             st.tuples(mono.map(lambda d: tuple(d.items())), _layered_coefficients(ring, prec)),
-            max_size=24,
+            min_size=sizes[0], max_size=sizes[1],
         ))
         # a unit term on every variable, of an exponent no drawn term has,
         # fixes the layout at nvars of them
-        items.append((tuple((v, 4) for v in vars_), ring.one.at_prec(prec)))
+        items.append((tuple((v, top + 1) for v in vars_), ring.one.at_prec(prec)))
     f = JetPolynomial.from_terms(ring, items)
     assert len(f.vars) == (nvars or 0) and f.prec == prec
+    assert not nvars or 1 << f.bits > top + 1
     assert nvars is not None or f.is_zero()
     elem = _layered_coefficients(ring, n).flatmap(
         lambda x: st.integers(1, n).map(x.at_prec))
@@ -353,7 +355,14 @@ class TestFastPaths:
         # equal widths) and on the zero polynomial
         for make in _EVAL_RINGS.values():
             for nvars in (0, 1, 5, 12, None):
-                _evaluate_matches_generic(make(), nvars)
+                _evaluate_matches_generic(make(), nvars, 3, (0, 24))
+        # 64-72 terms of exponents up to 2^17, so fields of 18 bits, half-keys
+        # of up to 108 bits and powers of large exponent, on both Witt
+        # domain classes (on Q[[t]] such powers have coefficients of tens of
+        # thousands of digits)
+        for name in ("W(Z/5^4)", "W(F_25)/5^3"):
+            for nvars in (1, 6, 12):
+                _evaluate_matches_generic(_EVAL_RINGS[name](), nvars, 2**17, (64, 72))
 
     @settings(max_examples=200)
     @given(

@@ -6,6 +6,9 @@ document.  Exit codes: 0 success/pass, 1 mathematical failure
 default seed is DEFAULT_SEED; the environment variable DELTA_FORGE_SEED
 overrides it.
 
+One table, ``COMMANDS``, names each subcommand's handler and options, and
+a call builds the parser of its own subcommand only.
+
 A call imports only what its subcommand uses: this module loads the ring
 backends, their JSON encoding and the homomorphisms (a small module, and
 ``psi`` stays a name of this module for tracers that patch it here); each
@@ -173,29 +176,26 @@ def cmd_jet_nabla(args):
     }
 
 
+# law name -> (params class, hom, the law check_hom tests)
+_HOM_LAWS = {
+    "additive": (GaHomParams, ga_hom, "additive"),
+    "multiplicative": (GmHomParams, gm_hom, "multiplicative-to-additive"),
+}
+
+
 def cmd_hom_check(args):
     ring = _make_ring(args)
     params = _load_json(args.params) or {}
     if not isinstance(params, dict) or not isinstance(params.get("lambda", []), list):
         raise InputError(f'--params must be {{"lambda": [...]}} or {{"mu": c}}, got {params!r}')
     seed = _seed(args)
-    if args.law == "additive":
-        p = GaHomParams(tuple(elem_from_json(ring, v) for v in params.get("lambda", [1])))
-        f = lambda a: ga_hom(p, a)
-        law = "additive"
-        s = None
-    elif args.law == "multiplicative":
-        p = GmHomParams(tuple(elem_from_json(ring, v) for v in params.get("lambda", [1])))
-        f = lambda a: gm_hom(p, a)
-        law = "multiplicative-to-additive"
-        s = None
-    elif args.law == "twisted":
+    if args.law == "twisted":
         p = TwistedCocycleParams(elem_from_json(ring, params.get("mu", 1)), args.s)
-        f = lambda a: twisted_cocycle(p, a)
-        law = "twisted"
-        s = args.s
+        f, law, s = (lambda a: twisted_cocycle(p, a)), "twisted", args.s
     else:
-        raise InputError(f"unknown law {args.law!r}")
+        cls, hom, law = _HOM_LAWS[args.law]
+        p = cls(tuple(elem_from_json(ring, v) for v in params.get("lambda", [1])))
+        f, s = (lambda a: hom(p, a)), None
     rep = check_hom(f, law, ring, samples=args.samples, seed=seed, s=s)
     return (EXIT_OK if rep.passed else EXIT_COUNTEREXAMPLE), rep.to_dict()
 
@@ -326,123 +326,83 @@ def cmd_selftest(args):
     return (EXIT_OK if report["pass"] else EXIT_COUNTEREXAMPLE), report
 
 
-# -- parser -----------------------------------------------------------------
+# -- the subcommand table ---------------------------------------------------
+# name -> (handler, options); an option is (flag or name, add_argument keywords)
+
+_RING = (
+    ("--ring", {"help": "ring config JSON or file path"}),
+    ("--p", {"type": int, "help": "prime (alternative to --ring)"}),
+    ("--prec", {"type": int, "help": "p-adic precision"}),
+    ("--m", {"type": int, "default": 1, "help": "residue field degree"}),
+    ("--modulus", {"help": "modulus coefficients as a JSON list"}),
+)
+_BACKEND = _RING + (
+    ("--backend", {"choices": ["arithmetic", "kolchin"], "default": "arithmetic"}),
+    ("--trunc", {"type": int, "default": 10,
+                 "help": "series truncation for the kolchin backend"}),
+)
+_SEED = (("--seed", {"type": int}),)
+_SAMPLED = _SEED + (("--samples", {"type": int, "default": 100}),)
+_N = (("--n", {"type": int, "required": True}),)
+_MAP = _BACKEND + _SAMPLED + _N + (
+    ("--map", {"choices": ["classified", "logderiv", "coboundary"], "default": "classified"}),
+    ("--cocycle", {"help": "cocycle parameter JSON or file path"}),
+)
+
+COMMANDS = {
+    "ring-info": (cmd_ring_info, _RING),
+    "delta-eval": (cmd_delta_eval, _BACKEND + (("value", {}),)),
+    "teich": (cmd_teich, _RING + (("residue", {}),)),
+    "psi": (cmd_psi, _RING + (("value", {}),)),
+    "jet-prolong": (cmd_jet_prolong,
+                    _BACKEND + (("--times", {"type": int, "default": 1}), ("poly", {}))),
+    "jet-nabla": (cmd_jet_nabla, _BACKEND + (("--order", {"type": int, "default": 1}),
+                                             ("values", {"nargs": "+"}))),
+    "hom-check": (cmd_hom_check, _BACKEND + _SAMPLED + (
+        ("--law", {"required": True, "choices": ["additive", "multiplicative", "twisted"]}),
+        ("--s", {"type": int, "default": 1}),
+        ("--params", {"help": "parameter JSON or file path"}),
+    )),
+    "cocycle-make": (cmd_cocycle_make, _RING + _N + (("--order", {"type": int, "default": 1}),)
+                     + _SEED),
+    "cocycle-check": (cmd_cocycle_check, _MAP),
+    "cocycle-recover": (cmd_cocycle_recover, _MAP),
+    "coherence-check": (cmd_coherence_check, _MAP + (
+        ("--subgroup", {"required": True,
+                        "choices": ["torus", "sl_n", "borel", "conjugated-torus"]}),
+        ("--u", {"help": "conjugating matrix JSON or file path"}),
+    )),
+    "decompose": (cmd_decompose, _RING + (
+        ("--seed", {"type": int, "help": "accepted; has no effect on decompose"}),
+        ("--precondition", {"action": "store_true"}),
+        ("matrix", {}),
+    )),
+    "reconstruct": (cmd_reconstruct, _RING + (("word", {}),)),
+    "selftest": (cmd_selftest, (("--profile", {"choices": ["quick", "full"], "default": "quick"}),)
+                 + _SEED),
+}
 
 
-def _add_ring_opts(sp, backend=False):
-    sp.add_argument("--ring", help="ring config JSON or file path")
-    sp.add_argument("--p", type=int, help="prime (alternative to --ring)")
-    sp.add_argument("--prec", type=int, help="p-adic precision")
-    sp.add_argument("--m", type=int, default=1, help="residue field degree")
-    sp.add_argument("--modulus", help="modulus coefficients as a JSON list")
-    if backend:
-        sp.add_argument("--backend", choices=["arithmetic", "kolchin"],
-                        default="arithmetic")
-        sp.add_argument("--trunc", type=int, default=10,
-                        help="series truncation for the kolchin backend")
-
-
-def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=100)
-
-
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="delta-forge",
-        description="Exact arithmetic differential algebra toolkit",
-    )
-    ap.add_argument("--out", help="write the result document to this path")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    sp = sub.add_parser("ring-info")
-    _add_ring_opts(sp)
-    sp.set_defaults(fn=cmd_ring_info)
-
-    sp = sub.add_parser("delta-eval")
-    _add_ring_opts(sp, backend=True)
-    sp.add_argument("value")
-    sp.set_defaults(fn=cmd_delta_eval)
-
-    sp = sub.add_parser("teich")
-    _add_ring_opts(sp)
-    sp.add_argument("residue")
-    sp.set_defaults(fn=cmd_teich)
-
-    sp = sub.add_parser("psi")
-    _add_ring_opts(sp)
-    sp.add_argument("value")
-    sp.set_defaults(fn=cmd_psi)
-
-    sp = sub.add_parser("jet-prolong")
-    _add_ring_opts(sp, backend=True)
-    sp.add_argument("--times", type=int, default=1)
-    sp.add_argument("poly")
-    sp.set_defaults(fn=cmd_jet_prolong)
-
-    sp = sub.add_parser("jet-nabla")
-    _add_ring_opts(sp, backend=True)
-    sp.add_argument("--order", type=int, default=1)
-    sp.add_argument("values", nargs="+")
-    sp.set_defaults(fn=cmd_jet_nabla)
-
-    sp = sub.add_parser("hom-check")
-    _add_ring_opts(sp, backend=True)
-    _add_common(sp)
-    sp.add_argument("--law", required=True,
-                    choices=["additive", "multiplicative", "twisted"])
-    sp.add_argument("--s", type=int, default=1)
-    sp.add_argument("--params", help="parameter JSON or file path")
-    sp.set_defaults(fn=cmd_hom_check)
-
-    sp = sub.add_parser("cocycle-make")
-    _add_ring_opts(sp)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--order", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.set_defaults(fn=cmd_cocycle_make)
-
-    for name, fn in (
-        ("cocycle-check", cmd_cocycle_check),
-        ("cocycle-recover", cmd_cocycle_recover),
-        ("coherence-check", cmd_coherence_check),
-    ):
-        sp = sub.add_parser(name)
-        _add_ring_opts(sp, backend=True)
-        _add_common(sp)
-        sp.add_argument("--n", type=int, required=True)
-        sp.add_argument("--map", choices=["classified", "logderiv", "coboundary"],
-                        default="classified")
-        sp.add_argument("--cocycle", help="cocycle parameter JSON or file path")
-        if name == "coherence-check":
-            sp.add_argument("--subgroup", required=True,
-                            choices=["torus", "sl_n", "borel", "conjugated-torus"])
-            sp.add_argument("--u", help="conjugating matrix JSON or file path")
-        sp.set_defaults(fn=fn)
-
-    sp = sub.add_parser("decompose")
-    _add_ring_opts(sp)
-    sp.add_argument("--seed", type=int, default=None, help="accepted; has no effect on decompose")
-    sp.add_argument("--precondition", action="store_true")
-    sp.add_argument("matrix")
-    sp.set_defaults(fn=cmd_decompose)
-
-    sp = sub.add_parser("reconstruct")
-    _add_ring_opts(sp)
-    sp.add_argument("word")
-    sp.set_defaults(fn=cmd_reconstruct)
-
-    sp = sub.add_parser("selftest")
-    sp.add_argument("--profile", choices=["quick", "full"], default="quick")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.set_defaults(fn=cmd_selftest)
-
-    return ap
+def _parser(cmd):
+    """The parser of one subcommand, its handler set as ``fn``."""
+    fn, options = COMMANDS[cmd]
+    sp = argparse.ArgumentParser(prog=f"delta-forge {cmd}")
+    for flag, kw in options:
+        sp.add_argument(flag, **kw)
+    sp.set_defaults(fn=fn)
+    return sp
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    # the top level reads [--out] and the subcommand's name; only that
+    # subcommand's parser is built, and it reads the rest
+    ap = argparse.ArgumentParser(prog="delta-forge",
+                                 description="Exact arithmetic differential algebra toolkit")
+    ap.add_argument("--out", help="write the result document to this path")
+    ap.add_argument("cmd", choices=COMMANDS)
+    ap.add_argument("rest", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
+    top = ap.parse_args(argv)
+    args = _parser(top.cmd).parse_args(top.rest, argparse.Namespace(out=top.out))
     try:
         for name, low in _MINIMUMS.items():
             value = getattr(args, name, None)

@@ -319,7 +319,8 @@ class JetPolynomial:
                 fphi[k] = get(k, 0) + c
         # top = deg keeps f^p in this layout, so its keys are fphi's
         f = self._new(vars_, bits, deg, self._relayout(vars_, bits), prec)
-        for k, c in f._pth_power().terms.items():
+        _, fp = f._pth_power()
+        for k, c in fp.items():
             fphi[k] = get(k, 0) - c
         red, div_p = dom.reduce, dom.div_p
         terms = {k: div_p(r) for k, c in fphi.items() if (r := red(c))}
@@ -327,9 +328,11 @@ class JetPolynomial:
         return JetPolynomial(ring, vars_, bits, p * deg, terms, prec - 1)
 
     def _pth_power(self):
-        """f^p at the precision N of f, by the binomial split (module
-        docstring): f = A + p B', A the unit terms.  Only the powers a
-        term needs are formed, each released once its term is added."""
+        """(bits, raw values) of f^p at the precision N of f, by the
+        binomial split (module docstring): f = A + p B', A the unit terms.
+        The values are keyed in f's variables at field width bits and left
+        unreduced for the caller's own pass.  Only the powers a term needs
+        are formed, each released once its term is added."""
         p, n, top = self.ring.p, self.prec, self.top
         dom = self.ring.values(n)
         bits = max(self.bits, (p * top).bit_length())
@@ -361,7 +364,7 @@ class JetPolynomial:
             s = comb(p, k) * p**k
             for key, c in t.terms.items():
                 acc[key] = get(key, 0) + lift(c) * s
-        return self._new(self.vars, bits, p * top, acc, n)
+        return bits, acc
 
     def _prolong_kolchin(self):
         vars_, bits, slot = self._prolonged_layout(self.top + 1)

@@ -1,7 +1,10 @@
+import argparse
 import json
+import pathlib
 
 import pytest
 
+from delta_forge import cli
 from delta_forge.cli import main
 from delta_forge.jets import JetPolynomial, parse_polynomial
 from delta_forge.rings import SeriesRing
@@ -267,3 +270,65 @@ class TestOutFile:
         assert code == 0
         assert json.loads(target.read_text())["teichmueller"] == [7]
         assert capsys.readouterr().out == ""
+
+
+# every subcommand's options as the parser built before the subcommand table
+# declared them: name -> [(flag or name, add_argument's settings)]
+OPTIONS = json.loads((pathlib.Path(__file__).parent / "cli_options.json").read_text())
+
+
+def _surface(parser):
+    return [
+        [a.option_strings[0] if a.option_strings else a.dest, {
+            "action": type(a).__name__, "choices": list(a.choices) if a.choices else None,
+            "const": a.const, "default": a.default, "dest": a.dest, "help": a.help,
+            "metavar": a.metavar, "nargs": a.nargs, "required": a.required,
+            "type": a.type.__name__ if a.type else None,
+        }]
+        for a in parser._actions if not isinstance(a, argparse._HelpAction)
+    ]
+
+
+class TestParser:
+    def test_every_option_surface_is_unchanged(self):
+        assert list(cli.COMMANDS) == list(OPTIONS)
+        for name, options in OPTIONS.items():
+            assert _surface(cli._parser(name)) == options, name
+
+    @pytest.mark.parametrize("name", list(OPTIONS))
+    def test_a_call_adds_only_its_own_arguments(self, name, monkeypatch, capsys):
+        added, real = [], argparse.ArgumentParser.add_argument
+
+        def record(self, *args, **kwargs):
+            added.append(args[0])
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", record)
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        # the top level's own, then one parser's: help and the subcommand's
+        top = ["-h", "--out", "cmd", "rest"]
+        assert added == top + ["-h"] + [flag for flag, _ in OPTIONS[name]]
+        assert capsys.readouterr().out.startswith(f"usage: delta-forge {name} ")
+
+    @pytest.mark.parametrize("argv", [
+        ("nope",),
+        ("cocycle-check", "--p", "5", "--prec", "3"),
+        ("hom-check", "--p", "5", "--prec", "3", "--law", "nope"),
+        ("--p", "5", "psi", "2"),
+        ("psi", "--p", "5", "--prec", "3", "2", "--out", "TMP/x.json"),
+    ], ids=" ".join)
+    def test_argparse_rejects_with_exit_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([a.replace("TMP", str(tmp_path)) for a in argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert len(OPTIONS) == 14 and all(name in out for name in OPTIONS)

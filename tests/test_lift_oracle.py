@@ -22,11 +22,15 @@ from delta_forge import (
     JetPoint,
     JetPolynomial,
     SquareMatrix,
+    TwistedCocycleParams,
     classified_eval,
     eval_jet,
     ga_hom,
     gm_hom,
+    log_derivative,
+    nabla,
     psi,
+    twisted_cocycle,
 )
 from delta_forge.errors import DeltaForgeError
 from delta_forge.rings import RingParams, SeriesElement, SeriesRing, WittRing, make_ring
@@ -66,6 +70,11 @@ def draw_matrix(ring, rng, n=2):
     return SquareMatrix(ring, [[draw(ring, rng, prec=prec) for _ in range(n)] for _ in range(n)])
 
 
+def draw_square(ring, rng):
+    """The argument tuple of a one-matrix operation: a matrix of size 1..3."""
+    return (draw_matrix(ring, rng, rng.randint(1, 3)),)
+
+
 def draw_jet(ring, rng):
     """A jet polynomial of up to four terms in x0, x1, x0', x1' of degree
     at most 2 each, at a random precision of at least 2."""
@@ -103,6 +112,8 @@ def pairs(low, high):
     """(low, high) entries or coefficients of two results of one operation."""
     if isinstance(low, SquareMatrix):
         return zip((e for r in low.rows for e in r), (e for r in high.rows for e in r))
+    if isinstance(low, JetPoint):
+        return zip(sum(low.components_, ()), sum(high.components_, ()))
     if isinstance(low, JetPolynomial):
         lo, hi = dict(low.sorted_terms()), dict(high.sorted_terms())
         zero_lo, zero_hi = low.ring.zero.at_prec(low.prec), high.ring.zero.at_prec(high.prec)
@@ -134,9 +145,20 @@ OPERATIONS = {
     "prolong": (lambda f: f.prolong(), lambda r, rng: (draw_jet(r, rng),)),
     "eval_jet": (lambda f, comps: eval_jet(f, JetPoint(comps, 1)),
                  lambda r, rng: (draw_jet(r, rng), draw_components(r, rng))),
+    "det": (lambda g: g.det(), draw_square),
+    "matrix_invert": (lambda g: g.invert(), draw_square),
+    "twisted_s-2": (lambda mu, a: twisted_cocycle(TwistedCocycleParams(mu, -2), a),
+                    lambda r, rng: (draw(r, rng), draw(r, rng, unit=True))),
+    "twisted_s3": (lambda mu, a: twisted_cocycle(TwistedCocycleParams(mu, 3), a),
+                   lambda r, rng: (draw(r, rng), draw(r, rng, unit=True))),
+    "log_derivative": (log_derivative, draw_square),
+    "nabla": (lambda values: nabla(values, 2),
+              lambda r, rng: (tuple(draw(r, rng) for _ in range(rng.randint(1, 2))),)),
 }
+# the backend an operation is defined on, where it is defined on one only
+BACKEND = {"psi": "arithmetic", "frobenius": "arithmetic", "log_derivative": "kolchin"}
 CASES_RUN = [(op, ring) for op in OPERATIONS for ring in RINGS
-             if not (op in ("psi", "frobenius") and RINGS[ring].kind == "kolchin")]
+             if BACKEND.get(op, RINGS[ring].kind) == RINGS[ring].kind]
 
 
 def disagreements(op, ring_name, seed):

@@ -23,8 +23,8 @@ serialization.
 Products skip what vanishes at their precision N, by two exact facts:
 
 * layer rule: terms of valuations v and w (p-adic on W, t-adic on Q[[t]])
-  have a product of valuation at least v + w, so ``__mul__`` groups terms
-  by valuation and never pairs layers with v + w >= N;
+  have a product of valuation at least v + w, so the one product kernel
+  groups terms by valuation and never pairs layers with v + w >= N;
 * binomial split: the f^p of an arithmetic prolongation at precision N
   writes f = A + p B', A the unit terms, and sums
   C(p, k) p^k A^(p-k) B'^k, each term k >= 1 formed only at the
@@ -35,7 +35,9 @@ Products skip what vanishes at their precision N, by two exact facts:
   and B' enters only terms needed mod p^(N-2) or less.  Where the term
   k = p is needed mod p alone (N = p + 1), B'^p = sum c^p m^p mod p takes
   no product: its terms are {p key: c^p}, which fit, as the layout has
-  room for p top.
+  room for p top.  Each last product (A^(p-1) A, A^(p-k) B'^k, B'^(p-1) B')
+  builds no dict: the kernel adds it into f^phi times -C(p, k) p^k, whose
+  valuation N - q makes operands known mod p^q, lifted to N, exact.
 
 Evaluation splits each key at half its fields into a low and a high
 half-key, and keeps per half a table from half-key to the normal form of
@@ -64,6 +66,32 @@ TERM_CAP = 10**6
 def _check_cap(n):
     if n > TERM_CAP:
         raise TermBudgetError(n, TERM_CAP)
+
+
+def _mul_into(out, a, b, dom, scale=1):
+    """Add the product of the terms a and b at precision ``dom.prec``, each
+    value of a times scale, into the raw values out, and return out.  Keys
+    add as monomials multiply; values are left unreduced, every sum starting
+    from the int 0, which elements accept."""
+    # a layer of a of valuation v meets only the terms of b of valuation
+    # below prec - v, a prefix of b sorted by valuation: the other pairs
+    # vanish at prec
+    val, prec = dom.valuation, dom.prec
+    layers = {}
+    for k, c in a.items():
+        # an element times the int 1 would still cost a whole product
+        layers.setdefault(val(c), []).append((k, c if scale == 1 else c * scale))
+    b = sorted(b.items(), key=lambda kc: val(kc[1]))
+    vals = [val(c) for _, c in b]
+    get = out.get
+    for v, layer in layers.items():
+        bl = b[:bisect_left(vals, prec - v)]
+        for ka, ca in layer:
+            for kb, cb in bl:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+    _check_cap(len(out))
+    return out
 
 
 def _naturals(values):
@@ -237,26 +265,7 @@ class JetPolynomial:
         top = self.top + other.top
         vars_, bits, a, b = self._align(other, top)
         prec = min(self.prec, other.prec)
-        # a layer of a of valuation v meets only the terms of b of valuation
-        # below prec - v, a prefix of b sorted by valuation: the other pairs
-        # vanish at prec
-        val = self.ring.values(prec).valuation
-        layers = {}
-        for k, c in a.items():
-            layers.setdefault(val(c), []).append((k, c))
-        b = sorted(b.items(), key=lambda kc: val(kc[1]))
-        vals = [val(c) for _, c in b]
-        # keys add as monomials multiply; values are reduced once, at the
-        # end; every sum starts from the int 0, which elements accept
-        out = {}
-        get = out.get
-        for v, layer in layers.items():
-            bl = b[:bisect_left(vals, prec - v)]
-            for ka, ca in layer:
-                for kb, cb in bl:
-                    k = ka + kb
-                    out[k] = get(k, 0) + ca * cb
-        return self._new(vars_, bits, top, out, prec)
+        return self._new(vars_, bits, top, _mul_into({}, a, b, self.ring.values(prec)), prec)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -319,20 +328,20 @@ class JetPolynomial:
                 fphi[k] = get(k, 0) + c
         # top = deg keeps f^p in this layout, so its keys are fphi's
         f = self._new(vars_, bits, deg, self._relayout(vars_, bits), prec)
-        _, fp = f._pth_power()
-        for k, c in fp.items():
-            fphi[k] = get(k, 0) - c
+        f._pth_power(fphi, -1)
         red, div_p = dom.reduce, dom.div_p
         terms = {k: div_p(r) for k, c in fphi.items() if (r := red(c))}
         _check_cap(len(terms))
         return JetPolynomial(ring, vars_, bits, p * deg, terms, prec - 1)
 
-    def _pth_power(self):
-        """(bits, raw values) of f^p at the precision N of f, by the
+    def _pth_power(self, acc, sign):
+        """Add sign f^p, at the precision N of f, into the raw values acc,
+        keyed in f's variables at the field width it returns, by the
         binomial split (module docstring): f = A + p B', A the unit terms.
-        The values are keyed in f's variables at field width bits and left
-        unreduced for the caller's own pass.  Only the powers a term needs
-        are formed, each released once its term is added."""
+        Only A^j and B'^k below p are products of their own; each last
+        product goes into acc scaled by sign C(p, k) p^k.  That scale has
+        valuation N - q, so operands known mod p^q suffice; they are lifted
+        to N, or on m >= 2 the sum would keep precision q."""
         p, n, top = self.ring.p, self.prec, self.top
         dom = self.ring.values(n)
         bits = max(self.bits, (p * top).bit_length())
@@ -342,29 +351,32 @@ class JetPolynomial:
             return self._new(self.vars, bits, top, values, prec)
 
         a = poly({k: c for k, c in terms.items() if dom.is_unit(c)}, n)
-        b = {k: dom.div_p(c) for k, c in terms.items() if not dom.is_unit(c)}
+        b = {k: dom.lift(dom.div_p(c)) for k, c in terms.items() if not dom.is_unit(c)}
         # the precision of each term k >= 1 that has any
         ks = {k: q for k in range(1, p + 1) if (q := n - k - (k < p)) > 0}
         # A^j for j = 1..p-1, kept only where the term k = p - j needs it
         kept, power = {}, a
         for j in range(1, p):
             if p - j in ks:
-                kept[j] = power
-            power = power * a
-        # the other terms are added into A^p's own fresh dict
-        acc, get, lift = power.terms, power.terms.get, dom.lift
-        bk = None
+                kept[j] = power.terms
+            if j < p - 1:
+                power = power * a
+        _mul_into(acc, power.terms, a.terms, dom, sign)
+        get, bk = acc.get, None
         for k, q in ks.items():
+            s = sign * comb(p, k) * p**k
             if k == p and q == 1:
                 # mod p, (sum c m)^p = sum c^p m^p; p top fits in bits
-                t = poly({key * p: c**p for key, c in poly(b, 1).terms.items()}, 1)
+                for key, c in poly(b, 1).terms.items():
+                    acc[key * p] = get(key * p, 0) + dom.lift(c**p) * s
+            elif k == p:
+                # B'^p = B'^(p-1) B', both at q = N - p
+                _mul_into(acc, bk, b, self.ring.values(q), s)
             else:
-                bk = poly(b, q) if bk is None else poly(bk.terms, q) * poly(b, q)
-                t = bk if k == p else poly(kept.pop(p - k).terms, q) * bk
-            s = comb(p, k) * p**k
-            for key, c in t.terms.items():
-                acc[key] = get(key, 0) + lift(c) * s
-        return bits, acc
+                bk = poly(b, q) if bk is None else poly(bk, q) * poly(b, q)
+                bk = {key: dom.lift(c) for key, c in bk.terms.items()}
+                _mul_into(acc, kept.pop(p - k), bk, self.ring.values(q), s)
+        return bits
 
     def _prolong_kolchin(self):
         vars_, bits, slot = self._prolonged_layout(self.top + 1)

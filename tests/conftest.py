@@ -51,3 +51,24 @@ def eliminations(monkeypatch):
 
     monkeypatch.setattr(matrices, "_eliminate", counted)
     return calls
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """(|a|, |b|, prec, before, after) of each ``jets._mul_into`` call made
+    from now on: the operand sizes, the precision they are known at, and
+    the terms of the dict it adds into before and after the call.  A call
+    with ``before == 0`` filled a fresh dict (a product of its own)."""
+    from delta_forge import jets
+
+    calls = []
+    real = jets._mul_into
+
+    def counted(out, a, b, dom, scale=1):
+        before = len(out)
+        real(out, a, b, dom, scale)
+        calls.append((len(a), len(b), dom.prec, before, len(out)))
+        return out
+
+    monkeypatch.setattr(jets, "_mul_into", counted)
+    return calls

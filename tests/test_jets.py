@@ -1,3 +1,4 @@
+import json
 import random
 from math import comb
 
@@ -13,7 +14,7 @@ from delta_forge import (
     parse_polynomial,
     prolong,
 )
-from delta_forge import jets
+from delta_forge import cli, jets
 from delta_forge.errors import ArityError, InputError, PrecisionExhausted, TermBudgetError
 from delta_forge.jets import JetPoint
 from delta_forge.rings import ARITHMETIC, SeriesRing, _zpoly_mul_reduce, make_ring
@@ -477,7 +478,8 @@ def _small_polynomials(draw, ring, prec=None):
 
 
 def _assert_split_matches_power(f):
-    bits, raw = f._pth_power()
+    raw = {}
+    bits = f._pth_power(raw, 1)
     got, want = f._new(f.vars, bits, f.ring.p * f.top, raw, f.prec), f**f.ring.p
     assert got.prec == want.prec == f.prec
     assert _as_pairs(got.sorted_terms()) == _as_pairs(want.sorted_terms())
@@ -532,16 +534,19 @@ class TestPthPowerMatchesPow:
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_b_prime_to_the_p_takes_no_product(self, p, m, monkeypatch):
         f, b1 = self._frobenius_case(p, m)
-        products, real = [], JetPolynomial.__mul__
+        bits = max(f.bits, (p * f.top).bit_length())
+        products, real = [], jets._mul_into
 
-        def record(x, y):
-            products.append((x, y))
-            return real(x, y)
+        def record(out, a, b, dom, scale=1):
+            # every product, its own or added into f^p, goes through the
+            # kernel; its operands are keyed in f's variables at width bits
+            products.append(tuple(f._new(f.vars, bits, p * f.top, x, dom.prec) for x in (a, b)))
+            return real(out, a, b, dom, scale)
 
-        monkeypatch.setattr(JetPolynomial, "__mul__", record)
-        f._pth_power()
+        monkeypatch.setattr(jets, "_mul_into", record)
+        f._pth_power({}, 1)
         monkeypatch.undo()
-        at_1 = [(x, y) for x, y in products if min(x.prec, y.prec) == 1]
+        at_1 = [(x, y) for x, y in products if x.prec == 1]
         bp = b1 ** (p - 1)
         # B'^(p-1) is formed, for the term k = p - 1, and never multiplied by B'
         assert any(y == bp for _, y in at_1)
@@ -552,6 +557,121 @@ class TestPthPowerMatchesPow:
         # at prec 2 term k needs p^(1-k) (k < p) or p^(2-p): none survives
         f = parse_polynomial("x0^2 + 5*x1*x0' + 10*x1 + 1", make_ring(5, 2, m))
         _assert_split_matches_power(f)
+
+
+class TestPthPowerAccumulates:
+    """``_pth_power`` adds its last products into the caller's dict."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_last_products_go_into_the_accumulator(self, p, n, products):
+        ring = make_ring(p, n)
+        x0, x1, x1d = (0, 0), (1, 0), (1, 1)
+        a = JetPolynomial.from_terms(ring, [
+            (((x0, 2), (x1, 1)), ring.one), (((x1, 2),), ring.from_int(2)), ((), ring.one)])
+        b = JetPolynomial.from_terms(ring, [
+            (((x0, 1),), ring.one), (((x0, 1), (x1d, 1)), ring.from_int(2)),
+            (((x1d, 2),), ring.from_int(p))])
+        f = a + b * JetPolynomial.constant(ring, p)
+
+        def size(g, q, j):
+            """The terms of g^j, g known mod p^q."""
+            g = JetPolynomial.from_terms(ring, [(mono, c.at_prec(q)) for mono, c in g.sorted_terms()])
+            return len((g**j).terms)
+
+        ks = {k: q for k in range(1, p + 1) if (q := n - k - (k < p)) > 0}
+        # products of their own: A^j = A^(j-1) A and B'^k = B'^(k-1) B'
+        own = [(size(a, n, j - 1), len(a.terms), n) for j in range(2, p)]
+        own += [(size(b, q, k - 1), size(b, q, 1), q) for k, q in ks.items() if 1 < k < p]
+        # added into f^phi: A^p = A^(p-1) A, each A^(p-k) B'^k, and B'^(p-1) B'
+        # where B'^p is needed mod more than p
+        into = [(size(a, n, p - 1), len(a.terms), n)]
+        into += [(size(a, n, p - k), size(b, q, k), q) for k, q in ks.items() if k < p]
+        if ks.get(p, 1) > 1:
+            into.append((size(b, ks[p], p - 1), len(b.terms), ks[p]))
+        products.clear()
+        f.prolong()
+        assert sorted(call[:3] for call in products if not call[3]) == sorted(own)
+        assert sorted(call[:3] for call in products if call[3]) == sorted(into)
+
+    def test_exact_cancellation_leaves_no_key(self):
+        # (x0 + 3 x1)^3 = x0^3 + 9 x0^2 x1 + 27 x0 x1^2 + 27 x1^3 on W(Z/3^4)
+        ring = make_ring(3, 4)
+        f = parse_polynomial("x0 + 3*x1", ring)
+        bits = max(f.bits, (3 * f.top).bit_length())
+
+        def key(e0, e1):
+            return e0 + (e1 << bits)
+
+        # 82 - 1 and 27 - 27 vanish mod 3^4, 9 - 9 at once
+        acc = {key(3, 0): 82, key(0, 3): 27, key(2, 1): 9, key(1, 1): 5}
+        assert f._pth_power(acc, -1) == bits
+        got = f._new(f.vars, bits, 3 * f.top, acc, f.prec)
+        assert got.terms == {key(1, 1): 5, key(1, 2): 81 - 27}
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("p", [3, 5])
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_adds_minus_f_to_the_p_key_by_key(self, p, m, data):
+        ring = make_ring(p, 4, m)
+        f = JetPolynomial.from_terms(
+            ring, data.draw(_small_polynomials(ring, data.draw(st.integers(2, 4)))))
+        dom, top = ring.values(f.prec), p * f.top
+        bits = max(f.bits, top.bit_length())
+        fp = f**p
+        assert (fp.vars, fp.bits) == (f.vars, bits)
+        coeff = _layered_coefficients(ring, f.prec).map(dom.from_elem)
+        # keys of f^p with its own value (which cancels), or another, and
+        # keys of no term of f^p
+        acc = {k: data.draw(st.sampled_from([c, data.draw(coeff)]))
+               for k, c in fp.terms.items() if data.draw(st.booleans())}
+        for exps in data.draw(st.lists(st.lists(
+                st.integers(0, top), min_size=len(f.vars), max_size=len(f.vars)), max_size=3)):
+            acc[sum(e << n * bits for n, e in enumerate(exps))] = data.draw(coeff)
+        cancelled = {k for k, c in acc.items() if fp.terms.get(k) == c}
+        want = f._new(f.vars, bits, top, dict(acc), f.prec) - fp
+        assert f._pth_power(acc, -1) == bits
+        got = f._new(f.vars, bits, top, acc, f.prec)
+        assert _as_pairs(got.sorted_terms()) == _as_pairs(want.sorted_terms())
+        assert not cancelled & set(got.terms)
+
+    @pytest.mark.parametrize("p, n", [(5, 4), (3, 5)])
+    def test_m2_lifts_the_terms_formed_below_full_precision(self, p, n):
+        # f has unit terms only, so its prolongation is the first to have a
+        # B', whose terms are formed mod p^q < p^N and lifted
+        ring = make_ring(p, n, 2)
+        f = parse_polynomial("x0*x1 + x0", ring)
+        ref = dict(f.sorted_terms())
+        for _ in range(2):
+            f, ref = f.prolong(), _ref_prolong(ring, ref)
+        assert f.prec == n - 2
+        assert _as_pairs(f.sorted_terms()) == _as_pairs(ref)
+
+    def test_m2_cli_prolongs_twice(self, capsys):
+        ring = make_ring(5, 4, 2)
+        code = cli.main(["jet-prolong", "--ring", '{"p": 5, "prec": 4, "m": 2}',
+                         "--times", "2", "x0*x1 + x0"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["terms"] == parse_polynomial("x0*x1 + x0", ring).prolong().prolong().to_records()
+
+    def test_term_cap_binds_on_the_accumulator(self, products, monkeypatch, capsys):
+        text = "x0^2*x1^2 + 3*x0*x1' + 9*x1 + 2"
+        f = parse_polynomial(text, make_ring(3, 6))
+        f.prolong()
+        fphi = next(before for *_, before, _ in products if before)
+        cap = max([fphi, *(after for *_, before, after in products if not before)])
+        assert cap < products[-1][-1]
+        # above f^phi and every product of its own, below the accumulator
+        monkeypatch.setattr(jets, "TERM_CAP", cap)
+        with pytest.raises(TermBudgetError) as exc:
+            f.prolong()
+        names = [entry.name for entry in exc.traceback]
+        assert names[-2:] == ["_mul_into", "_check_cap"] and "_pth_power" in names
+        code = cli.main(["jet-prolong", "--p", "3", "--prec", "6", text])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2 and doc["error"] == "TermBudgetError"
 
 
 class TestProlongMatchesTupleForm:

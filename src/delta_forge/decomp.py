@@ -19,7 +19,9 @@ operations, without multiplying dense factor matrices.
 ``precondition`` makes every trailing minor a unit by a row permutation
 alone: a unit determinant has, in its first column, a unit entry with a
 unit complementary minor, so the rows can be fixed one column at a time,
-each by one inversion of the block still to be ordered.
+each by one inversion of the block still to be ordered.  The first block
+is x itself, so x is eliminated once, and not at all when it already
+knows its inverse (a ``random_gl`` sample does).
 """
 
 from __future__ import annotations
@@ -223,16 +225,20 @@ def precondition(x: SquareMatrix):
     such a k always extends to an admissible order: expanding a unit
     determinant along column 0 over the residue field finds a row whose
     entry and complementary minor are both units.  So sigma[i] is the first
-    such k, and a unit det(x) is all that admissibility needs.
+    such k, and a unit det(x) is all that admissibility needs.  B at i = 0
+    is x, whose inversion also tests det(x); NonUnitError if it is not a
+    unit.
     """
     ring, n = x.ring, x.n
-    d = x.det()
-    if not d.is_unit():
-        raise NonUnitError(d, "determinant is not a unit")
+    try:
+        inv = x.invert()  # column 0's block is x itself
+    except NonUnitError as exc:
+        raise NonUnitError(exc.element, "determinant is not a unit") from None
     sigma, rest = [], list(range(n))
     for i in range(n - 1):
-        row0 = SquareMatrix._of(x.dom, [x.vals[r][i:] for r in rest]).invert().vals[0]
-        sigma.append(rest.pop(next(k for k, v in enumerate(row0) if x.dom.is_unit(v))))
+        if i:
+            inv = SquareMatrix._of(x.dom, [x.vals[r][i:] for r in rest]).invert()
+        sigma.append(rest.pop(next(k for k, v in enumerate(inv.vals[0]) if x.dom.is_unit(v))))
     sigma += rest
     w_left = SquareMatrix.permutation(ring, sigma)
     return w_left, SquareMatrix.identity(ring, n), x.permuted(sigma, range(n))

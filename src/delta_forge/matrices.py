@@ -43,6 +43,15 @@ once and into its own memo.  That pays when the factors' inverses are
 used too, as in the cocycle law f(ab) = f(a) + a f(b) a^-1, where every
 library handle inverts its argument.  A row or column permutation keeps
 a known determinant, up to sign.
+
+A sampled GL_n point is eliminated once at full precision.  The samplers
+accept a draw when its residue matrix, the draw at precision 1, is
+invertible: over a local ring that holds exactly when the determinant is
+a unit, so each try costs one elimination of an n x n matrix mod pi.  The
+accepted ``random_gl`` sample then makes one augmented pass and keeps its
+determinant and inverse, which the callers (the cocycle law, the
+logarithmic derivative, ``precondition``) all use; ``random_sl`` builds
+its point's memo from that one without an elimination of its own.
 """
 
 from __future__ import annotations
@@ -386,28 +395,41 @@ def solve_linear(ring, rows, rhs):
 
 def random_gl(ring, n, rng):
     """Uniform entries at the ring's full precision, resampled until the
-    determinant is a unit.  Each entry is drawn as a value, with the same
-    draws on ``rng`` as ``ring.random_element``."""
+    residue matrix (the sample at precision 1: entries mod p on W,
+    constant terms on Q[[t]]) is invertible, which on a local ring is
+    exactly when the determinant is a unit.  Each entry is drawn as a
+    value, with the same draws on ``rng`` as ``ring.random_element``.  The
+    sample comes back knowing its determinant and inverse, from the one
+    augmented pass it makes at full precision."""
     if n < 1:
         raise ShapeError("matrix rows must all have length n >= 1")
     dom = ring.values()
     while True:
         m = SquareMatrix._of(dom, [[dom.random(rng) for _ in range(n)] for _ in range(n)])
-        if m.is_unit():
+        if m.reduce_prec(1).is_unit():
+            m.invert()
             return m
 
 
 def random_sl(ring, n, rng):
-    """GL sample with the first row scaled by det^{-1} in its values; the
-    determinant is the one ``random_gl`` accepted the sample on."""
+    """``random_gl`` sample with the first row scaled by det^{-1} in its
+    values.  It knows its determinant, 1, and its inverse without an
+    elimination: the sample's inverse with column 0 times det."""
     g = random_gl(ring, n, rng)
     dom = g.dom
-    dinv = dom.invert(g._elim[0])
-    return SquareMatrix._of(dom, [[dom.reduce(dinv * v) for v in g.vals[0]], *g.vals[1:]])
+    d, ginv = g._elim
+    dinv = dom.invert(d)
+    s = SquareMatrix._of(dom, [[dom.reduce(dinv * v) for v in g.vals[0]], *g.vals[1:]])
+    s._elim = (dom.from_elem(ring.one),
+               SquareMatrix._of(dom, [[dom.reduce(r[0] * d), *r[1:]] for r in ginv.vals]))
+    return s
 
 
 def random_constant_gl(ring, n, rng):
-    """Invertible matrix with delta-constant entries."""
+    """Invertible matrix with delta-constant entries, resampled until its
+    residue matrix is invertible, as in ``random_gl``.  Unlike a
+    ``random_gl`` sample it is not inverted here, as not every caller
+    inverts it."""
     while True:
         if ring.kind == ARITHMETIC:
             entries = [
@@ -421,5 +443,5 @@ def random_constant_gl(ring, n, rng):
                 for _ in range(n)
             ]
         m = SquareMatrix(ring, entries)
-        if m.is_unit():
+        if m.reduce_prec(1).is_unit():
             return m

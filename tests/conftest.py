@@ -35,18 +35,28 @@ def deadline():
     return within
 
 
+class Elimination(tuple):
+    """(ncols, augmented) of one ``matrices._eliminate`` call, equal to that
+    plain pair, with the precision of its domain as ``prec``."""
+
+    def __new__(cls, ncols, augmented, prec):
+        call = super().__new__(cls, (ncols, augmented))
+        call.prec = prec
+        return call
+
+
 @pytest.fixture
 def eliminations(monkeypatch):
-    """(ncols, augmented) of each ``matrices._eliminate`` call made from now
-    on: the columns it pivots on, and whether its rows carry columns beyond
-    them (an inverse or a right-hand side)."""
+    """An ``Elimination`` for each ``matrices._eliminate`` call made from
+    now on: the columns it pivots on, whether its rows carry columns beyond
+    them (an inverse or a right-hand side), and its domain's precision."""
     from delta_forge import matrices
 
     calls = []
     real = matrices._eliminate
 
     def counted(dom, aug, ncols):
-        calls.append((ncols, len(aug[0]) > ncols))
+        calls.append(Elimination(ncols, len(aug[0]) > ncols, dom.prec))
         return real(dom, aug, ncols)
 
     monkeypatch.setattr(matrices, "_eliminate", counted)

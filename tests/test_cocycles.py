@@ -197,6 +197,7 @@ class TestLogDerivative:
 
 HANDLES = {
     "log-derivative": (SeriesRing(10), lambda ring, n: log_derivative_handle()),
+    "log-derivative-t8": (SeriesRing(8), lambda ring, n: log_derivative_handle()),
     "classified": (make_ring(5, 6), lambda ring, n: classified_handle(ClassifiedCocycle(
         GmHomParams((ring.from_int(2),)), random_gl(ring, n, random.Random(n))))),
     "coboundary": (make_ring(3, 4, 2), lambda ring, n: coboundary_handle(
@@ -215,6 +216,27 @@ def test_one_cocycle_sample_makes_two_augmented_passes(name, n, eliminations):
         eliminations.clear()
         assert cocycle_check(f, ring, n, samples=1, seed=seed).passed
         assert [ncols for ncols, augmented in eliminations if augmented] == [n, n]
+        assert_one_full_pass_per_point(eliminations, ring, n, 2)
+
+
+def assert_one_full_pass_per_point(eliminations, ring, n, points):
+    """Exactly ``points`` eliminations at the ring's full precision; every
+    other one is a sampler's residue test, at precision 1 with no inverse."""
+    full = ring.values().prec
+    assert sum(e.prec == full for e in eliminations) == points
+    assert all(e.prec == 1 and e == (n, False) for e in eliminations if e.prec != full)
+
+
+@pytest.mark.parametrize("name", sorted(HANDLES))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_sl_n_coherence_sample_eliminates_its_point_once(name, n, eliminations):
+    # random_sl hands its point's inverse over, so f(g) inverts nothing
+    ring, make = HANDLES[name]
+    f = make(ring, n)
+    for seed in range(3):
+        eliminations.clear()
+        assert coherence_check(f, ring, n, "sl_n", samples=1, seed=seed).passed
+        assert_one_full_pass_per_point(eliminations, ring, n, 1)
 
 
 class TestRecover:

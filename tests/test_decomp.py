@@ -361,17 +361,22 @@ class TestPrecondition:
         assert wl == SquareMatrix.permutation(ring, range(n - 1, -1, -1))
         assert wr == SquareMatrix.identity(ring, n) and xp == SquareMatrix.identity(ring, n)
 
-    def test_one_det_then_one_inversion_per_column_but_the_last(self, ring, eliminations):
+    def test_x_then_each_block_but_the_last_is_inverted_once(self, ring, eliminations):
         rng = random.Random(35)
         for n in range(1, 6):
-            rows = random_gl(ring, n, rng).rows
+            g = random_gl(ring, n, rng)
             eliminations.clear()
-            xp = precondition(SquareMatrix(ring, rows))[2]
-            assert eliminations == [(n, False), *((k, True) for k in range(n, 1, -1))]
+            xp = precondition(SquareMatrix(ring, g.rows))[2]
+            # column 0's block is x, whose inversion also gives det x
+            assert eliminations == [(n, True), *((k, True) for k in range(n - 1, 1, -1))]
             # x' keeps the determinant: decompose only inverts its trailing blocks
             eliminations.clear()
             decompose(xp)
             assert eliminations == [(k, True) for k in range(n - 1, 0, -1)]
+            # a sample knows its inverse, so nothing of its size is eliminated
+            eliminations.clear()
+            precondition(g)
+            assert eliminations == [(k, True) for k in range(n - 1, 1, -1)]
 
     def test_admissible_is_fixed(self, ring):
         x = SquareMatrix(ring, [[1, 2], [3, 4]])
@@ -388,8 +393,9 @@ class TestPrecondition:
 
     def test_non_unit_det_rejected(self, ring):
         x = SquareMatrix(ring, [[5, 0], [0, 1]])
-        with pytest.raises(NonUnitError):
+        with pytest.raises(NonUnitError, match="^determinant is not a unit: ") as info:
             precondition(x)
+        assert info.value.element == x.det()
 
     def test_admissible_identity_of_size_ten_is_prompt(self, ring, deadline):
         # an admissible matrix keeps its row order

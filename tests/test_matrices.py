@@ -624,6 +624,78 @@ def test_sampling_an_empty_matrix_is_a_shape_error(sample):
             sample(RINGS["witt-m1"], n, random.Random(0))
 
 
+# One ring per backend: int residues, elements (m >= 2) and series.
+SAMPLE_RINGS = {"witt-m1": make_ring(5, 6), "witt-m2": make_ring(3, 4, 2), "series-t8": SeriesRing(8)}
+
+
+def ref_tries(ring, n, rng):
+    """The number of draws ``ref_random_gl`` makes on rng, the accepted one
+    included."""
+    tries = 1
+    while not ref_det([[ring.random_element(rng) for _ in range(n)] for _ in range(n)]).is_unit():
+        tries += 1
+    return tries
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_RINGS))
+@pytest.mark.parametrize("sample", [random_gl, random_sl])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_a_sample_costs_a_residue_pass_per_try_and_one_inversion(name, sample, n, eliminations):
+    ring = SAMPLE_RINGS[name]
+    full, draws = ring.values().prec, 0
+    for seed in range(30):
+        tries = ref_tries(ring, n, random.Random(f"tries:{seed}"))
+        eliminations.clear()
+        sample(ring, n, random.Random(f"tries:{seed}"))
+        assert [(e, e.prec) for e in eliminations] == [((n, False), 1)] * tries + [((n, True), full)]
+        draws += tries
+    assert draws > 30  # some draw was turned down
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_RINGS))
+@pytest.mark.parametrize("sample", [random_gl, random_sl])
+@pytest.mark.parametrize("n", range(1, 5))
+def test_a_sample_knows_the_det_and_inverse_of_a_fresh_matrix(name, sample, n):
+    ring = SAMPLE_RINGS[name]
+    rng = random.Random(f"memo:{n}")
+    for _ in range(10):
+        g = sample(ring, n, rng)
+        d, inv = g._elim
+        fresh = SquareMatrix(ring, g.rows)
+        want = fresh.invert()
+        assert same(g.dom.to_elem(d), fresh.det())
+        assert (inv.prec, inv.vals) == (want.prec, want.vals)
+        if sample is random_sl:
+            assert same(g.det(), ring.one) and d == g.dom.from_elem(ring.one)
+
+
+@st.composite
+def residue_cases(draw):
+    """A full-precision matrix on one of SAMPLE_RINGS, often one whose
+    determinant is not a unit: a row times pi, or a row that is another
+    row's multiple modulo pi."""
+    ring = SAMPLE_RINGS[draw(st.sampled_from(sorted(SAMPLE_RINGS)))]
+    n = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [[ring.random_element(rng) for _ in range(n)] for _ in range(n)]
+    pi = ring.t if ring.kind == "kolchin" else ring.from_int(ring.p)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    mode = draw(st.sampled_from(["", "pi-row", "dependent"]))
+    if mode == "pi-row":
+        rows[i] = [pi * e for e in rows[i]]
+    elif mode == "dependent" and i != j:
+        c = ring.random_element(rng)
+        rows[i] = [c * a + pi * ring.random_element(rng) for a in rows[j]]
+    return ring, rows
+
+
+@settings(max_examples=200)
+@given(residue_cases())
+def test_residue_matrix_is_invertible_exactly_when_the_matrix_is(case):
+    ring, rows = case
+    assert SquareMatrix(ring, rows).reduce_prec(1).is_unit() == SquareMatrix(ring, rows).is_unit()
+
+
 # -- re-lift properties ------------------------------------------------------
 
 

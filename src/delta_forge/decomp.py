@@ -27,7 +27,7 @@ knows its inverse (a ``random_gl`` sample does).
 from __future__ import annotations
 
 from .errors import InputError, NonUnitError, NonUnitMinorError, ShapeError
-from .matrices import SquareMatrix
+from .matrices import SquareMatrix, _element
 from .rings import Record, dot
 from .serialize import all_ints, elem_from_json, elem_to_json
 
@@ -183,7 +183,8 @@ def decompose(x: SquareMatrix) -> DecompositionWord:
 def reconstruct(word: DecompositionWord, ring) -> SquareMatrix:
     """Left-to-right product of the word's factors, each applied to the
     product so far: a permutation re-indexes its columns, and an s-block
-    is a column operation."""
+    is a column operation, with its a and b read as values at the lesser
+    of their precision and the product's, and no matrix of its own."""
     for f in word.s_factors():
         if not f.a.is_unit():
             raise ShapeError(f"s factor has non-unit leading entry {f.a!r}")
@@ -194,9 +195,10 @@ def reconstruct(word: DecompositionWord, ring) -> SquareMatrix:
             acc = acc.permuted(range(n), f.sigma)
             continue
         # times [[a, b], [0, 1]]: column 0 times a, plus column 0 times b_j onto column j
-        s = SquareMatrix.h_block(ring, f.a, f.b)
-        dom = acc._dom(s)
-        red, (a, *b) = dom.reduce, s.vals[0]
+        s = [_element(ring, e) for e in (f.a, *f.b)]
+        prec = min(acc.prec, *(e.prec for e in s))
+        dom = acc.dom if prec == acc.prec else ring.values(prec)
+        red, (a, *b) = dom.reduce, [dom.from_elem(e) for e in s]
         acc = SquareMatrix._of(dom, [[red(r[0] * a), *(red(r[0] * bj + rj) for bj, rj in zip(b, r[1:]))]
                                      for r in acc.vals])
     return acc

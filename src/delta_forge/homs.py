@@ -95,18 +95,28 @@ def _psi_coefficients(p: int, target: int) -> tuple:
     return tuple(out)
 
 
+@functools.lru_cache
+def _horner(p: int, target: int, vu: int) -> tuple:
+    """The coefficients c_n of ``_psi_coefficients(p, target)`` that a u
+    of valuation vu needs, from the last n down: those n before the first
+    one ``_past_target`` at vu."""
+    return tuple(c for n, _, c in reversed(_psi_coefficients(p, target))
+                 if not _past_target(p, n, vu, target))
+
+
 def psi(a):
     """Series delta-homomorphism from units to the additive group:
 
         sum_{n>=1} (-1)^(n-1) (p^(n-1)/n) (delta a / a^p)^n
 
     evaluated in u = delta a / a^p by Horner's rule over the signed
-    coefficients, a table cached per (p, precision), in the coefficient
-    domain ``ring.values`` (int residues on W(Z/p^N)).  Term n has valuation
-    at least n - 1 - log_p(n) + n*val(u), which never decreases in n, so
-    the polynomial stops before the first n where that bound reaches the
-    working precision: no later term adds anything.  The result carries
-    one digit less than the input.
+    coefficients, in the coefficient domain ``ring.values`` (int residues
+    on W(Z/p^N)).  Term n has valuation at least
+    n - 1 - log_p(n) + n*val(u), which never decreases in n, so the
+    polynomial stops before the first n where that bound reaches the
+    working precision: no later term adds anything.  The coefficients it
+    runs over are a table cached per (p, precision, val(u)), so the loop
+    tests nothing.  The result carries one digit less than the input.
     """
     ring = a.ring
     if ring.kind != ARITHMETIC:
@@ -116,13 +126,11 @@ def psi(a):
     p = ring.p
     u = a.delta() * (a**p).invert()
     target = u.prec
-    vu = u.valuation()
     dom = ring.values(target)
     x, red = dom.from_elem(u), dom.reduce
     acc = dom.from_elem(ring.zero)
-    for n, _, c in reversed(_psi_coefficients(p, target)):
-        if not _past_target(p, n, vu, target):
-            acc = red((acc + c) * x)
+    for c in _horner(p, target, u.valuation()):
+        acc = red((acc + c) * x)
     return dom.to_elem(acc)
 
 

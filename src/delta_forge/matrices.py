@@ -44,14 +44,15 @@ used too, as in the cocycle law f(ab) = f(a) + a f(b) a^-1, where every
 library handle inverts its argument.  A row or column permutation keeps
 a known determinant, up to sign.
 
-A sampled GL_n point is eliminated once at full precision.  The samplers
-accept a draw when its residue matrix, the draw at precision 1, is
-invertible: over a local ring that holds exactly when the determinant is
-a unit, so each try costs one elimination of an n x n matrix mod pi.  The
-accepted ``random_gl`` sample then makes one augmented pass and keeps its
+A sampled GL_n point costs one elimination.  ``random_gl`` makes one
+augmented pass at full precision per try and keeps the draw when that
+pass finds an inverse, so the accepted sample comes back knowing its
 determinant and inverse, which the callers (the cocycle law, the
 logarithmic derivative, ``precondition``) all use; ``random_sl`` builds
-its point's memo from that one without an elimination of its own.
+its point's memo from that one without an elimination of its own.  A
+point [[a, b], [0, 1_{n-1}]] of the subgroup H costs none: ``h_block``
+sets its determinant a and, for a unit a, its inverse
+[[a^-1, -a^-1 b], [0, 1_{n-1}]] from its shape.
 """
 
 from __future__ import annotations
@@ -140,11 +141,20 @@ class SquareMatrix:
 
     @classmethod
     def h_block(cls, ring, a, b):
-        """The point [[a, b], [0, 1_{n-1}]] of the subgroup H, n = len(b) + 1."""
+        """The point [[a, b], [0, 1_{n-1}]] of the subgroup H, n = len(b) + 1.
+        It knows its determinant, a, and for a unit a its inverse
+        [[a^-1, -a^-1 b], [0, 1_{n-1}]], without an elimination."""
         n = len(b) + 1
         one, zero = ring.one, ring.zero
         rows = [[a, *b]] + [[zero] * i + [one] + [zero] * (n - 1 - i) for i in range(1, n)]
-        return cls(ring, rows)
+        h = cls(ring, rows)
+        dom, (d, *bv) = h.dom, h.vals[0]
+        inv = None
+        if dom.is_unit(d):
+            ainv, red = dom.invert(d), dom.reduce
+            inv = cls._of(dom, [[ainv, *(red(-ainv * v) for v in bv)], *h.vals[1:]])
+        h._elim = (d, inv)
+        return h
 
     def __getitem__(self, ij):
         i, j = ij
@@ -395,19 +405,17 @@ def solve_linear(ring, rows, rhs):
 
 def random_gl(ring, n, rng):
     """Uniform entries at the ring's full precision, resampled until the
-    residue matrix (the sample at precision 1: entries mod p on W,
-    constant terms on Q[[t]]) is invertible, which on a local ring is
-    exactly when the determinant is a unit.  Each entry is drawn as a
-    value, with the same draws on ``rng`` as ``ring.random_element``.  The
-    sample comes back knowing its determinant and inverse, from the one
-    augmented pass it makes at full precision."""
+    determinant is a unit.  Each entry is drawn as a value, with the same
+    draws on ``rng`` as ``ring.random_element``.  Each try is one
+    augmented pass at full precision, and a draw is kept when that pass
+    finds its inverse, so the sample comes back knowing its determinant
+    and inverse."""
     if n < 1:
         raise ShapeError("matrix rows must all have length n >= 1")
     dom = ring.values()
     while True:
         m = SquareMatrix._of(dom, [[dom.random(rng) for _ in range(n)] for _ in range(n)])
-        if m.reduce_prec(1).is_unit():
-            m.invert()
+        if m._memo(True)[1] is not None:
             return m
 
 
@@ -427,9 +435,10 @@ def random_sl(ring, n, rng):
 
 def random_constant_gl(ring, n, rng):
     """Invertible matrix with delta-constant entries, resampled until its
-    residue matrix is invertible, as in ``random_gl``.  Unlike a
-    ``random_gl`` sample it is not inverted here, as not every caller
-    inverts it."""
+    residue matrix (the matrix at precision 1: entries mod p on W,
+    constant terms on Q[[t]]) is invertible, which on a local ring is
+    exactly when the determinant is a unit.  Unlike a ``random_gl``
+    sample it is not inverted here, as not every caller inverts it."""
     while True:
         if ring.kind == ARITHMETIC:
             entries = [

@@ -12,6 +12,7 @@ from delta_forge import (
     precondition,
     random_gl,
     reconstruct,
+    rings,
 )
 from delta_forge.decomp import expected_word_length, is_admissible
 from delta_forge.errors import NonUnitError, NonUnitMinorError, ShapeError
@@ -264,6 +265,49 @@ class TestReconstruct:
             word = DecompositionWord(2, (PermFactor((0, 1)), SFactor(a, b), PermFactor((0, 1))))
             with pytest.raises(TypeError):
                 reconstruct(word, ring)
+
+
+# W(Z/5^6), W(F_9)/3^4 and Q[[t]]/t^8: int residues, elements and series
+H_RINGS = {"witt-m1": make_ring(5, 6), "witt-m2": make_ring(3, 4, 2), "series-t8": SeriesRing(8)}
+
+
+def lowered_word(ring, n, rng):
+    """A word whose s-factors have a known to a lower precision than b,
+    or b entries at mixed precisions."""
+    top = ring.one.prec
+    factors = [PermFactor(tuple(rng.sample(range(n), n)))]
+    for _ in range(rng.randint(1, 4)):
+        low = rng.randint(1, top - 1)
+        if rng.random() < 0.5:
+            a, b = ring.random_unit(rng, low), [ring.random_element(rng) for _ in range(n - 1)]
+        else:
+            a = ring.random_unit(rng)
+            b = [ring.random_element(rng, rng.randint(low, top)) for _ in range(n - 1)]
+        factors += [SFactor(a, tuple(b)), PermFactor(tuple(rng.sample(range(n), n)))]
+    return DecompositionWord(n, tuple(factors))
+
+
+@pytest.mark.parametrize("name", sorted(H_RINGS))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_reconstruct_makes_no_elimination_or_domain_inversion(name, n, eliminations, monkeypatch):
+    ring = H_RINGS[name]
+    inversions = []
+    real_values, real_residues = rings.Values.invert, rings._Residues.invert
+    monkeypatch.setattr(rings.Values, "invert",
+                        staticmethod(lambda v: inversions.append(v) or real_values(v)))
+    monkeypatch.setattr(rings._Residues, "invert",
+                        lambda dom, v: inversions.append(v) or real_residues(dom, v))
+    ring.values().invert(ring.values().from_elem(ring.one))
+    assert inversions  # the patches see a domain inversion
+    rng = random.Random(f"lowered:{name}:{n}")
+    for _ in range(10):
+        word = lowered_word(ring, n, rng)
+        eliminations.clear()
+        inversions.clear()
+        got = reconstruct(word, ring)
+        assert eliminations == [] and inversions == []
+        want = dense_product(word, ring)
+        assert (got.prec, got.vals) == (want.prec, want.vals)
 
 
 class TestWordShape:

@@ -20,7 +20,7 @@ from delta_forge import (
     twisted_cocycle,
 )
 from delta_forge.errors import BackendError, InputError, NonUnitError
-from delta_forge.homs import _past_target, _psi_coefficients
+from delta_forge.homs import _horner, _past_target, _psi_coefficients
 from delta_forge.rings import SeriesRing, make_ring
 
 
@@ -171,6 +171,26 @@ def psi_element_horner(a):
         if not _past_target(p, n, vu, target):
             acc = (acc + c) * u
     return acc
+
+
+def ceil_log(p, n):
+    """The least k with p^k >= n."""
+    k = 0
+    while p**k < n:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_horner_table_is_the_coefficients_a_valuation_needs(p):
+    # term n is left out when its valuation bound n - 1 - log_p(n) + n*vu,
+    # in integers n - 1 + n*vu - ceil(log_p(n)), reaches the target
+    for target in range(1, 9):
+        coeffs = _psi_coefficients(p, target)
+        for vu in range(target + 1):
+            want = tuple(c for n, _, c in reversed(coeffs)
+                         if n - 1 + n * vu - ceil_log(p, n) < target)
+            assert _horner(p, target, vu) == want, (target, vu)
 
 
 @pytest.mark.parametrize("m", (1, 2, 3))

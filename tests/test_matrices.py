@@ -641,13 +641,15 @@ def ref_tries(ring, n, rng):
 @pytest.mark.parametrize("sample", [random_gl, random_sl])
 @pytest.mark.parametrize("n", range(1, 5))
 def test_a_sample_costs_a_residue_pass_per_try_and_one_inversion(name, sample, n, eliminations):
+    # (named for an earlier cost) each try, the accepted one included, is one
+    # augmented pass at full precision, and a sample makes no other elimination
     ring = SAMPLE_RINGS[name]
     full, draws = ring.values().prec, 0
     for seed in range(30):
         tries = ref_tries(ring, n, random.Random(f"tries:{seed}"))
         eliminations.clear()
         sample(ring, n, random.Random(f"tries:{seed}"))
-        assert [(e, e.prec) for e in eliminations] == [((n, False), 1)] * tries + [((n, True), full)]
+        assert [(e, e.prec) for e in eliminations] == [((n, True), full)] * tries
         draws += tries
     assert draws > 30  # some draw was turned down
 
@@ -667,6 +669,51 @@ def test_a_sample_knows_the_det_and_inverse_of_a_fresh_matrix(name, sample, n):
         assert (inv.prec, inv.vals) == (want.prec, want.vals)
         if sample is random_sl:
             assert same(g.det(), ring.one) and d == g.dom.from_elem(ring.one)
+
+
+def h_block_cases(ring, n, rng):
+    """(a, b) for H-block points of size n: a unit a and b at full
+    precision, a known to a lower precision than b, b entries at mixed
+    precisions, and a non-unit a (a multiple of pi, zero among them)."""
+    top, pi = full_prec(ring), uniformizer(ring)
+    full = lambda: [ring.random_element(rng) for _ in range(n - 1)]  # noqa: E731
+    mixed = lambda: [ring.random_element(rng, rng.randint(1, top)) for _ in range(n - 1)]  # noqa: E731
+    for _ in range(5):
+        low = rng.randint(1, top - 1)
+        yield ring.random_unit(rng), full()
+        yield ring.random_unit(rng, low), full()
+        yield ring.random_unit(rng, rng.randint(1, top)), mixed()
+        yield pi * ring.random_element(rng, rng.randint(1, top)), mixed()
+    yield ring.zero, full()
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_RINGS))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_an_h_block_knows_the_det_and_inverse_of_a_fresh_matrix(name, n, eliminations):
+    ring = SAMPLE_RINGS[name]
+    one, zero = ring.one, ring.zero
+    units = 0
+    for a, b in h_block_cases(ring, n, random.Random(f"h:{name}:{n}")):
+        rows = [[a, *b], *([zero] * i + [one] + [zero] * (n - 1 - i) for i in range(1, n))]
+        eliminations.clear()
+        h = SquareMatrix.h_block(ring, a, b)
+        inv = h._elim[1]
+        if a.is_unit():
+            assert h.invert() is inv and h.is_unit()
+        else:
+            assert inv is None and not h.is_unit()
+            with pytest.raises(NonUnitError) as exc:
+                h.invert()
+            assert same(exc.value.element, a.at_prec(h.prec))
+        assert eliminations == []
+        fresh = SquareMatrix(ring, rows)
+        assert (h.prec, h.vals) == (fresh.prec, fresh.vals)
+        assert same(h.det(), fresh.det()) and same(h.det(), a.at_prec(h.prec))
+        if inv is not None:
+            want = fresh.invert()
+            assert (inv.prec, inv.vals) == (want.prec, want.vals)
+            units += 1
+    assert units == 15
 
 
 @st.composite

@@ -3,18 +3,23 @@ matrices and row-stabilizer blocks.
 
 A word is an alternating product w0 s1 w1 ... sL wL where each w is a
 permutation matrix and each s has the block shape [[a, b], [0, 1_{n-1}]]
-with a a unit.  The recursion peels the first row and column:
+with a a unit.  Peeling the first row and column of a block,
 
     x = [[u, y], [z^t, w]]
       = [[u - y w^{-1} z^t, y w^{-1}], [0, 1]] * diag(1, w) * [[1, 0], [w^{-1} z^t, 1]]
 
 diag(1, w) is conjugated to diag(w, 1) by the cyclic shift and expanded
-recursively; the lower-unipotent factor splits into single-entry columns,
+the same way; the lower-unipotent factor splits into single-entry columns,
 each conjugated to an upper s-block by a transposition.  The factor
-sequence, and hence the word length, depends only on n.  Each level
-inverts w once, which also checks that trailing minor.  ``reconstruct``
-applies the factors one by one, as column re-indexing and column
-operations, without multiplying dense factor matrices.
+sequence, and hence the word length, depends only on n.  ``decompose``
+factors the trailing blocks from the 1 x 1 corner outwards.  The pivot
+a = u - y w^{-1} z^t is det x / det w, so the pivots check the trailing
+minors and their product is det x; and y w^{-1}, w^{-1} z^t and a^{-1}
+give x^{-1} by bordering w^{-1}, for the next block out.  So nothing is
+eliminated unless a pivot is not a unit, and then only the minors up to
+the first that is not one.  ``reconstruct`` applies the factors one by
+one, as column re-indexing and column operations, without multiplying
+dense factor matrices.
 
 ``precondition`` makes every trailing minor a unit by a row permutation
 alone: a unit determinant has, in its first column, a unit entry with a
@@ -116,44 +121,6 @@ def _compose(sig1, sig2):
     return tuple(sig2[sig1[i]] for i in range(len(sig1)))
 
 
-def _raw_factors(x: SquareMatrix, level=1):
-    """Unnormalized factor stream (permutations and s-blocks, any order)
-    of x, whose trailing block w is trailing minor ``level``."""
-    ring, n, to_elem = x.ring, x.n, x.dom.to_elem
-    if n == 1:
-        return [SFactor(x[0, 0], ())]
-    w = x.block(1, n, 1, n)
-    try:
-        winv = w.invert()
-    except NonUnitError as exc:
-        raise NonUnitMinorError(level, exc.element) from None
-    (u, *y), z = x.vals[0], [r[0] for r in x.vals[1:]]
-    yw = [x.dom.reduce(dot(y, col)) for col in zip(*winv.vals)]
-    factors = [SFactor(to_elem(u - dot(yw, z)), tuple(map(to_elem, yw)))]
-
-    # diag(1, w) = C^{-1} diag(w, 1) C for the cyclic shift C
-    shift = tuple(list(range(1, n)) + [0])
-    shift_inv = tuple([n - 1] + list(range(n - 1)))
-    factors.append(PermFactor(shift_inv))
-    for f in _raw_factors(w, level + 1):
-        if isinstance(f, PermFactor):
-            factors.append(PermFactor(f.sigma + (n - 1,)))
-        else:
-            factors.append(SFactor(f.a, f.b + (ring.zero,)))
-    factors.append(PermFactor(shift))
-
-    # lower-unipotent column, one transposed elementary block per entry
-    for j, row in enumerate(winv.vals, 1):
-        tau = list(range(n))
-        tau[0], tau[j] = tau[j], tau[0]
-        b = [ring.zero] * (n - 1)
-        b[j - 1] = to_elem(dot(row, z))
-        factors.append(PermFactor(tuple(tau)))
-        factors.append(SFactor(ring.one, tuple(b)))
-        factors.append(PermFactor(tuple(tau)))
-    return factors
-
-
 def decompose(x: SquareMatrix) -> DecompositionWord:
     """Factor x into the canonical alternating word.
 
@@ -161,15 +128,46 @@ def decompose(x: SquareMatrix) -> DecompositionWord:
     ``precondition`` first otherwise.  The first non-unit minor by index
     is reported before a non-unit determinant.
     """
-    raw = _raw_factors(x)
-    d = x.det()
-    if not d.is_unit():
-        raise NonUnitError(d, "determinant is not a unit")
+    n, dom, vals, zero = x.n, x.dom, x.vals, x.ring.zero
+    red, to_elem = dom.reduce, dom.to_elem
+    head, tail = [], []  # the factors left and right of the inner block's
+    winv, d = [], dom.from_elem(x.ring.one)
+    for i in range(n - 1, -1, -1):
+        # block [[u, y], [z, w]] = x[i:, i:] of size k, with w^-1 = winv;
+        # its factors keep the last n - k indices fixed
+        k, fix = n - i, tuple(range(n - i, n))
+        u, y, z = vals[i][i], vals[i][i + 1:], [r[i] for r in vals[i + 1:]]
+        yw = [red(dot(y, col)) for col in zip(*winv)]
+        wz = [red(dot(row, z)) for row in winv]
+        a = red(u - dot(yw, z)) if yw else u  # det of the block / det w
+        d = red(d * a)
+        if not dom.is_unit(a):
+            if not i:
+                raise NonUnitError(to_elem(d), "determinant is not a unit")
+            for j in range(1, n):
+                minor = x.block(j, n, j, n).det()
+                if not minor.is_unit():
+                    raise NonUnitMinorError(j, minor)
+        # diag(1, w) = C^{-1} diag(w, 1) C for the cyclic shift C (at the
+        # corner, k = 1, the identity)
+        head = [SFactor(to_elem(a), (*map(to_elem, yw), *(zero,) * i)),
+                PermFactor((k - 1, *range(k - 1), *fix)), *head]
+        tail.append(PermFactor((*range(1, k), 0, *fix)))
+        # lower-unipotent column, one transposed elementary block per entry
+        for j, c in enumerate(wz, 1):
+            tau = PermFactor((j, *range(1, j), 0, *range(j + 1, n)))
+            b = [zero] * (n - 1)
+            b[j - 1] = to_elem(c)
+            tail += [tau, SFactor(x.ring.one, tuple(b)), tau]
+        if i:  # the block's inverse [[a^-1, -a^-1 yw], [-wz a^-1, w^-1 + wz a^-1 yw]]
+            ainv = dom.invert(a)
+            top = [ainv] + [red(-ainv * v) for v in yw]
+            winv = [top] + [[red(-c * ainv)] + [red(v - c * t) for v, t in zip(row, top[1:])]
+                            for c, row in zip(wz, winv)]
 
-    n = x.n
     factors = []
     pending = _identity_perm(n)
-    for f in raw:
+    for f in head + tail:
         if isinstance(f, PermFactor):
             pending = PermFactor(_compose(pending.sigma, f.sigma))
         else:

@@ -16,7 +16,7 @@ from delta_forge import (
 )
 from delta_forge.decomp import expected_word_length, is_admissible
 from delta_forge.errors import NonUnitError, NonUnitMinorError, ShapeError
-from delta_forge.rings import SeriesRing, make_ring
+from delta_forge.rings import SeriesRing, dot, make_ring
 
 RINGS = {"witt-m1": make_ring(5, 3), "witt-m2": make_ring(3, 3, 2), "series": SeriesRing(4)}
 
@@ -122,16 +122,32 @@ class TestDecompose:
         assert info.value.index == 1
         assert info.value.value == 25 and info.value.value.prec == 3
 
-    def test_roundtrip_random(self, ring):
-        rng = random.Random(31)
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_roundtrip_random(self, name):
+        ring = RINGS[name]
+        rng = random.Random(f"roundtrip:{name}")
         done = 0
         while done < 25:
-            n = rng.choice((2, 3, 4))
+            n = rng.choice((1, 2, 3, 4, 5))
             x = random_gl(ring, n, rng)
             if not is_admissible(x):
                 continue
-            assert reconstruct(decompose(x), ring) == x
+            got = reconstruct(decompose(x), ring)
+            assert (got.prec, got.vals) == (x.prec, x.vals)
             done += 1
+
+    def test_an_admissible_matrix_is_not_eliminated(self, ring, eliminations):
+        rng = random.Random(34)
+        for n in range(1, 7):
+            while True:
+                rows = random_gl(ring, n, rng).rows
+                if is_admissible(SquareMatrix(ring, rows)):
+                    break
+            eliminations.clear()
+            decompose(SquareMatrix(ring, rows))  # a fresh matrix: no memo
+            # each block's inverse borders the one inside it, and det x is
+            # the product of the blocks' pivots
+            assert eliminations == [], n
 
 
 def ref_outcome(x):
@@ -196,17 +212,126 @@ class TestErrorPrecedence:
             seen.add(want and want[:2])
         assert {None, (NonUnitMinorError, 1), (NonUnitError, None)} <= seen
 
-    def test_each_trailing_block_is_eliminated_once(self, ring, eliminations):
-        rng = random.Random(34)
-        for n in range(1, 6):
-            while True:
-                rows = random_gl(ring, n, rng).rows
-                if is_admissible(SquareMatrix(ring, rows)):
-                    break
+    @pytest.mark.parametrize("n", (5, 6))
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_first_non_unit_minor_at_every_index(self, name, n, eliminations):
+        ring = RINGS[name]
+        rng = random.Random(f"every-index:{name}:{n}")
+        for j in range(1, n):
+            x = first_non_unit_minor(ring, n, j, rng)
+            want = assert_outcome(x.rows, ring)
+            assert want[:2] == (NonUnitMinorError, j)
+            assert not any(d.is_unit() for d in trailing_minors(x)[0][j - 1:])
+            # only the determinants of minors 1..j are eliminated
             eliminations.clear()
-            decompose(SquareMatrix(ring, rows))
-            # the inverse of each trailing block, outermost first, then det
-            assert eliminations == [*((k, True) for k in range(n - 1, 0, -1)), (n, False)]
+            outcome(SquareMatrix(ring, x.rows))
+            assert eliminations == [(n - m, False) for m in range(1, j + 1)]
+
+
+def first_non_unit_minor(ring, n, j, rng):
+    """An n x n matrix whose trailing minors 1..j-1 are units and j..n-1
+    are not: its block from row and column j on is U diag(1, ..., 1, pi) L
+    with U upper and L lower unit triangular, so that each of its own
+    trailing minors is a unit times pi, and the rows and columns outside
+    it are redrawn until the larger minors are units."""
+    k, pi = n - j, uniformizer(ring)
+    upper = [[ring.one if r == c else ring.random_element(rng) if c > r else ring.zero
+              for c in range(k)] for r in range(k)]
+    lower = [[ring.one if r == c else ring.random_element(rng) if c < r else ring.zero
+              for c in range(k)] for r in range(k)]
+    block = (SquareMatrix(ring, upper) * SquareMatrix.diagonal(ring, [ring.one] * (k - 1) + [pi])
+             * SquareMatrix(ring, lower)).rows
+    while True:
+        rows = [[ring.random_element(rng) for _ in range(n)] for _ in range(n)]
+        for r in range(k):
+            rows[j + r][j:] = block[r]
+        x = SquareMatrix(ring, rows)
+        if all(d.is_unit() for d in trailing_minors(x)[0][:j - 1]):
+            return x
+
+
+def ref_raw_factors(x: SquareMatrix, level=1):
+    """The recursion that ``decompose`` replaced: the unnormalized factor
+    stream of x, one level per trailing block, each inverting its block w
+    by elimination."""
+    ring, n, to_elem = x.ring, x.n, x.dom.to_elem
+    if n == 1:
+        return [SFactor(x[0, 0], ())]
+    w = x.block(1, n, 1, n)
+    try:
+        winv = w.invert()
+    except NonUnitError as exc:
+        raise NonUnitMinorError(level, exc.element) from None
+    (u, *y), z = x.vals[0], [r[0] for r in x.vals[1:]]
+    yw = [x.dom.reduce(dot(y, col)) for col in zip(*winv.vals)]
+    factors = [SFactor(to_elem(u - dot(yw, z)), tuple(map(to_elem, yw)))]
+    shift = tuple(list(range(1, n)) + [0])
+    shift_inv = tuple([n - 1] + list(range(n - 1)))
+    factors.append(PermFactor(shift_inv))
+    for f in ref_raw_factors(w, level + 1):
+        if isinstance(f, PermFactor):
+            factors.append(PermFactor(f.sigma + (n - 1,)))
+        else:
+            factors.append(SFactor(f.a, f.b + (ring.zero,)))
+    factors.append(PermFactor(shift))
+    for j, row in enumerate(winv.vals, 1):
+        tau = list(range(n))
+        tau[0], tau[j] = tau[j], tau[0]
+        b = [ring.zero] * (n - 1)
+        b[j - 1] = to_elem(dot(row, z))
+        factors.append(PermFactor(tuple(tau)))
+        factors.append(SFactor(ring.one, tuple(b)))
+        factors.append(PermFactor(tuple(tau)))
+    return factors
+
+
+def ref_decompose(x: SquareMatrix) -> DecompositionWord:
+    """The word of ``ref_raw_factors``, after a determinant pass, with
+    each run of permutations merged into one."""
+    raw = ref_raw_factors(x)
+    d = x.det()
+    if not d.is_unit():
+        raise NonUnitError(d, "determinant is not a unit")
+    n = x.n
+    factors, pending = [], tuple(range(n))
+    for f in raw:
+        if isinstance(f, PermFactor):
+            pending = tuple(f.sigma[pending[i]] for i in range(n))
+        else:
+            factors += [PermFactor(pending), f]
+            pending = tuple(range(n))
+    factors.append(PermFactor(pending))
+    return DecompositionWord(n, tuple(factors))
+
+
+# RINGS and W(F_27)/3^3
+WORD_RINGS = {**RINGS, "witt-m3": make_ring(3, 3, 3)}
+
+
+class TestWordAgainstRecursion:
+    @pytest.mark.parametrize("name", sorted(WORD_RINGS))
+    def test_every_factor_matches_the_recursion(self, name):
+        ring = WORD_RINGS[name]
+        top, pi = ring.one.prec, uniformizer(ring)
+        rng = random.Random(f"word:{name}")
+        for n in range(1, 7):
+            done = 0
+            while done < 20:
+                # a matrix at the ring's precision or one below it
+                prec = rng.choice((top, top, top - 1))
+                x = SquareMatrix(ring, [[ring.random_element(rng, prec) * pi ** rng.choice((0, 0, 1))
+                                         for _ in range(n)] for _ in range(n)])
+                if not x.is_unit():
+                    continue
+                x, done = precondition(x)[2], done + 1
+                got, want = decompose(x), ref_decompose(x)
+                assert got.n == want.n and len(got.factors) == len(want.factors)
+                for f, g in zip(got.factors, want.factors):
+                    assert type(f) is type(g), (n, f, g)
+                    if isinstance(f, PermFactor):
+                        assert f.sigma == g.sigma, (n, f, g)
+                    else:
+                        assert len(f.b) == len(g.b) and all(map(same, (f.a, *f.b), (g.a, *g.b))), (n, f, g)
 
 
 def dense_product(word, ring):
@@ -413,10 +538,10 @@ class TestPrecondition:
             xp = precondition(SquareMatrix(ring, g.rows))[2]
             # column 0's block is x, whose inversion also gives det x
             assert eliminations == [(n, True), *((k, True) for k in range(n - 1, 1, -1))]
-            # x' keeps the determinant: decompose only inverts its trailing blocks
+            # decompose borders each block's inverse from the one inside it
             eliminations.clear()
             decompose(xp)
-            assert eliminations == [(k, True) for k in range(n - 1, 0, -1)]
+            assert eliminations == []
             # a sample knows its inverse, so nothing of its size is eliminated
             eliminations.clear()
             precondition(g)

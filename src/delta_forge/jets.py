@@ -23,8 +23,8 @@ serialization.
 Products skip what vanishes at their precision N, by two exact facts:
 
 * layer rule: terms of valuations v and w (p-adic on W, t-adic on Q[[t]])
-  have a product of valuation at least v + w, so the one product kernel
-  groups terms by valuation and never pairs layers with v + w >= N;
+  have a product of valuation at least v + w, so the product kernel's pair
+  loop groups terms by valuation and never pairs layers with v + w >= N;
 * binomial split: the f^p of an arithmetic prolongation at precision N
   writes f = A + p B', A the unit terms, and sums
   C(p, k) p^k A^(p-k) B'^k, each term k >= 1 formed only at the
@@ -38,6 +38,16 @@ Products skip what vanishes at their precision N, by two exact facts:
   room for p top.  Each last product (A^(p-1) A, A^(p-k) B'^k, B'^(p-1) B')
   builds no dict: the kernel adds it into f^phi times -C(p, k) p^k, whose
   valuation N - q makes operands known mod p^q, lifted to N, exact.
+
+Row packing: an int product (W(Z/p^N), m = 1) of at least ``_ROW_PAIRS``
+term pairs picks the field along which its smaller operand has the fewest
+rows, a row being the terms that agree on every other field.  If the rows
+of both pair up in at most a quarter of their term pairs, each row becomes
+one int with a slot per exponent of that field, and the row products,
+summed by the rest of the key, are unpacked, each slot reduced mod p^N,
+times scale.  Exact: normal forms are non-negative, so no slot borrows, and
+a slot is as wide as the sum of every term product of its key, those with
+v + w >= N included.  Other products take the pair loop.
 
 Evaluation splits each key at half its fields into a low and a high
 half-key, and keeps per half a table from half-key to the normal form of
@@ -56,11 +66,13 @@ from math import comb
 from operator import mul, or_
 
 from .errors import ArityError, InputError, PrecisionExhausted, TermBudgetError
-from .rings import ARITHMETIC, Record, _power, same_ring
+from .rings import ARITHMETIC, Record, _power, _Residues, same_ring
 from .serialize import elem_from_json, elem_to_json
 
 # most terms any polynomial may have; a larger result raises TermBudgetError
 TERM_CAP = 10**6
+# fewest term pairs of an int product for which _mul_into looks for rows
+_ROW_PAIRS = 1 << 16
 
 
 def _check_cap(n):
@@ -68,11 +80,23 @@ def _check_cap(n):
         raise TermBudgetError(n, TERM_CAP)
 
 
-def _mul_into(out, a, b, dom, scale=1):
+def _mul_into(out, a, b, dom, bits, fields, scale=1):
     """Add the product of the terms a and b at precision ``dom.prec``, each
-    value of a times scale, into the raw values out, and return out.  Keys
-    add as monomials multiply; values are left unreduced, every sum starting
-    from the int 0, which elements accept."""
+    value of a times scale, into the raw values out, and return out.  Keys,
+    of ``fields`` fields of width bits, add as monomials multiply; values
+    are left unreduced, every sum starting from the int 0, which elements
+    accept.  Large int products pack rows where terms line up along a
+    field (module docstring)."""
+    pairs = len(a) * len(b)
+    if pairs >= _ROW_PAIRS and type(dom) is _Residues:
+        # the field, at shift s, along which the smaller operand has fewest
+        # rows; a key with that field set to all ones names its row
+        small, large = sorted((a, b), key=len)
+        mask = (1 << bits) - 1
+        rows, s = min((len({k | mask << s for k in small}), s)
+                      for s in range(0, fields * bits, bits))
+        if 4 * rows * len({k | mask << s for k in large}) <= pairs:
+            return _mul_rows(out, a, b, s, mask << s, scale, dom.pk)
     # a layer of a of valuation v meets only the terms of b of valuation
     # below prec - v, a prefix of b sorted by valuation: the other pairs
     # vanish at prec
@@ -90,6 +114,38 @@ def _mul_into(out, a, b, dom, scale=1):
             for kb, cb in bl:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
+    _check_cap(len(out))
+    return out
+
+
+def _mul_rows(out, a, b, s, fm, scale, pk):
+    """``_mul_into`` on int terms mod pk, one int per row, its slot e the
+    value of the term of exponent e in the field fm at shift s.  A slot sums
+    at most min(|a|, |b|) term products: w = bits(max a max b min(|a|, |b|))."""
+    w = (max(a.values()) * max(b.values()) * min(len(a), len(b))).bit_length()
+
+    def rows(terms):
+        packed = {}
+        for k, c in terms.items():
+            e = k & fm
+            packed[k ^ e] = packed.get(k ^ e, 0) | c << (e >> s) * w
+        return packed
+
+    acc, (ra, rb) = {}, sorted((rows(a), rows(b)), key=len)
+    get, rb = acc.get, list(rb.items())
+    for ka, ca in ra.items():
+        for kb, cb in rb:
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
+    del ra, rb
+    get, slot, step = out.get, (1 << w) - 1, 1 << s
+    while acc:
+        k, x = acc.popitem()
+        while x:
+            if c := (x & slot) % pk:
+                out[k] = get(k, 0) + c * scale
+            x >>= w
+            k += step
     _check_cap(len(out))
     return out
 
@@ -265,7 +321,8 @@ class JetPolynomial:
         top = self.top + other.top
         vars_, bits, a, b = self._align(other, top)
         prec = min(self.prec, other.prec)
-        return self._new(vars_, bits, top, _mul_into({}, a, b, self.ring.values(prec)), prec)
+        out = _mul_into({}, a, b, self.ring.values(prec), bits, len(vars_))
+        return self._new(vars_, bits, top, out, prec)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -330,9 +387,13 @@ class JetPolynomial:
         f = self._new(vars_, bits, deg, self._relayout(vars_, bits), prec)
         f._pth_power(fphi, -1)
         red, div_p = dom.reduce, dom.div_p
-        terms = {k: div_p(r) for k, c in fphi.items() if (r := red(c))}
-        _check_cap(len(terms))
-        return JetPolynomial(ring, vars_, bits, p * deg, terms, prec - 1)
+        # in place: a second table as large as f^phi's would set the peak memory
+        for k, c in fphi.items():
+            fphi[k] = div_p(r) if (r := red(c)) else 0
+        for k in [k for k, c in fphi.items() if not c]:
+            del fphi[k]
+        _check_cap(len(fphi))
+        return JetPolynomial(ring, vars_, bits, p * deg, fphi, prec - 1)
 
     def _pth_power(self, acc, sign):
         """Add sign f^p, at the precision N of f, into the raw values acc,
@@ -342,7 +403,7 @@ class JetPolynomial:
         product goes into acc scaled by sign C(p, k) p^k.  That scale has
         valuation N - q, so operands known mod p^q suffice; they are lifted
         to N, or on m >= 2 the sum would keep precision q."""
-        p, n, top = self.ring.p, self.prec, self.top
+        p, n, top, fields = self.ring.p, self.prec, self.top, len(self.vars)
         dom = self.ring.values(n)
         bits = max(self.bits, (p * top).bit_length())
         terms = self._relayout(self.vars, bits)
@@ -361,7 +422,7 @@ class JetPolynomial:
                 kept[j] = power.terms
             if j < p - 1:
                 power = power * a
-        _mul_into(acc, power.terms, a.terms, dom, sign)
+        _mul_into(acc, power.terms, a.terms, dom, bits, fields, sign)
         get, bk = acc.get, None
         for k, q in ks.items():
             s = sign * comb(p, k) * p**k
@@ -371,11 +432,11 @@ class JetPolynomial:
                     acc[key * p] = get(key * p, 0) + dom.lift(c**p) * s
             elif k == p:
                 # B'^p = B'^(p-1) B', both at q = N - p
-                _mul_into(acc, bk, b, self.ring.values(q), s)
+                _mul_into(acc, bk, b, self.ring.values(q), bits, fields, s)
             else:
                 bk = poly(b, q) if bk is None else poly(bk, q) * poly(b, q)
                 bk = {key: dom.lift(c) for key, c in bk.terms.items()}
-                _mul_into(acc, kept.pop(p - k), bk, self.ring.values(q), s)
+                _mul_into(acc, kept.pop(p - k), bk, self.ring.values(q), bits, fields, s)
         return bits
 
     def _prolong_kolchin(self):

@@ -24,8 +24,8 @@ from .cocycles import (
     log_derivative_handle,
     recover,
 )
-from .decomp import decompose, is_admissible, precondition, reconstruct
-from .errors import ExhaustedSearchError
+from .decomp import decompose, precondition, reconstruct
+from .errors import ExhaustedSearchError, NonUnitMinorError
 from .homs import GmHomParams, TwistedCocycleParams, check_hom, gm_hom, psi, twisted_cocycle
 from .jets import JetPolynomial, eval_jet, nabla
 from .matrices import SquareMatrix, random_constant_gl, random_gl
@@ -288,9 +288,11 @@ def criterion_10_decomposition(seed, scale):
         done = 0
         while done < per:
             x = random_gl(ring, n, rng)
-            if not is_admissible(x):
+            # a draw with a non-unit trailing minor is redrawn
+            try:
+                word = decompose(x)
+            except NonUnitMinorError:
                 continue
-            word = decompose(x)
             if not reconstruct(word, ring) == x:
                 return False, f"roundtrip failed at n={n}"
             done += 1

@@ -74,9 +74,9 @@ def products(monkeypatch):
     calls = []
     real = jets._mul_into
 
-    def counted(out, a, b, dom, scale=1):
+    def counted(out, a, b, dom, bits, fields, scale=1):
         before = len(out)
-        real(out, a, b, dom, scale)
+        real(out, a, b, dom, bits, fields, scale)
         calls.append((len(a), len(b), dom.prec, before, len(out)))
         return out
 

@@ -580,3 +580,26 @@ class TestPrecondition:
             wl, wr, xp = precondition(x)
             word = decompose(xp)
             assert wl.invert() * reconstruct(word, ring) * wr.invert() == x
+
+
+def test_criterion_10_redraws_where_decompose_rejects(monkeypatch):
+    """Criterion 10 keeps a draw when ``decompose`` takes it and redraws on
+    its ``NonUnitMinorError``: the draws an ``is_admissible`` pre-test would
+    keep, without that test's det pass per trailing block."""
+    from delta_forge import selftest
+
+    seen, real = [], selftest.decompose
+
+    def spy(x):
+        try:
+            word = real(x)
+        except NonUnitMinorError:
+            seen.append((x, False))
+            raise
+        seen.append((x, True))
+        return word
+
+    monkeypatch.setattr(selftest, "decompose", spy)
+    assert selftest.criterion_10_decomposition(7, 40)[0]
+    assert not all(ok for _, ok in seen)
+    assert all(ok == is_admissible(x) for x, ok in seen)

@@ -1,9 +1,10 @@
 import json
 import random
+import sys
 from math import comb
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from delta_forge import (
@@ -537,11 +538,12 @@ class TestPthPowerMatchesPow:
         bits = max(f.bits, (p * f.top).bit_length())
         products, real = [], jets._mul_into
 
-        def record(out, a, b, dom, scale=1):
+        def record(out, a, b, dom, width, fields, scale=1):
             # every product, its own or added into f^p, goes through the
             # kernel; its operands are keyed in f's variables at width bits
+            assert (width, fields) == (bits, len(f.vars))
             products.append(tuple(f._new(f.vars, bits, p * f.top, x, dom.prec) for x in (a, b)))
-            return real(out, a, b, dom, scale)
+            return real(out, a, b, dom, width, fields, scale)
 
         monkeypatch.setattr(jets, "_mul_into", record)
         f._pth_power({}, 1)
@@ -670,6 +672,103 @@ class TestPthPowerAccumulates:
         names = [entry.name for entry in exc.traceback]
         assert names[-2:] == ["_mul_into", "_check_cap"] and "_pth_power" in names
         code = cli.main(["jet-prolong", "--p", "3", "--prec", "6", text])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2 and doc["error"] == "TermBudgetError"
+
+
+# (p, N) of the rings whose int products the row packing is checked on, and
+# the field width of the two-field layout those products are keyed in
+_ROW_RINGS = [(3, 6), (5, 4), (7, 3)]
+_ROW_BITS = 4
+
+
+@st.composite
+def _row_products(draw):
+    """(p, N, q, scale, a, b): an int product as ``_pth_power`` passes it to
+    ``_mul_into``, at q = N times 1 or at the precision q that the term k
+    needs times -C(p, k) p^k, with a known mod p^N and b mod p^q.  Their
+    terms line up along field 0 (field 1 is 0 or 1), with many collisions,
+    so the rows of both pair up in at most a quarter of their term pairs."""
+    p, n = draw(st.sampled_from(_ROW_RINGS))
+    k = draw(st.sampled_from([k for k in range(p + 1) if not k or n - k - (k < p) > 0]))
+    q = n - k - (k < p) if k else n
+    top = draw(st.integers(3, 7))
+
+    def operand(prec):
+        pk = p**prec
+        value = st.one_of(st.just(pk - 1), st.integers(1, pk - 1),
+                          st.integers(0, prec - 1).map(lambda v: p**v))
+        key = st.tuples(st.integers(0, top), st.integers(0, 1)).map(
+            lambda e: e[0] | e[1] << _ROW_BITS)
+        return draw(st.dictionaries(key, value, min_size=4, max_size=2 * top + 2))
+
+    return p, n, q, -comb(p, k) * p**k if k else 1, operand(n), operand(q)
+
+
+class TestRowPacking:
+    """The packed int product of ``_mul_into`` against its pair loop."""
+
+    @staticmethod
+    def _product(gate, p, n, q, scale, a, b):
+        """The product added into {0: 1} by ``_mul_into`` with the row gate
+        at gate, reduced mod p^N, and whether it packed rows."""
+        packed, real = [], jets._mul_rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(jets, "_ROW_PAIRS", gate)
+            mp.setattr(jets, "_mul_rows", lambda *args: packed.append(args) or real(*args))
+            out = jets._mul_into({0: 1}, a, b, make_ring(p, n).values(q), _ROW_BITS, 2, scale)
+        return {k: r for k, c in out.items() if (r := c % p**n)}, bool(packed)
+
+    # every slot at its widest: n terms of value p^N - 1 against themselves,
+    # n of them meeting at exponent n - 1, fill the slot width
+    @example(case=(3, 6, 6, 1, {e: 3**6 - 1 for e in range(8)}, {e: 3**6 - 1 for e in range(8)}))
+    @example(case=(5, 4, 4, 1, {e: 5**4 - 1 for e in range(5)}, {e: 5**4 - 1 for e in range(7)}))
+    @example(case=(7, 3, 3, 1, {e: 7**3 - 1 for e in range(4)}, {e: 7**3 - 1 for e in range(4)}))
+    @settings(max_examples=80)
+    @given(case=_row_products())
+    def test_packed_rows_match_the_pair_loop(self, case):
+        packed, took = self._product(0, *case)
+        loop, took_loop = self._product(1 << 60, *case)
+        assert took and not took_loop
+        assert packed == loop
+
+    @pytest.mark.parametrize("text, packs", [
+        ("x0 + x1^2 + 5", [False, False, True]),
+        # weighted-homogeneous: its products stay below the row gate
+        ("x0^2*x1^2 + 5", [False, False, False]),
+    ])
+    def test_which_prolongations_pack(self, text, packs, monkeypatch):
+        f, calls, real = parse_polynomial(text, make_ring(3, 6)), [], jets._mul_rows
+        monkeypatch.setattr(jets, "_mul_rows", lambda *args: calls.append(args) or real(*args))
+        got = []
+        for _ in packs:
+            calls.clear()
+            f = f.prolong()
+            got.append(bool(calls))
+        assert got == packs
+
+    def test_term_cap_binds_in_the_packed_path(self, monkeypatch, capsys):
+        text = "x0 + x1^2 + 5"
+        f = parse_polynomial(text, make_ring(3, 6)).prolong().prolong()
+        sizes, real = [], jets._check_cap
+
+        def spy(n):
+            sizes.append((n, sys._getframe(1).f_code.co_name))
+            real(n)
+
+        monkeypatch.setattr(jets, "_check_cap", spy)
+        f.prolong()
+        monkeypatch.undo()
+        at = next(i for i, (_, name) in enumerate(sizes) if name == "_mul_rows")
+        # above every size checked before the first packed product, below it
+        cap = max(n for n, _ in sizes[:at])
+        assert cap < sizes[at][0]
+        monkeypatch.setattr(jets, "TERM_CAP", cap)
+        with pytest.raises(TermBudgetError) as exc:
+            f.prolong()
+        names = [entry.name for entry in exc.traceback]
+        assert names[-3:] == ["_mul_into", "_mul_rows", "_check_cap"] and "_pth_power" in names
+        code = cli.main(["jet-prolong", "--p", "3", "--prec", "6", "--times", "3", text])
         doc = json.loads(capsys.readouterr().out)
         assert code == 2 and doc["error"] == "TermBudgetError"
 

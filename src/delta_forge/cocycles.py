@@ -98,7 +98,9 @@ def log_derivative(g: SquareMatrix) -> SquareMatrix:
     """Kolchin logarithmic derivative (delta g) g^{-1}."""
     if g.ring.kind != KOLCHIN:
         raise BackendError("log_derivative lives on the series backend")
-    return SquareMatrix(g.ring, [[e.delta() for e in r] for r in g.rows]) * g.invert()
+    # each value's delta is a value one truncation lower; none below 1 (raises)
+    dom = g.ring.values(g.prec - 1)
+    return SquareMatrix._of(dom, [[v.delta() for v in r] for r in g.vals]) * g.invert()
 
 
 def log_derivative_handle() -> DeltaMapHandle:
@@ -251,7 +253,9 @@ def coherence_check(f: DeltaMapHandle, ring, n: int, subgroup: str,
         if not all(e.is_constant() for r in u.rows for e in r):
             raise InputError("conjugating matrix must have constant entries")
         uinv = u.invert()
-        draw = lambda ring, n, rng: uinv * _random_torus_point(ring, n, rng) * u  # noqa: E731
+        # a torus point's draws, conjugated: the point knows its det and inverse
+        draw = lambda ring, n, rng: SquareMatrix.conjugated_diagonal(  # noqa: E731
+            u, [ring.random_unit(rng) for _ in range(n)])
         holds = lambda val: _is_diagonal(u * val * uinv)  # noqa: E731
     elif subgroup in (TORUS, SL, BOREL):
         # built per call: the samplers are looked up in this module's globals

@@ -202,11 +202,6 @@ def reconstruct(word: DecompositionWord, ring) -> SquareMatrix:
     return acc
 
 
-def expected_word_length(n: int) -> int:
-    # L(1) = 1, L(n) = L(n-1) + n
-    return n * (n + 1) // 2
-
-
 def is_admissible(x: SquareMatrix) -> bool:
     n = x.n
     return x.is_unit() and all(x.block(i, n, i, n).is_unit() for i in range(1, n))

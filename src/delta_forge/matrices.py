@@ -52,7 +52,10 @@ logarithmic derivative, ``precondition``) all use; ``random_sl`` builds
 its point's memo from that one without an elimination of its own.  A
 point [[a, b], [0, 1_{n-1}]] of the subgroup H costs none: ``h_block``
 sets its determinant a and, for a unit a, its inverse
-[[a^-1, -a^-1 b], [0, 1_{n-1}]] from its shape.
+[[a^-1, -a^-1 b], [0, 1_{n-1}]] from its shape.  Nor does a point
+u^-1 diag(d) u of a conjugated torus: ``conjugated_diagonal`` sets its
+determinant, the product of the d_i, and for unit d_i its inverse
+u^-1 diag(d^-1) u, once u itself is inverted.
 """
 
 from __future__ import annotations
@@ -155,6 +158,29 @@ class SquareMatrix:
             inv = cls._of(dom, [[ainv, *(red(-ainv * v) for v in bv)], *h.vals[1:]])
         h._elim = (d, inv)
         return h
+
+    @classmethod
+    def conjugated_diagonal(cls, u, entries):
+        """The point u^-1 diag(entries) u of the torus conjugated by an
+        invertible u, for entries that ``_element`` takes.  It knows its
+        determinant, the product of the entries, and for unit entries its
+        inverse u^-1 diag(entries^-1) u, without an elimination: each is
+        u^-1 times u with its rows scaled, in their values.  u is inverted
+        at most once, into its own memo."""
+        if len(entries) != u.n:
+            raise ShapeError(f"{len(entries)} diagonal entries for a matrix of size {u.n}")
+        ring, uinv = u.ring, u.invert()
+        entries = [_element(ring, e) for e in entries]
+        dom = ring.values(min(u.prec, *(e.prec for e in entries)))
+        red, xs = dom.reduce, [dom.from_elem(e) for e in entries]
+
+        def conjugate(scales):
+            return uinv * cls._of(dom, [[red(v * x) for v in r] for x, r in zip(scales, u.vals)])
+
+        d = reduce(lambda a, b: red(a * b), xs)
+        g = conjugate(xs)
+        g._elim = (d, conjugate(map(dom.invert, xs)) if dom.is_unit(d) else None)
+        return g
 
     def __getitem__(self, ij):
         i, j = ij

@@ -794,7 +794,7 @@ class SeriesElement(_Element):
         if den < 0:
             g = -g
         if g != 1:
-            num = tuple(c // g for c in num)
+            num = tuple(map(g.__rfloordiv__, num))
             den //= g
         self.ring = ring
         self.num = num
@@ -911,7 +911,7 @@ class SeriesElement(_Element):
         """Formal derivative d/dt; loses one order of information."""
         if self.trunc < 2:
             raise PrecisionExhausted("delta needs trunc >= 2")
-        num = tuple(i * self.num[i] for i in range(1, self.trunc))
+        num = tuple(map(mul, range(1, self.trunc), self.num[1:]))
         return SeriesElement(self.ring, num, self.den, self.trunc - 1)
 
     def is_constant(self):
@@ -978,7 +978,8 @@ class SeriesRing(_Ring):
     def random_element(self, rng: random.Random, trunc=None) -> SeriesElement:
         # integer draws: the element over denominator 1, which is its normal form
         trunc = self._check_trunc(trunc)
-        return SeriesElement(self, tuple([rng.randint(-3, 3) for _ in range(trunc)]), 1, trunc)
+        # randrange(7) - 3 draws as randint(-3, 3), which calls randrange(-3, 4)
+        return SeriesElement(self, tuple([rng.randrange(7) - 3 for _ in range(trunc)]), 1, trunc)
 
 
 def find_irreducible(p: int, m: int):

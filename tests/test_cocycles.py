@@ -173,6 +173,26 @@ class TestLogDerivative:
         with pytest.raises(BackendError):
             log_derivative(SquareMatrix.identity(ring, 2))
 
+    def test_truncation_one_is_exhausted(self):
+        R = SeriesRing(8)
+        with pytest.raises(PrecisionExhausted):
+            log_derivative(SquareMatrix.identity(R, 2).reduce_prec(1))
+
+    def test_matches_the_element_path(self):
+        # entries at mixed truncations: delta g sits one below g's least
+        R = SeriesRing(8)
+        rng = random.Random(10)
+        for n in (1, 2, 3):
+            for _ in range(5):
+                while True:
+                    g = SquareMatrix(R, [[R.random_element(rng, rng.randint(2, 8)) for _ in range(n)]
+                                         for _ in range(n)])
+                    if g.is_unit():
+                        break
+                got = log_derivative(g)
+                want = SquareMatrix(R, [[e.delta() for e in r] for r in g.rows]) * g.invert()
+                assert (got.prec, got.vals) == (want.prec, want.vals) and got.prec == g.prec - 1
+
     def test_constant_matrix(self):
         R = SeriesRing(8)
         rng = random.Random(8)
@@ -517,6 +537,28 @@ def test_an_h_block_point_is_read_without_an_elimination(name, n, eliminations):
             assert got == (want[0, 0], [want[0, j] for j in range(1, n)],
                            [want[j, 0] for j in range(1, n)], want.block(1, n, 1, n))
             assert got[0].prec == got[3].prec == want.prec
+
+
+@pytest.mark.parametrize("name", sorted(H_RINGS))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_conjugated_torus_check_eliminates_only_u(name, n, eliminations):
+    # each point knows its det and inverse from its shape, so the one
+    # elimination is u's inversion, however many points are drawn
+    ring = H_RINGS[name]
+    rng = random.Random(f"conj:{name}:{n}")
+    u = random_constant_gl(ring, n, rng)
+    # f(g) = omega(det g) 1_n on the conjugated torus, as v commutes with it
+    v = SquareMatrix.conjugated_diagonal(u, [ring.random_element(rng) for _ in range(n)])
+    handles = [classified_handle(ClassifiedCocycle(GmHomParams((ring.from_int(2),)), v))]
+    if ring.kind == "kolchin":
+        handles.append(log_derivative_handle())
+    for f in handles:
+        for k in (1, 4):
+            fresh_u = SquareMatrix(ring, u.rows)
+            eliminations.clear()
+            rep = coherence_check(f, ring, n, "conjugated-torus", samples=k, seed=k, u=fresh_u)
+            assert rep.passed and rep.samples == k
+            assert eliminations == [(n, True)] and eliminations[0].prec == u.prec
 
 
 class TestCoherence:

@@ -14,11 +14,16 @@ from delta_forge import (
     reconstruct,
     rings,
 )
-from delta_forge.decomp import expected_word_length, is_admissible
+from delta_forge.decomp import is_admissible
 from delta_forge.errors import NonUnitError, NonUnitMinorError, ShapeError
 from delta_forge.rings import SeriesRing, dot, make_ring
 
 RINGS = {"witt-m1": make_ring(5, 3), "witt-m2": make_ring(3, 3, 2), "series": SeriesRing(4)}
+
+
+def expected_word_length(n):
+    # L(1) = 1, L(n) = L(n-1) + n
+    return n * (n + 1) // 2
 
 
 def uniformizer(ring):
@@ -580,6 +585,23 @@ class TestPrecondition:
             wl, wr, xp = precondition(x)
             word = decompose(xp)
             assert wl.invert() * reconstruct(word, ring) * wr.invert() == x
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_precondition_makes_sampled_draws_admissible(name):
+    """What criterion 10's precondition rate cannot show, as ``precondition``
+    raises nothing on a unit determinant: its x' is admissible."""
+    ring = RINGS[name]
+    rng = random.Random(f"c10p:{name}")
+    moved = 0
+    for n in range(2, 7):
+        for _ in range(8):
+            x = random_gl(ring, n, rng)
+            wl, wr, xp = precondition(x)
+            assert is_admissible(xp), n
+            assert (xp.prec, xp.vals) == (x.prec, (wl * x * wr).vals)
+            moved += not is_admissible(x)
+    assert moved >= 5, moved
 
 
 def test_criterion_10_redraws_where_decompose_rejects(monkeypatch):

@@ -716,6 +716,58 @@ def test_an_h_block_knows_the_det_and_inverse_of_a_fresh_matrix(name, n, elimina
     assert units == 15
 
 
+def conjugated_diagonal_cases(ring, n, rng):
+    """(u, entries) for conjugated-torus points of size n: unit entries and
+    u at full precision, entries known to a lower precision than u, u known
+    to a lower precision than the entries, and one entry a multiple of pi."""
+    top, pi = full_prec(ring), uniformizer(ring)
+    for _ in range(3):
+        low = rng.randint(1, top - 1)
+        yield random_gl(ring, n, rng), [ring.random_unit(rng) for _ in range(n)]
+        yield random_gl(ring, n, rng), [ring.random_unit(rng, rng.randint(1, top)) for _ in range(n)]
+        yield random_gl(ring, n, rng).reduce_prec(low), [ring.random_unit(rng) for _ in range(n)]
+        entries = [ring.random_unit(rng) for _ in range(n)]
+        entries[rng.randrange(n)] = pi * ring.random_element(rng)
+        yield random_gl(ring, n, rng), entries
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_RINGS))
+@pytest.mark.parametrize("n", range(2, 5))
+def test_a_conjugated_torus_point_knows_what_its_elimination_finds(name, n, eliminations):
+    ring = SAMPLE_RINGS[name]
+    units = 0
+    for u, entries in conjugated_diagonal_cases(ring, n, random.Random(f"conj:{name}:{n}")):
+        uinv = u.invert()
+        eliminations.clear()
+        g = SquareMatrix.conjugated_diagonal(u, entries)
+        det, unit = g.det(), all(e.is_unit() for e in entries)
+        if unit:
+            inv = g.invert()
+        else:
+            with pytest.raises(NonUnitError) as exc:
+                g.invert()
+            assert same(exc.value.element, det)
+        assert eliminations == []
+        want = uinv * SquareMatrix.diagonal(ring, entries) * u
+        assert (g.prec, g.vals) == (want.prec, want.vals)
+        # a fresh matrix of the same values, eliminated over [A | 1]
+        fresh = SquareMatrix(ring, g.rows)
+        assert same(det, fresh.det())
+        if unit:
+            want = fresh.invert()
+            assert (inv.prec, inv.vals) == (want.prec, want.vals)
+            units += 1
+        else:
+            assert not fresh.is_unit()
+    assert units == 9
+
+
+def test_conjugated_diagonal_needs_one_entry_per_row():
+    ring = SAMPLE_RINGS["witt-m1"]
+    with pytest.raises(ShapeError):
+        SquareMatrix.conjugated_diagonal(SquareMatrix.identity(ring, 3), [ring.one] * 2)
+
+
 @st.composite
 def residue_cases(draw):
     """A full-precision matrix on one of SAMPLE_RINGS, often one whose

@@ -636,7 +636,8 @@ def test_values_valuation(ring):
 
 
 def element_path_draw(ring, rng, trunc):
-    """A series draw through ``element``: one Fraction per coefficient."""
+    """A series draw through ``element``: one Fraction per coefficient, each
+    drawn by ``randint(-3, 3)``, the stream the series digests were made on."""
     return ring.element([rng.randint(-3, 3) for _ in range(trunc)], trunc)
 
 
@@ -650,15 +651,16 @@ def element_path_unit(ring, rng, trunc):
 @pytest.mark.parametrize("draw, ref", [("random_element", element_path_draw),
                                        ("random_unit", element_path_unit)])
 def test_series_draws_as_the_element_path(draw, ref):
-    ring = SeriesRing(6)
-    for seed in range(10):
-        for trunc in range(1, ring.trunc + 1):
-            got_rng, ref_rng = random.Random(seed), random.Random(seed)
-            got = getattr(ring, draw)(got_rng, trunc)
-            want = ref(ring, ref_rng, trunc)
-            assert (got.num, got.den, got.trunc) == (want.num, want.den, want.trunc)
-            assert got_rng.getstate() == ref_rng.getstate()
-        assert getattr(ring, draw)(random.Random(seed)).trunc == ring.trunc
+    # Q[[t]]/t^10 is the ring of the series digests
+    for ring in (SeriesRing(6), SeriesRing(10)):
+        for seed in range(10):
+            for trunc in range(1, ring.trunc + 1):
+                got_rng, ref_rng = random.Random(seed), random.Random(seed)
+                got = getattr(ring, draw)(got_rng, trunc)
+                want = ref(ring, ref_rng, trunc)
+                assert (got.num, got.den, got.trunc) == (want.num, want.den, want.trunc)
+                assert got_rng.getstate() == ref_rng.getstate()
+            assert getattr(ring, draw)(random.Random(seed)).trunc == ring.trunc
 
 
 @pytest.mark.parametrize("trunc", [0, 7])

@@ -457,11 +457,12 @@ class JetPolynomial:
 
     # -- evaluation -----------------------------------------------------
 
-    def evaluate(self, point):
+    def evaluate(self, point, used=None):
         """f(point), at the least precision of f and of the components of
         the variables its terms carry, through half-key tables (module
-        docstring)."""
-        xs = {n: point.component(j, i) for n, (j, i) in self._used()}
+        docstring).  ``used`` is ``self._used()`` when the caller has it."""
+        used = self._used() if used is None else used
+        xs = {n: point.component(j, i) for n, (j, i) in used}
         dom = self.ring.values(min([self.prec, *(x.prec for x in xs.values())]))
         bits, mask = self.bits, (1 << self.bits) - 1
         # {exponent: normal form of its power} per variable a term carries
@@ -616,12 +617,13 @@ def nabla(values, n: int) -> JetPoint:
 
 
 def eval_jet(f: JetPolynomial, point: JetPoint):
-    for _, (j, i) in f._used():
+    used = f._used()
+    for _, (j, i) in used:
         if j >= point.base_count or i > point.level:
             raise ArityError(
                 f"point does not cover variable {var_name(j, i)}"
             )
-    return f.evaluate(point)
+    return f.evaluate(point, used)
 
 
 # ---------------------------------------------------------------------------

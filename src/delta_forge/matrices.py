@@ -21,7 +21,13 @@ pivot once per column and each multiplier once per row it clears, in
 signed slots wide enough for K products (bits of the largest multiplier
 numerator, plus bits of the largest entry numerator, plus bits(K), plus a
 sign bit), so each entry update is one big-int product, one unpack and one
-normal form.
+normal form.  The pivot row is scaled by the pivot's inverse through a
+second hook, the domain's ``scale``: on W the element loop again; on
+Q[[t]]/t^K it packs the inverse once per row and each nonzero entry
+once, in signed slots of bits(max inverse numerator) + bits(max entry
+numerator) + bits(K) + 1 bits, so each entry is one big-int product, one
+unpack and one normal form.  ``random_sl`` and ``conjugated_diagonal``
+scale rows through it too.
 
 A product runs one kernel over the operands the domain's
 ``product_operands`` hands back: entry (i, j) is
@@ -71,7 +77,7 @@ from .errors import (
     ShapeError,
     SingularPivotError,
 )
-from .rings import ARITHMETIC, same_ring
+from .rings import ARITHMETIC, SeriesElement, randbelow, same_ring
 from .serialize import elem_from_json, elem_to_json
 
 
@@ -173,9 +179,13 @@ class SquareMatrix:
         entries = [_element(ring, e) for e in entries]
         dom = ring.values(min(u.prec, *(e.prec for e in entries)))
         red, xs = dom.reduce, [dom.from_elem(e) for e in entries]
+        uvals = u.reduce_prec(dom.prec).vals
 
         def conjugate(scales):
-            return uinv * cls._of(dom, [[red(v * x) for v in r] for x, r in zip(scales, u.vals)])
+            rows = [list(r) for r in uvals]
+            for x, r in zip(scales, rows):
+                dom.scale(r, 0, x)
+            return uinv * cls._of(dom, rows)
 
         d = reduce(lambda a, b: red(a * b), xs)
         g = conjugate(xs)
@@ -355,21 +365,21 @@ def _eliminate(dom, aug, ncols):
     """Gauss-Jordan on the rows ``aug`` of normal forms in ``dom``, in
     place, over their first ``ncols`` columns.  Each column pivots on its
     first entry of least valuation at or below the pivot row, found
-    without any valuation when it is a unit.  The pivot row is scaled so
-    that its pivot pi^v * w, w a unit, reads pi^v; then each entry pi^v * c
-    below it is cleared with the exact multiplier c, by ``dom.clear``,
-    which skips the rows whose entry in the column is zero.  A unit
-    pivot clears the rows above as well, but only when the rows have
-    columns beyond ``ncols`` (an inverse or a right-hand side to finish):
-    the determinant never reads those rows again.  Returns (pivots, det,
+    without any valuation when it is a unit.  The pivot row is scaled by
+    ``dom.scale`` so that its pivot pi^v * w, w a unit, reads pi^v; then
+    each entry pi^v * c below it is cleared with the exact multiplier c,
+    by ``dom.clear``, which skips the rows whose entry in the column is
+    zero.  A unit pivot clears the rows above as well, but only when the
+    rows have columns beyond ``ncols`` (an inverse or a right-hand side to
+    finish): the determinant never reads those rows again.  Returns (pivots, det,
     stop): the row of each column's pivot (None for a column that
     vanishes at and below the pivot row, which is skipped and makes det
     zero, or for one never reached), the signed pivot product, which on a
     square ``aug`` is the determinant, and the first column whose pivot
     is not a unit, if any."""
     m, width = len(aug), len(aug[0])
-    red, is_unit, valuation, div_pi, clear = (
-        dom.reduce, dom.is_unit, dom.valuation, dom.div_pi, dom.clear)
+    red, is_unit, valuation, div_pi, scale, clear = (
+        dom.reduce, dom.is_unit, dom.valuation, dom.div_pi, dom.scale, dom.clear)
     pivots = [None] * ncols
     det, swaps, prow, stop = None, 0, 0, None
     for col in range(ncols):
@@ -391,9 +401,7 @@ def _eliminate(dom, aug, ncols):
         # entries left of col are final, and col itself is never read again;
         # with nothing right of it (the last column of det) nothing is due
         if col + 1 < width:
-            inv = dom.invert(div_pi(row[col], v) if v else row[col])
-            for j in range(col + 1, width):
-                row[j] = red(inv * row[j])
+            scale(row, col + 1, dom.invert(div_pi(row[col], v) if v else row[col]))
             clear(row, aug if not v and width > ncols else aug[prow + 1:], col, v)
         pivots[col] = prow
         prow += 1
@@ -452,8 +460,9 @@ def random_sl(ring, n, rng):
     g = random_gl(ring, n, rng)
     dom = g.dom
     d, ginv = g._elim
-    dinv = dom.invert(d)
-    s = SquareMatrix._of(dom, [[dom.reduce(dinv * v) for v in g.vals[0]], *g.vals[1:]])
+    first = list(g.vals[0])
+    dom.scale(first, 0, dom.invert(d))
+    s = SquareMatrix._of(dom, [first, *g.vals[1:]])
     s._elim = (dom.from_elem(ring.one),
                SquareMatrix._of(dom, [[dom.reduce(r[0] * d), *r[1:]] for r in ginv.vals]))
     return s
@@ -468,13 +477,16 @@ def random_constant_gl(ring, n, rng):
     while True:
         if ring.kind == ARITHMETIC:
             entries = [
-                [ring.teichmueller([rng.randrange(ring.p) for _ in range(ring.m)])
+                [ring.teichmueller([randbelow(rng, ring.p) for _ in range(ring.m)])
                  for _ in range(n)]
                 for _ in range(n)
             ]
         else:
+            # randbelow(rng, 7) - 3 draws as randint(-3, 3), over den 1
+            zeros = (0,) * (ring.trunc - 1)
             entries = [
-                [ring.from_rational(rng.randint(-3, 3)) for _ in range(n)]
+                [SeriesElement(ring, (randbelow(rng, 7) - 3, *zeros), 1, ring.trunc)
+                 for _ in range(n)]
                 for _ in range(n)
             ]
         m = SquareMatrix(ring, entries)

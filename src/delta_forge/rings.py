@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache, partial, reduce
-from itertools import chain, product, zip_longest
+from itertools import accumulate, chain, product, repeat, zip_longest
 from math import gcd, lcm
 from operator import add, lshift, methodcaller, mul
 
@@ -107,6 +107,17 @@ def dot(u, v):
 _sum_from_first = partial(reduce, add)
 
 
+def randbelow(rng, n):
+    """What ``rng.randrange(n)`` returns for an int n >= 1, by the same
+    calls on rng and without its argument checks: getrandbits(n.bit_length()),
+    drawn again while >= n."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 class Values:
     """Ring values at one precision, as elements: the domain of W(F_q), m >= 2,
     and the base of the other two.  Sums and products of values are raw
@@ -167,6 +178,12 @@ class Values:
                 for j in range(start, width):
                     other[j] = red(other[j] - c * row[j])
 
+    def scale(self, row, start, x):
+        """row[j] = x * row[j] in normal form, in place, for each j >= start."""
+        red = self.reduce
+        for j in range(start, len(row)):
+            row[j] = red(x * row[j])
+
 
 class _Residues(Values):
     """``Values`` on W(Z/p^N): int residues mod p^prec."""
@@ -184,7 +201,7 @@ class _Residues(Values):
         return WittElement(self.ring, (v % self.pk,), self.prec)
 
     def random(self, rng):
-        return rng.randrange(self.pk)
+        return randbelow(rng, self.pk)
 
     def is_unit(self, v):
         return v % self.ring.p != 0
@@ -263,6 +280,24 @@ class _Series(Values):
                     tuple([a * f - ((x >> s & mask) - half) * od for a, s in zip(o.num, shifts)]),
                     od * f, k)
 
+    def scale(self, row, start, x):
+        """x = X/e is packed once and each nonzero row[j] = R/d once, so
+        x * row[j] is the low K slots of their product over e d.  A slot
+        sums at most K products: w = bits(max |X|) + bits(max |R|) + bits(K) + 1."""
+        ents = [(j, e) for j in range(start, len(row)) if (e := row[j])]
+        if not ents:
+            return
+        k, ring = self.prec, self.ring
+        w = (max(map(int.bit_length, x.num))
+             + max(map(int.bit_length, chain.from_iterable(e.num for _, e in ents)))
+             + k.bit_length() + 1)
+        shifts, half, mask, low, bias = _slots(k, w)
+        px, xd = sum(map(lshift, x.num, shifts)), x.den
+        for j, e in ents:
+            y = (px * sum(map(lshift, e.num, shifts)) + bias) & low
+            row[j] = SeriesElement(
+                ring, tuple([(y >> s & mask) - half for s in shifts]), xd * e.den, k)
+
 
 @lru_cache(maxsize=256)
 def _slots(k, w):
@@ -281,8 +316,7 @@ def _over_one_den(vals):
     den = lcm(*(v.den for r in vals for v in r))
     nums = [[v.num if v.den == den else tuple(map((den // v.den).__mul__, v.num)) for v in r]
             for r in vals]
-    flat = [num for r in nums for num in r]
-    return den, nums, max(max(map(max, flat)), -min(map(min, flat))).bit_length()
+    return den, nums, max(map(int.bit_length, chain.from_iterable(chain.from_iterable(nums))))
 
 
 # ---------------------------------------------------------------------------
@@ -771,9 +805,7 @@ class WittRing(_Ring):
     def random_element(self, rng: random.Random, prec=None) -> WittElement:
         prec = self._check_prec(prec)
         pk = self.p**prec
-        return WittElement(
-            self, tuple(rng.randrange(pk) for _ in range(self.m)), prec
-        )
+        return WittElement(self, tuple([randbelow(rng, pk) for _ in range(self.m)]), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -893,19 +925,17 @@ class SeriesElement(_Element):
             raise NonUnitError(self)
         k, a = self.trunc, self.num
         # 1/(a/den) = den/a; B[n] = b[n] * a0^(n+1) stays integral along the
-        # recursion for b = 1/a, so den * b[n] sits over a0^k
+        # recursion for b = 1/a, B[n] = -sum_i a[i] a0^(i-1) B[n-i] over
+        # 1 <= i <= n, so den * b[n] sits over a0^k
         a0 = a[0]
+        pw = list(accumulate(repeat(a0, k - 1), mul, initial=1))  # a0^0 .. a0^(k-1)
+        c = list(map(mul, a[1:], pw))  # c[i-1] = a[i] * a0^(i-1)
         bint = [1]
-        for n in range(1, k):
-            acc = 0
-            pw = 1
-            for i in range(1, n + 1):
-                if a[i]:
-                    acc += a[i] * bint[n - i] * pw
-                pw *= a0
-            bint.append(-acc)
-        out = tuple(bint[n] * self.den * a0 ** (k - 1 - n) for n in range(k))
-        return SeriesElement(self.ring, out, a0**k, k)
+        for _ in range(1, k):
+            bint.append(-sum(map(mul, c, reversed(bint))))
+        den = self.den
+        out = tuple([b * den * q for b, q in zip(bint, reversed(pw))])
+        return SeriesElement(self.ring, out, pw[-1] * a0, k)
 
     def delta(self):
         """Formal derivative d/dt; loses one order of information."""
@@ -978,8 +1008,8 @@ class SeriesRing(_Ring):
     def random_element(self, rng: random.Random, trunc=None) -> SeriesElement:
         # integer draws: the element over denominator 1, which is its normal form
         trunc = self._check_trunc(trunc)
-        # randrange(7) - 3 draws as randint(-3, 3), which calls randrange(-3, 4)
-        return SeriesElement(self, tuple([rng.randrange(7) - 3 for _ in range(trunc)]), 1, trunc)
+        # randbelow(rng, 7) - 3 draws as randint(-3, 3), which is -3 + randrange(7)
+        return SeriesElement(self, tuple([randbelow(rng, 7) - 3 for _ in range(trunc)]), 1, trunc)
 
 
 def find_irreducible(p: int, m: int):

@@ -28,7 +28,13 @@ from delta_forge.errors import (
     ShapeError,
     SingularPivotError,
 )
-from delta_forge.matrices import SquareMatrix, random_gl, random_sl, solve_linear
+from delta_forge.matrices import (
+    SquareMatrix,
+    random_constant_gl,
+    random_gl,
+    random_sl,
+    solve_linear,
+)
 from delta_forge.rings import SeriesElement, SeriesRing, dot, make_ring
 
 RINGS = {
@@ -614,6 +620,32 @@ def test_random_sl_draws_as_the_element_path(name, n):
         rng, ref_rng = random.Random(f"sl:{seed}"), random.Random(f"sl:{seed}")
         got, want = random_sl(ring, n, rng), ref_random_sl(ring, n, ref_rng)
         assert (got.prec, got.vals) == (want.prec, want.vals)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def ref_random_constant_gl(ring, n, rng):
+    """``random_constant_gl`` through the element constructors: Teichmueller
+    lifts of ``randrange(p)`` digits on W, ``from_rational(randint(-3, 3))``
+    on Q[[t]]."""
+    while True:
+        if ring.kind == "arithmetic":
+            draw = lambda: ring.teichmueller([rng.randrange(ring.p) for _ in range(ring.m)])
+        else:
+            draw = lambda: ring.from_rational(rng.randint(-3, 3))
+        m = SquareMatrix(ring, [[draw() for _ in range(n)] for _ in range(n)])
+        if m.reduce_prec(1).is_unit():
+            return m
+
+
+@pytest.mark.parametrize("name", sorted(SL_RINGS))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_random_constant_gl_draws_as_the_element_path(name, n):
+    ring = SL_RINGS[name]
+    for seed in range(10):
+        rng, ref_rng = random.Random(f"const:{seed}"), random.Random(f"const:{seed}")
+        got, want = random_constant_gl(ring, n, rng), ref_random_constant_gl(ring, n, ref_rng)
+        key = lambda m: [list(map(value_key, r)) for r in m.vals]
+        assert key(got) == key(want)
         assert rng.getstate() == ref_rng.getstate()
 
 

@@ -19,6 +19,8 @@ from delta_forge import (
 )
 from delta_forge.errors import InputError, NonUnitError, PrecisionExhausted
 from delta_forge.rings import (
+    SeriesElement,
+    Values,
     _fp_euclid,
     _fp_is_irreducible,
     _is_prime,
@@ -27,6 +29,7 @@ from delta_forge.rings import (
     dot,
     find_irreducible,
     make_ring,
+    randbelow,
 )
 
 
@@ -667,3 +670,83 @@ def test_series_draws_as_the_element_path(draw, ref):
 def test_series_draws_check_the_truncation(trunc):
     with pytest.raises(PrecisionExhausted):
         SeriesRing(6).random_element(random.Random(0), trunc)
+
+
+# ---------------------------------------------------------------------------
+# The series hooks and the draw helper against the paths they replace:
+# values at K = 1, 2 and 10, with zero entries, mixed denominators and
+# numerators up to 2^300 in size.
+
+HOOK_TRUNCS = [1, 2, 10]
+R10 = SeriesRing(10)
+
+
+@st.composite
+def hook_values(draw, k, unit=False):
+    """A normal form of Q[[t]]/t^k; zero in a quarter of the draws unless
+    ``unit``."""
+    if not unit and draw(st.integers(0, 3)) == 0:
+        return SeriesElement(R10, (0,) * k, 1, k)
+    top = draw(st.sampled_from([3, 2**64, 2**300]))
+    num = draw(st.lists(st.integers(-top, top), min_size=k, max_size=k))
+    if unit and not num[0]:
+        num[0] = draw(st.sampled_from([1, -1, top]))
+    den = draw(st.integers(1, draw(st.sampled_from([1, 12, 2**200]))))
+    return SeriesElement(R10, tuple(num), den, k)
+
+
+def stored_form(x):
+    return x.num, x.den, x.trunc
+
+
+@given(st.sampled_from(HOOK_TRUNCS), st.data())
+def test_series_scale_matches_the_element_loop(k, data):
+    dom = R10.values(k)
+    x = data.draw(hook_values(k, unit=data.draw(st.booleans())))
+    row = data.draw(st.lists(hook_values(k), min_size=1, max_size=8))
+    start = data.draw(st.integers(0, len(row)))
+    got, want = list(row), list(row)
+    dom.scale(got, start, x)
+    Values.scale(dom, want, start, x)
+    assert list(map(stored_form, got)) == list(map(stored_form, want))
+
+
+def recursion_invert(x):
+    """The unit's inverse by the term-by-term recursion over powers of a0
+    that ``SeriesElement.invert`` replaced: B[n] = -sum a[i] a0^(i-1) B[n-i]."""
+    k, a, a0 = x.trunc, x.num, x.num[0]
+    bint = [1]
+    for n in range(1, k):
+        acc, pw = 0, 1
+        for i in range(1, n + 1):
+            if a[i]:
+                acc += a[i] * bint[n - i] * pw
+            pw *= a0
+        bint.append(-acc)
+    out = tuple(bint[n] * x.den * a0 ** (k - 1 - n) for n in range(k))
+    return SeriesElement(x.ring, out, a0**k, k)
+
+
+@given(st.sampled_from(HOOK_TRUNCS), st.data())
+def test_series_invert_matches_the_recursion(k, data):
+    x = data.draw(hook_values(k, unit=True))
+    got = x.invert()
+    assert stored_form(got) == stored_form(recursion_invert(x))
+    assert_canonical(got)
+    assert x * got == 1
+
+
+@given(st.sampled_from(HOOK_TRUNCS), st.data())
+def test_series_invert_of_a_non_unit_raises(k, data):
+    x = data.draw(hook_values(k))
+    x = SeriesElement(R10, (0, *x.num[1:]), x.den, k)
+    with pytest.raises(NonUnitError):
+        x.invert()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 2**32, 2**32 + 1, 3**8, 7**8, 101**10])
+def test_randbelow_draws_as_randrange(n):
+    for seed in range(5):
+        rng, ref_rng = random.Random(f"below:{seed}"), random.Random(f"below:{seed}")
+        assert [randbelow(rng, n) for _ in range(50)] == [ref_rng.randrange(n) for _ in range(50)]
+        assert rng.getstate() == ref_rng.getstate()

@@ -7,7 +7,8 @@ default seed is DEFAULT_SEED; the environment variable DELTA_FORGE_SEED
 overrides it.
 
 One table, ``COMMANDS``, names each subcommand's handler and options, and
-a call builds the parser of its own subcommand only.
+a call builds the parser of its own subcommand only.  ``main`` builds the
+ring of a subcommand with ring options and hands it to the handler.
 
 A call imports only what its subcommand uses: this module loads the ring
 backends, their JSON encoding and the homomorphisms (a small module, and
@@ -102,8 +103,7 @@ def _elem(ring, text):
 # -- subcommand handlers ----------------------------------------------------
 
 
-def cmd_ring_info(args):
-    ring = _make_ring(args)
+def cmd_ring_info(args, ring):
     out = {
         "p": ring.p,
         "prec": ring.prec,
@@ -116,16 +116,14 @@ def cmd_ring_info(args):
     return EXIT_OK, out
 
 
-def cmd_delta_eval(args):
-    ring = _make_ring(args)
+def cmd_delta_eval(args, ring):
     x = _elem(ring, args.value)
     d = x.delta()
     return EXIT_OK, {"value": elem_to_json(x), "delta": elem_to_json(d),
                      "prec": d.prec}
 
 
-def cmd_teich(args):
-    ring = _make_ring(args)
+def cmd_teich(args, ring):
     residue = _load_json(args.residue)
     if not all_ints(residue if isinstance(residue, list) else [residue]):
         raise InputError(f"residue must be an integer or a list of them, got {residue!r}")
@@ -133,18 +131,16 @@ def cmd_teich(args):
     return EXIT_OK, {"residue": residue, "teichmueller": elem_to_json(t)}
 
 
-def cmd_psi(args):
-    ring = _make_ring(args)
+def cmd_psi(args, ring):
     a = _elem(ring, args.value)
     val = psi(a)
     return EXIT_OK, {"value": elem_to_json(a), "psi": elem_to_json(val),
                      "prec": val.prec}
 
 
-def cmd_jet_prolong(args):
+def cmd_jet_prolong(args, ring):
     from .jets import JetPolynomial, parse_polynomial
 
-    ring = _make_ring(args)
     payload = args.poly
     try:
         records = json.loads(payload)
@@ -162,10 +158,9 @@ def cmd_jet_prolong(args):
     return EXIT_OK, {"order": f.order, "text": text, "terms": records}
 
 
-def cmd_jet_nabla(args):
+def cmd_jet_nabla(args, ring):
     from .jets import nabla
 
-    ring = _make_ring(args)
     values = tuple(_elem(ring, v) for v in args.values)
     point = nabla(values, args.order)
     return EXIT_OK, {
@@ -183,8 +178,7 @@ _HOM_LAWS = {
 }
 
 
-def cmd_hom_check(args):
-    ring = _make_ring(args)
+def cmd_hom_check(args, ring):
     params = _load_json(args.params) or {}
     if not isinstance(params, dict) or not isinstance(params.get("lambda", []), list):
         raise InputError(f'--params must be {{"lambda": [...]}} or {{"mu": c}}, got {params!r}')
@@ -212,12 +206,11 @@ def _cocycle_from_json(ring, obj):
     return ClassifiedCocycle(omega, SquareMatrix.from_json(ring, obj["v"]))
 
 
-def cmd_cocycle_make(args):
+def cmd_cocycle_make(args, ring):
     import random as _random
 
     from .matrices import SquareMatrix
 
-    ring = _make_ring(args)
     rng = _random.Random(f"{_seed(args)}:make")
     lam = tuple(ring.random_element(rng) for _ in range(args.order))
     v = SquareMatrix(
@@ -247,19 +240,17 @@ def _handle_from_args(ring, args):
     return classified_handle(_cocycle_from_json(ring, obj))
 
 
-def cmd_cocycle_check(args):
+def cmd_cocycle_check(args, ring):
     from .cocycles import cocycle_check
 
-    ring = _make_ring(args)
     f = _handle_from_args(ring, args)
     rep = cocycle_check(f, ring, args.n, samples=args.samples, seed=_seed(args))
     return (EXIT_OK if rep.passed else EXIT_COUNTEREXAMPLE), rep.to_dict()
 
 
-def cmd_cocycle_recover(args):
+def cmd_cocycle_recover(args, ring):
     from .cocycles import recover
 
-    ring = _make_ring(args)
     f = _handle_from_args(ring, args)
     v, omega_eval = recover(f, ring, args.n, seed=_seed(args))
     # sample omega on small units for the report
@@ -271,11 +262,10 @@ def cmd_cocycle_recover(args):
     return EXIT_OK, {"v": v.to_json(), "omega_samples": samples}
 
 
-def cmd_coherence_check(args):
+def cmd_coherence_check(args, ring):
     from .cocycles import coherence_check
     from .matrices import SquareMatrix, random_constant_gl
 
-    ring = _make_ring(args)
     f = _handle_from_args(ring, args)
     u = None
     if args.subgroup == "conjugated-torus":
@@ -293,11 +283,10 @@ def cmd_coherence_check(args):
     return (EXIT_OK if rep.passed else EXIT_COUNTEREXAMPLE), out
 
 
-def cmd_decompose(args):
+def cmd_decompose(args, ring):
     from .decomp import decompose, precondition
     from .matrices import SquareMatrix
 
-    ring = _make_ring(args)
     x = SquareMatrix.from_json(ring, _load_json(args.matrix))
     out = {}
     if args.precondition:
@@ -310,16 +299,15 @@ def cmd_decompose(args):
     return EXIT_OK, out
 
 
-def cmd_reconstruct(args):
+def cmd_reconstruct(args, ring):
     from .decomp import DecompositionWord, reconstruct
 
-    ring = _make_ring(args)
     word = DecompositionWord.from_json(ring, _load_json(args.word))
     m = reconstruct(word, ring)
     return EXIT_OK, {"matrix": m.to_json()}
 
 
-def cmd_selftest(args):
+def cmd_selftest(args, ring):
     from .selftest import run_selftest
 
     report = run_selftest(profile=args.profile, seed=_seed(args), out=sys.stderr)
@@ -408,7 +396,8 @@ def main(argv=None):
             value = getattr(args, name, None)
             if value is not None and value < low:
                 raise InputError(f"--{name} must be at least {low}, got {value}")
-        code, result = args.fn(args)
+        ring = _make_ring(args) if hasattr(args, "ring") else None
+        code, result = args.fn(args, ring)
     except PrecisionExhausted as exc:
         code, result = EXIT_PRECISION, {"error": "precision-exhausted",
                                         "message": str(exc)}

@@ -18,7 +18,7 @@ import random
 from .errors import BackendError, DeltaForgeError, InconsistentSystemError, InputError, PrecisionExhausted
 from .homs import GmHomParams, Report, first_counterexample, gm_hom
 from .matrices import SquareMatrix, random_constant_gl, random_gl, random_sl
-from .rings import KOLCHIN, Record
+from .rings import KOLCHIN, Record, dot
 
 TORUS = "torus"
 SL = "sl_n"
@@ -186,8 +186,7 @@ class HBlockComponents(Record):
     def _eval(self, a, b):
         b = tuple(b)
         key = (id(a), *map(id, b))
-        hit = self._memo.get(key)
-        if hit is not None and hit[0] is a and all(x is y for x, y in zip(hit[1], b)):
+        if hit := self._memo.get(key):
             return hit[2]
         value = self.handle(SquareMatrix.h_block(self.ring, a, b))
         if len(self._memo) >= _BLOCK_MEMO_SIZE:
@@ -208,6 +207,35 @@ class HBlockComponents(Record):
 
     def epsilon(self, a, b):
         return self._eval(a, b).block(1, self.n, 1, self.n)
+
+    def failing_relation(self, a1, b1, a2, b2):
+        """The number of the first block relation that fails at the points
+        i = 1, 2 and at their product (a1 a2, b1 + a1 b2), written 12, or
+        None.  With t = a1^-1 (b1 . gamma2), the relations are
+
+        (1) alpha12 = alpha1 + alpha2 + t,
+        (2) beta12 = beta1 + a1 beta2 - (alpha2 + t) b1 + b1 epsilon2,
+        (3) gamma12 = gamma1 + a1^-1 gamma2,
+        (4) epsilon12 = epsilon1 + epsilon2 - a1^-1 gamma2 b1 (column times row).
+
+        The handle runs once per point."""
+        a12, inv = a1 * a2, a1.invert()
+        b12 = [x + a1 * y for x, y in zip(b1, b2)]
+        al2, ga2, ep2 = self.alpha(a2, b2), self.gamma(a2, b2), self.epsilon(a2, b2)
+        t = inv * dot(b1, ga2)
+        if not self.alpha(a12, b12) == self.alpha(a1, b1) + al2 + t:
+            return 1
+        rhs = [x + a1 * y - (al2 + t) * b + dot(b1, col) for x, y, b, col
+               in zip(self.beta(a1, b1), self.beta(a2, b2), b1, zip(*ep2.rows))]
+        if not all(x == y for x, y in zip(self.beta(a12, b12), rhs)):
+            return 2
+        rhs = [x + inv * y for x, y in zip(self.gamma(a1, b1), ga2)]
+        if not all(x == y for x, y in zip(self.gamma(a12, b12), rhs)):
+            return 3
+        outer = SquareMatrix(self.ring, [[c * r for r in b1] for c in ga2]).scale(inv)
+        if not self.epsilon(a12, b12) == self.epsilon(a1, b1) + ep2 - outer:
+            return 4
+        return None
 
 
 def h_block_components(f: DeltaMapHandle, ring, n: int) -> HBlockComponents:

@@ -457,12 +457,11 @@ class JetPolynomial:
 
     # -- evaluation -----------------------------------------------------
 
-    def evaluate(self, point, used=None):
+    def evaluate(self, point):
         """f(point), at the least precision of f and of the components of
         the variables its terms carry, through half-key tables (module
-        docstring).  ``used`` is ``self._used()`` when the caller has it."""
-        used = self._used() if used is None else used
-        xs = {n: point.component(j, i) for n, (j, i) in used}
+        docstring)."""
+        xs = {n: point.component(j, i) for n, (j, i) in self._used()}
         dom = self.ring.values(min([self.prec, *(x.prec for x in xs.values())]))
         bits, mask = self.bits, (1 << self.bits) - 1
         # {exponent: normal form of its power} per variable a term carries
@@ -592,12 +591,8 @@ class JetPoint:
 
     def component(self, j: int, i: int):
         if j >= len(self.components_) or i > self.level:
-            raise ArityError(f"jet point has no component ({j},{i})")
+            raise ArityError(f"point does not cover variable {var_name(j, i)}")
         return self.components_[j][i]
-
-    @property
-    def base_count(self):
-        return len(self.components_)
 
     def __repr__(self):
         return f"JetPoint({self.components_})"
@@ -617,13 +612,7 @@ def nabla(values, n: int) -> JetPoint:
 
 
 def eval_jet(f: JetPolynomial, point: JetPoint):
-    used = f._used()
-    for _, (j, i) in used:
-        if j >= point.base_count or i > point.level:
-            raise ArityError(
-                f"point does not cover variable {var_name(j, i)}"
-            )
-    return f.evaluate(point, used)
+    return f.evaluate(point)
 
 
 # ---------------------------------------------------------------------------

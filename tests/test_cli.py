@@ -332,3 +332,14 @@ class TestParser:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert len(OPTIONS) == 14 and all(name in out for name in OPTIONS)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("ring-info", "--p", "5"), "--prec is required alongside --p"),
+    (("ring-info",), "ring config required: --ring JSON, or --p/--prec/--m"),
+    (("ring-info", "--ring", "[1]"), "ring config must be a JSON object, got [1]"),
+    (("teich", "--p", "5", "--prec", "3", '"x"'),
+     "residue must be an integer or a list of them, got 'x'"),
+], ids=" ".join)
+def test_cli_input_errors_exit_2(run, argv, message):
+    assert run(*argv) == (2, {"error": "InputError", "message": message})

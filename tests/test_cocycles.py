@@ -539,6 +539,58 @@ def test_an_h_block_point_is_read_without_an_elimination(name, n, eliminations):
             assert got[0].prec == got[3].prec == want.prec
 
 
+BLOCK_PAIRS = 5
+
+
+def block_pairs(ring, n, rng):
+    """(a1, b1, a2, b2) for ``failing_relation``: units a, free b."""
+    for _ in range(BLOCK_PAIRS):
+        yield (ring.random_unit(rng), [ring.random_element(rng) for _ in range(n - 1)],
+               ring.random_unit(rng), [ring.random_element(rng) for _ in range(n - 1)])
+
+
+def block_handles(ring, n, rng):
+    """A classified cocycle, and on the series backend the log derivative."""
+    v = SquareMatrix(ring, [[ring.random_element(rng) for _ in range(n)] for _ in range(n)])
+    c = ClassifiedCocycle(GmHomParams((ring.random_element(rng), ring.random_element(rng))), v)
+    handles = [classified_handle(c)]
+    if ring.kind == "kolchin":
+        handles.append(log_derivative_handle())
+    return handles
+
+
+@pytest.mark.parametrize("name", sorted(H_RINGS))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cocycles_satisfy_the_block_relations(name, n):
+    ring = H_RINGS[name]
+    rng = random.Random(f"relations:{name}:{n}")
+    for f in block_handles(ring, n, rng):
+        calls = []
+        counted = DeltaMapHandle(lambda g, f=f: calls.append(g) or f.evaluator(g), f.order)
+        blocks = h_block_components(counted, ring, n)
+        for a1, b1, a2, b2 in block_pairs(ring, n, rng):
+            assert blocks.failing_relation(a1, b1, a2, b2) is None
+        # one handle evaluation per point: (a1, b1), (a2, b2) and their product
+        assert len(calls) == 3 * BLOCK_PAIRS
+
+
+@pytest.mark.parametrize("name", sorted(H_RINGS))
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("entry, relation", [((0, 0), 1), ((0, 1), 2)])
+def test_a_constant_unit_breaks_its_block_relation(name, n, entry, relation):
+    # a constant C added to a cocycle adds C to alpha12 (or beta12) on the
+    # left, and C + C (or C + a1 C) on the right
+    ring = H_RINGS[name]
+    rng = random.Random(f"relations:{name}:{n}:{entry}")
+    unit = SquareMatrix(ring, [[ring.random_unit(rng) if (i, j) == entry else 0
+                                for j in range(n)] for i in range(n)])
+    for f in block_handles(ring, n, rng):
+        bent = DeltaMapHandle(lambda g, f=f: f.evaluator(g) + unit, f.order)
+        blocks = h_block_components(bent, ring, n)
+        for a1, b1, a2, b2 in block_pairs(ring, n, rng):
+            assert blocks.failing_relation(a1, b1, a2, b2) == relation
+
+
 @pytest.mark.parametrize("name", sorted(H_RINGS))
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_a_conjugated_torus_check_eliminates_only_u(name, n, eliminations):
@@ -636,3 +688,8 @@ class TestSolveLinear:
         rows = [[ring.one], [ring.one]]
         with pytest.raises(InconsistentSystemError):
             solve_linear(ring, rows, [ring.one, ring.from_int(2)])
+
+
+def test_block_components_need_two_rows():
+    with pytest.raises(InputError, match="^block components need n >= 2$"):
+        h_block_components(log_derivative_handle(), make_ring(5, 3), 1)

@@ -365,3 +365,19 @@ class TestCheckHom:
         rep = check_hom(lambda a: twisted_cocycle(params, a), "twisted", R,
                         samples=50, seed=3, s=-2)
         assert rep.passed
+
+
+HOM_RING = make_ring(5, 3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: check_hom(psi, "bogus", HOM_RING), InputError, "unknown law 'bogus'"),
+    (lambda: gm_hom(GmHomParams((HOM_RING.one,)), HOM_RING.from_int(5)),
+     NonUnitError, "not a unit: WittElement([5], p=5, prec=3)"),
+    (lambda: twisted_cocycle(TwistedCocycleParams(HOM_RING.one, 1), HOM_RING.from_int(5)),
+     NonUnitError, "not a unit: WittElement([5], p=5, prec=3)"),
+], ids=["unknown-law", "gm-non-unit", "twisted-non-unit"])
+def test_homs_raise_typed_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -154,6 +154,11 @@ class TestEvalJet:
         with pytest.raises(ArityError, match="^point does not cover variable x2'$"):
             eval_jet(f, nabla(ring.from_int(1), 1))
 
+    def test_evaluate_names_the_uncovered_variable(self, ring):
+        f = parse_polynomial("x0 + x2'", ring)
+        with pytest.raises(ArityError, match="^point does not cover variable x2'$"):
+            f.evaluate(nabla(ring.from_int(1), 1))
+
     def test_packed_evaluate_matches_generic(self, ring):
         rng = random.Random(10)
         f = parse_polynomial("x0^2*x1 + 2*x1*x2", ring)
@@ -833,3 +838,22 @@ class TestProlongMatchesTupleForm:
             assert all(c.prec == f.prec and c == want[m] for m, c in got)
             if ring.kind == ARITHMETIC:
                 assert _as_pairs(got) == _as_pairs(ref)
+
+
+JET_RING = make_ring(5, 3)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: JetPolynomial.from_records(JET_RING, {"terms": []}),
+     InputError, "jet terms must be a list of records, got {'terms': []}"),
+    (lambda: JetPolynomial.variable(JET_RING, 0) ** -1,
+     InputError, "negative polynomial powers are not defined"),
+], ids=["records-not-a-list", "negative-power"])
+def test_jets_raise_typed_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_the_zero_polynomial_prints_as_zero():
+    assert str(JetPolynomial.zero(JET_RING)) == "0"

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from delta_forge import matrices, rings
 from delta_forge.errors import (
     InconsistentSystemError,
+    InputError,
     NonUnitError,
     PrecisionExhausted,
     ShapeError,
@@ -1274,3 +1275,12 @@ def test_series_elimination_at_the_slot_width_bound(bits, sign):
         (_, _, _, square), _ = eliminated(matrices._eliminate, rows, rhs)
         num, den, _ = square[1][1]
         assert den == 1 and num[9] == top - sign * 10 * top * top
+
+
+def test_from_json_checks_n_against_the_rows():
+    with pytest.raises(InputError, match="^matrix row count disagrees with n$"):
+        SquareMatrix.from_json(make_ring(5, 3), {"n": 3, "rows": [[1, 2], [3, 4]]})
+
+
+def test_an_empty_system_has_the_empty_solution():
+    assert solve_linear(make_ring(5, 3), [], []) == []

@@ -31,6 +31,7 @@ from delta_forge.rings import (
     make_ring,
     randbelow,
 )
+from delta_forge.serialize import elem_to_json
 
 
 def W(p, prec, m=1):
@@ -750,3 +751,16 @@ def test_randbelow_draws_as_randrange(n):
         rng, ref_rng = random.Random(f"below:{seed}"), random.Random(f"below:{seed}")
         assert [randbelow(rng, n) for _ in range(50)] == [ref_rng.randrange(n) for _ in range(50)]
         assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: make_ring(5, 3).one.at_prec(4), PrecisionExhausted, "cannot raise precision 3 to 4"),
+    (lambda: make_ring(5, 3).one.at_prec(0), PrecisionExhausted, "precision dropped below 1"),
+    (lambda: SeriesRing(4).one.at_prec(5), PrecisionExhausted, "cannot raise truncation 4 to 5"),
+    (lambda: SeriesRing(4).one.at_prec(0), PrecisionExhausted, "truncation dropped below 1"),
+    (lambda: elem_to_json(3), InputError, "not a ring element: 3"),
+], ids=["witt-above", "witt-below", "series-above", "series-below", "json-of-an-int"])
+def test_rings_raise_typed_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
